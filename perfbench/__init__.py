@@ -1,0 +1,5 @@
+"""The repository's benchmark: three service workloads and a traced split.
+
+Run it from the repository root with ``python3 perfbench/run.py --workload
+<name> --seed <n> --seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
