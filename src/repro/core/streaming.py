@@ -48,8 +48,12 @@ from ..errors import (
     SignalTooShortError,
     TraceFormatError,
 )
-from ..contracts import ComplexArray, FloatArray, IntArray
-from ..dsp.streaming_kernels import StreamingCalibrator, trailing_window_samples
+from ..contracts import ComplexArray, IntArray
+from ..dsp.streaming_kernels import (
+    RowStore,
+    StreamingCalibrator,
+    trailing_window_samples,
+)
 from ..io_.quality import TraceQualityReport, assess_timestamps
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
@@ -237,7 +241,7 @@ class StreamingMonitor:
             trend_w = noise_w = 1
         self._context_rows = 2 * (trend_w - 1) + 2 * (noise_w - 1)
         self._engine: StreamingCalibrator | None = None
-        self._amps: FloatArray | None = None
+        self._amps: RowStore | None = None
         self._pairs: list[tuple[int, int]] | None = None
         self._win_start = 0
         self._anomaly_time: float | None = None
@@ -678,7 +682,7 @@ class StreamingMonitor:
             elif engine.n_rows < len(self._buffer):
                 block = np.stack(list(islice(self._buffer, engine.n_rows, None)))
                 engine.extend(wrapped_pair_matrix(block, self._pairs))
-                self._amps = np.concatenate([self._amps, np.abs(block)], axis=0)
+                self._amps.extend(np.abs(block))
         idx0 = self._win_start
         with self._obs.stage("incremental_estimate", component="monitor"):
             unwrapped = engine.unwrapped_window(idx0)
@@ -694,7 +698,7 @@ class StreamingMonitor:
                     help_text="Traces rejected by environment detection.",
                 )
                 return self._reject(t_end, "not-stationary", quality)
-            amp_mean = self._amps[idx0:].mean(axis=0)
+            amp_mean = self._amps.rows[idx0:].mean(axis=0)
             mask = np.concatenate(
                 [
                     amplitude_mask_from_mean(amp_mean, pair)
@@ -744,7 +748,8 @@ class StreamingMonitor:
         )
         block = np.stack(self._buffer)
         engine.extend(wrapped_pair_matrix(block, self._pairs))
-        self._amps = np.abs(block)
+        self._amps = RowStore(block.shape[1:], float)
+        self._amps.extend(np.abs(block))
         self._restored_cycles = None
         self._obs.count(
             "monitor_engine_rebuilds_total",
@@ -773,7 +778,7 @@ class StreamingMonitor:
         self._win_start -= n_evict
         if self._engine is not None:
             self._engine.evict(n_evict)
-            self._amps = self._amps[n_evict:]
+            self._amps.evict(n_evict)
         elif self._restored_cycles is not None:
             # The anchor described the old buffer front; no retained row
             # carries it any more.

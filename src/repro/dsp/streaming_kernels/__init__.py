@@ -16,9 +16,10 @@ purity is what makes the checkpoint/restore round-trip exact.
 Modules:
 
 * :mod:`~repro.dsp.streaming_kernels.rolling` — trailing median / MAD /
-  Hampel (vectorized, scipy-backed) plus an O(log w)-per-update
-  :class:`RollingMedian` for sample-at-a-time consumers, and batched
+  Hampel (vectorized, one scipy call per matrix) and batched
   (multi-column) centered Hampel used by :mod:`repro.core.calibration`.
+* :mod:`~repro.dsp.streaming_kernels.row_store` — the append/evict row
+  buffer behind the engine's and the monitor's per-packet caches.
 * :mod:`~repro.dsp.streaming_kernels.unwrap` — integer-cycle phase
   unwrapping whose incremental continuation is bitwise equal to a
   from-scratch pass (the cycle counter is an exact integer cumsum).
@@ -37,25 +38,23 @@ from .calibrator import (
     trailing_window_samples,
 )
 from .rolling import (
-    RollingHampel,
-    RollingMedian,
     batched_hampel_filter,
     batched_rolling_median,
     trailing_hampel,
     trailing_mad,
     trailing_median,
 )
+from .row_store import RowStore
 from .sliding_dft import SlidingDFT
 from .unwrap import CycleUnwrapper, cycle_unwrap
 
 __all__ = [
-    "RollingHampel",
-    "RollingMedian",
     "batched_hampel_filter",
     "batched_rolling_median",
     "trailing_hampel",
     "trailing_mad",
     "trailing_median",
+    "RowStore",
     "CycleUnwrapper",
     "cycle_unwrap",
     "SlidingDFT",

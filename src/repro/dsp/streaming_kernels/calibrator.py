@@ -7,12 +7,15 @@ The engine here uses the *trailing* kernels from
 :mod:`~repro.dsp.streaming_kernels.rolling`: each calibrated sample is a
 pure function of the trailing ``trend_window + noise_window`` raw samples,
 is computed exactly once, and never changes.  Per hop, only the new packets
-are filtered — one short scipy slice call per kernel instead of a
-full-window pass.
+are filtered: one scipy call per median over the new rows and their window
+context, instead of a full-window pass.  The per-packet caches are
+:class:`~repro.dsp.streaming_kernels.row_store.RowStore` buffers, so a hop
+writes its rows in place instead of copying the whole cache.
 
 **Exactness model.**  Every cached value is either (a) an order statistic
 of a fixed slice of the raw series (the trailing scipy kernels — slice
-continuation is bitwise equal to a full pass) or (b) an exactly associative
+continuation is bitwise equal to a full pass, but for the sign of a zero
+median among tied ``+0.0`` and ``-0.0``) or (b) an exactly associative
 integer operation (the cycle counter of
 :mod:`~repro.dsp.streaming_kernels.unwrap`).  Consequently an engine
 rebuilt from a buffered suffix of the stream produces bit-identical caches
@@ -23,8 +26,9 @@ the streaming monitor carries it in checkpoints; everything float is
 rebuilt from the buffer.
 
 :func:`trailing_calibrate` is the stateless from-scratch reference the
-equivalence suite gates the engine against (and the fallback the monitor
-uses for degraded windows).
+equivalence suite gates the engine against.  The monitor does not call it:
+windows the engine cannot serve (degraded or non-uniform timing) go through
+the batch :meth:`repro.core.pipeline.PhaseBeat.process`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from ...errors import ConfigurationError
 from ..resample import decimate, downsampled_rate
 from ..stats import MAD_TO_SIGMA
 from .rolling import trailing_median
+from .row_store import RowStore
 from .unwrap import cycle_unwrap
 
 # CalibrationConfig lives in repro.core; importing it here would invert the
@@ -125,17 +130,17 @@ class TrailingHampelState:
             ctx_x = block
         else:
             ctx_x = np.concatenate([self._x_tail, block], axis=0)
-        # While fewer than ``window - 1`` context rows exist, the slice
-        # starts at the true first sample and scipy's edge replication
+        # While fewer than ``window - 1`` context rows exist, the context
+        # starts at the true first sample and the kernel's edge replication
         # reproduces the full-series warmup exactly; once the context is
         # full, every output row taken has a complete real window.
-        med = trailing_median(ctx_x, w)[-m:]
+        med = trailing_median(ctx_x, w, last=m)
         y_new = np.abs(block - med)
         if self._y_tail is None:
             ctx_y = y_new
         else:
             ctx_y = np.concatenate([self._y_tail, y_new], axis=0)
-        mad = trailing_median(ctx_y, w)[-m:]
+        mad = trailing_median(ctx_y, w, last=m)
         outlier = y_new > self._threshold * self._scale * mad
         out = block.copy()
         out[outlier] = med[outlier]
@@ -183,8 +188,7 @@ def trailing_calibrate(
     The stateless reference implementation of the streaming calibration:
     integer-cycle unwrap, trailing Hampel detrend, trailing Hampel denoise,
     decimation anchored at row 0.  :class:`StreamingCalibrator` must match
-    this bitwise on every retained row; the monitor also calls it directly
-    for degraded (non-uniform) windows.
+    this bitwise on every retained row.
 
     Args:
         wrapped_phase: ``[n_packets × n_series]`` wrapped phase differences
@@ -305,15 +309,14 @@ class StreamingCalibrator:
             if initial_cycles is None
             else np.asarray(initial_cycles, dtype=np.int64).copy()
         )
-        empty_f = np.empty((0, self._n_series), dtype=float)
-        self._unwrapped: FloatArray = empty_f
-        self._calibrated: FloatArray = empty_f.copy()
-        self._cycles: IntArray = np.empty((0, self._n_series), dtype=np.int64)
+        self._unwrapped = RowStore((self._n_series,), float)
+        self._calibrated = RowStore((self._n_series,), float)
+        self._cycles = RowStore((self._n_series,), np.int64)
 
     @property
     def n_rows(self) -> int:
         """Rows currently cached (== packets buffered by the caller)."""
-        return int(self._calibrated.shape[0])
+        return len(self._calibrated)
 
     @property
     def decimation_factor(self) -> int:
@@ -342,7 +345,7 @@ class StreamingCalibrator:
     def base_cycles(self) -> IntArray:
         """Integer cycle count at cache row 0 — the checkpoint anchor."""
         if self.n_rows:
-            return self._cycles[0].copy()
+            return self._cycles.rows[0].copy()
         return self._last_cycles.copy()
 
     def extend(self, wrapped_block: FloatArray) -> None:
@@ -368,9 +371,9 @@ class StreamingCalibrator:
         trend = self._trend.extend(unwrapped)
         detrended = unwrapped - trend
         denoised = self._noise.extend(detrended)
-        self._unwrapped = np.concatenate([self._unwrapped, unwrapped], axis=0)
-        self._calibrated = np.concatenate([self._calibrated, denoised], axis=0)
-        self._cycles = np.concatenate([self._cycles, cycles], axis=0)
+        self._unwrapped.extend(unwrapped)
+        self._calibrated.extend(denoised)
+        self._cycles.extend(cycles)
 
     def evict(self, n_rows: int) -> None:
         """Drop the oldest ``n_rows`` cached rows.
@@ -385,13 +388,16 @@ class StreamingCalibrator:
             )
         if n_rows <= 0:
             return
-        self._unwrapped = self._unwrapped[n_rows:]
-        self._calibrated = self._calibrated[n_rows:]
-        self._cycles = self._cycles[n_rows:]
+        self._unwrapped.evict(n_rows)
+        self._calibrated.evict(n_rows)
+        self._cycles.evict(n_rows)
 
     def unwrapped_window(self, start_row: int) -> FloatArray:
-        """Unwrapped phase rows from ``start_row`` to the newest (a view)."""
-        return self._unwrapped[start_row:]
+        """Unwrapped phase rows from ``start_row`` to the newest.
+
+        A view, valid until the next :meth:`extend`.
+        """
+        return self._unwrapped.rows[start_row:]
 
     def calibrated_window(self, start_row: int) -> FloatArray:
         """Decimated calibrated rows covering ``[start_row, newest]``.
@@ -403,4 +409,4 @@ class StreamingCalibrator:
         if start_row < 0:
             raise ConfigurationError(f"start_row must be >= 0, got {start_row}")
         first = -(-start_row // self._factor) * self._factor
-        return self._calibrated[first :: self._factor].copy()
+        return self._calibrated.rows[first :: self._factor].copy()

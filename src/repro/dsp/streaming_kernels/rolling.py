@@ -9,27 +9,26 @@ Two families live here:
   exact: extending the series never changes past outputs.  The vectorized
   implementations ride on ``scipy.ndimage.median_filter`` with a positive
   ``origin`` — ``origin=(w - 1) // 2`` shifts the centered footprint fully
-  to the left, which is bitwise equal to the naive trailing median
-  (verified against a naive implementation in the test suite, including
-  ties and even windows).
+  to the left, which equals the naive trailing median (verified against a
+  naive implementation in the test suite, including ties and even windows).
+  A whole ``[n × k]`` matrix goes through *one* 1-D scipy call: the columns
+  are laid end to end, each prefixed with copies of its own first row, so
+  every kept output's window lies inside its own column.
 
 * **Batched centered kernels** — per-column application of the 1-D
   centered kernels from :mod:`repro.dsp.hampel` over a ``[window × series]``
   matrix, with the elementwise outlier logic vectorized across the matrix.
   Output is bitwise equal to looping :func:`repro.dsp.hampel.hampel_filter`
   over columns; :mod:`repro.core.calibration` uses this to calibrate all
-  subcarriers of all antenna pairs in one call.  (The per-column scipy
-  calls are retained deliberately: scipy's 1-D path is two orders of
-  magnitude faster than its n-D path for this shape.)
+  subcarriers of all antenna pairs in one call.
 
-An O(log w)-per-update :class:`RollingMedian` (sorted-container indexable
-structure) and :class:`RollingHampel` serve sample-at-a-time consumers that
-cannot amortize a vectorized slice call.
+scipy's 1-D rank filter is the fast path for both families.  A 2-D
+``median_filter`` with a ``(w, 1)`` footprint computes the same order
+statistics but takes scipy's generic n-D path, which is about a hundred
+times slower at the engine's trend shape (docs/performance.md).
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -38,22 +37,12 @@ from ...contracts import FloatArray
 from ...errors import ConfigurationError
 from ..stats import MAD_TO_SIGMA
 
-try:  # pragma: no cover - exercised via whichever backend is installed
-    from sortedcontainers import SortedList as _SortedList
-
-    _HAVE_SORTEDCONTAINERS = True
-except ImportError:  # pragma: no cover
-    _SortedList = None
-    _HAVE_SORTEDCONTAINERS = False
-
 __all__ = [
     "trailing_median",
     "trailing_mad",
     "trailing_hampel",
     "batched_rolling_median",
     "batched_hampel_filter",
-    "RollingMedian",
-    "RollingHampel",
 ]
 
 
@@ -78,32 +67,56 @@ def trailing_origin(window: int) -> int:
     return (window - 1) // 2
 
 
-def trailing_median(x: FloatArray, window: int) -> FloatArray:
+def trailing_median(
+    x: FloatArray, window: int, *, last: int | None = None
+) -> FloatArray:
     """Trailing rolling median (window ``[i - w + 1, i]``, left edge replicated).
 
     The reported median is the rank ``window // 2`` order statistic of the
     window — the same convention as ``scipy.ndimage.median_filter`` and
     therefore as :func:`repro.dsp.hampel.rolling_median`.  2-D input is
-    filtered column by column (columns are independent series).
+    filtered column by column (columns are independent series), all columns
+    in one scipy call.
+
+    Outputs equal the naive trailing median in value.  They are bitwise
+    equal too, except that among tied ``+0.0`` and ``-0.0`` samples the
+    sign of the zero returned depends on the filter's history, so it can
+    differ with ``last`` or with the column layout.
 
     Args:
         x: 1-D series or ``[n_samples × n_series]`` matrix.
         window: Trailing window length in samples.  May exceed the series
             length; the replicated left edge covers the deficit.
+        last: Return only the last ``last`` rows (default: all).  Rows
+            before them are read only as window context, so asking for the
+            rows a caller keeps saves the work on the rest.
 
     Returns:
-        Filtered array, same shape as ``x``.
+        Filtered array: ``x``'s shape, or ``last`` rows of it.
     """
     x = _validate(x, window)
-    origin = trailing_origin(window)
-    if x.ndim == 1:
-        return median_filter(x, size=window, mode="nearest", origin=origin)
-    out = np.empty_like(x)
-    for col in range(x.shape[1]):
-        out[:, col] = median_filter(
-            x[:, col], size=window, mode="nearest", origin=origin
-        )
-    return out
+    n = x.shape[0]
+    if last is None:
+        last = n
+    if not 0 <= last <= n:
+        raise ConfigurationError(f"last must lie in [0, {n}], got {last}")
+    cols = x if x.ndim == 2 else x[:, np.newaxis]
+    k = cols.shape[1]
+    if last == 0 or k == 0:
+        return np.empty((last,) + x.shape[1:])
+    # Each column becomes one segment of ``window - 1 + last`` samples: the
+    # window context of its kept rows, left-padded with its first row where
+    # the series is shorter than that.
+    start = max(0, n - last - (window - 1))
+    pad = max(0, window - 1 - (n - last))
+    seg = np.empty((k, pad + n - start))
+    seg[:, :pad] = cols[0][:, np.newaxis]
+    seg[:, pad:] = cols[start:].T
+    med = median_filter(
+        seg.ravel(), size=window, mode="nearest", origin=trailing_origin(window)
+    )
+    out = med.reshape(k, -1)[:, window - 1 :].T
+    return out.reshape((last,) + x.shape[1:])
 
 
 def trailing_mad(
@@ -213,125 +226,3 @@ def batched_hampel_filter(
     out = matrix.copy()
     out[outlier] = med[outlier]
     return out
-
-
-class _BisectList:
-    """Minimal sorted indexable list: stdlib fallback for ``SortedList``.
-
-    ``add``/``remove`` are O(w) worst-case (C-speed ``list`` shifts), which
-    is fast enough at vital-sign window sizes; ``sortedcontainers`` is used
-    when available for the O(log w) bound.
-    """
-
-    __slots__ = ("_data",)
-
-    def __init__(self) -> None:
-        self._data: list[float] = []
-
-    def add(self, value: float) -> None:
-        bisect.insort(self._data, value)
-
-    def remove(self, value: float) -> None:
-        idx = bisect.bisect_left(self._data, value)
-        del self._data[idx]
-
-    def __getitem__(self, idx: int) -> float:
-        return self._data[idx]
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-def _make_sorted_list():
-    if _HAVE_SORTEDCONTAINERS:
-        return _SortedList()
-    return _BisectList()
-
-
-class RollingMedian:
-    """Exact trailing rolling median with O(log w) per-sample updates.
-
-    Maintains the trailing window in a sorted indexable structure; each
-    :meth:`push` inserts the new sample, evicts the oldest, and reads the
-    rank ``window // 2`` order statistic.  Semantics are identical to
-    :func:`trailing_median` (verified bitwise in the test suite): before the
-    window fills, the deficit is covered by replicating the first sample.
-
-    This is the sample-at-a-time counterpart of the vectorized slice path;
-    the streaming calibrator uses the slice path (one scipy call per hop
-    amortizes better), while this class serves true per-packet consumers.
-    """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {window}")
-        self._window = int(window)
-        self._rank = self._window // 2
-        self._ring: list[float] = []
-        self._next = 0  # ring slot that holds the oldest sample
-        self._sorted = _make_sorted_list()
-
-    @property
-    def window(self) -> int:
-        """Trailing window length in samples."""
-        return self._window
-
-    def push(self, value: float) -> float:
-        """Insert ``value`` and return the current trailing median."""
-        value = float(value)
-        if not self._ring:
-            # Left-edge replication: pre-fill the window with the first
-            # sample so early medians match ``mode='nearest'``.
-            self._ring = [value] * self._window
-            for _ in range(self._window):
-                self._sorted.add(value)
-            return self._sorted[self._rank]
-        self._sorted.remove(self._ring[self._next])
-        self._ring[self._next] = value
-        self._next = (self._next + 1) % self._window
-        self._sorted.add(value)
-        return self._sorted[self._rank]
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self._ring = []
-        self._next = 0
-        self._sorted = _make_sorted_list()
-
-
-class RollingHampel:
-    """Causal Hampel filter with O(log w) per-sample updates.
-
-    Composes two :class:`RollingMedian` structures — one over the raw
-    samples, one over the absolute deviations from the running median — and
-    applies the Hampel outlier rule per sample.  Output is identical to
-    :func:`trailing_hampel` fed the same series.
-    """
-
-    def __init__(
-        self,
-        window: int,
-        threshold: float,
-        *,
-        scale: float = MAD_TO_SIGMA,
-    ) -> None:
-        if threshold < 0:
-            raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-        self._median = RollingMedian(window)
-        self._deviation = RollingMedian(window)
-        self._threshold = float(threshold)
-        self._scale = float(scale)
-
-    def push(self, value: float) -> float:
-        """Insert ``value`` and return the filtered (possibly replaced) sample."""
-        value = float(value)
-        med = self._median.push(value)
-        mad = self._deviation.push(abs(value - med))
-        if abs(value - med) > self._threshold * self._scale * mad:
-            return med
-        return value
-
-    def reset(self) -> None:
-        """Forget all samples."""
-        self._median.reset()
-        self._deviation.reset()

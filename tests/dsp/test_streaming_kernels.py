@@ -25,8 +25,7 @@ from repro.dsp.hampel import hampel_filter, rolling_median
 from repro.dsp.stats import MAD_TO_SIGMA
 from repro.dsp.streaming_kernels import (
     CycleUnwrapper,
-    RollingHampel,
-    RollingMedian,
+    RowStore,
     SlidingDFT,
     StreamingCalibrator,
     TrailingHampelState,
@@ -59,6 +58,24 @@ def tied_series(rng, n=120):
     """A series with many exact ties — the regime where median conventions
     (rank choice, even-window averaging) diverge if mismatched."""
     return rng.integers(0, 5, size=n) / 4.0
+
+
+def assert_bitwise(actual, expected):
+    """Equal shapes and identical float bits (``-0.0`` differs from ``0.0``)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
+def naive_trailing_median_columns(x, window):
+    """The naive reference applied to each column of a matrix."""
+    return np.stack(
+        [naive_trailing_median(x[:, col], window) for col in range(x.shape[1])],
+        axis=1,
+    )
 
 
 class TestTrailingMedian:
@@ -98,6 +115,82 @@ class TestTrailingMedian:
             trailing_median(rng.normal(size=(2, 2, 2)), 3)
         with pytest.raises(ConfigurationError):
             trailing_median(rng.normal(size=10), 0)
+        with pytest.raises(ConfigurationError):
+            trailing_median(rng.normal(size=10), 3, last=11)
+        with pytest.raises(ConfigurationError):
+            trailing_median(rng.normal(size=10), 3, last=-1)
+
+    def test_empty_series(self):
+        assert trailing_median(np.empty((0, 3)), 5).shape == (0, 3)
+        assert trailing_median(np.empty(0), 5, last=0).shape == (0,)
+
+
+class TestTrailingMedianLastRows:
+    """``last=k`` returns the last ``k`` rows of the full pass, bitwise."""
+
+    @staticmethod
+    def mixed_matrix(rng, n=30):
+        return np.column_stack(
+            [rng.normal(size=n), tied_series(rng, n), rng.normal(size=n),
+             tied_series(rng, n)]
+        )
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 29, 30, 31, 45])
+    @pytest.mark.parametrize("last", [0, 1, 17, 30])
+    def test_matches_full_pass_and_naive_reference(self, rng, window, last):
+        x = self.mixed_matrix(rng)
+        n = x.shape[0]
+        out = trailing_median(x, window, last=last)
+        assert_bitwise(out, trailing_median(x, window)[n - last :])
+        assert_bitwise(out, naive_trailing_median_columns(x, window)[n - last :])
+
+    @pytest.mark.parametrize("last", [0, 1, 12, 40])
+    def test_1d_series(self, rng, last):
+        x = np.concatenate([rng.normal(size=20), tied_series(rng, 20)])
+        out = trailing_median(x, 7, last=last)
+        assert out.shape == (last,)
+        assert_bitwise(out, naive_trailing_median(x, 7)[40 - last :])
+
+    @pytest.mark.parametrize("shape", [(25, 1), (1, 6), (1, 1)])
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_single_column_and_single_row(self, rng, shape, window):
+        x = rng.normal(size=shape)
+        for last in (0, 1, shape[0]):
+            assert_bitwise(
+                trailing_median(x, window, last=last),
+                naive_trailing_median_columns(x, window)[shape[0] - last :],
+            )
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda a: a[::2, ::2], lambda a: a[3:, 1:].T.T],
+    )
+    def test_fortran_ordered_and_sliced_input(self, rng, layout):
+        x = layout(np.column_stack([self.mixed_matrix(rng, 60)] * 2))
+        ref = naive_trailing_median_columns(np.array(x), 9)
+        for last in (0, 5, x.shape[0]):
+            assert_bitwise(
+                trailing_median(x, 9, last=last), ref[x.shape[0] - last :]
+            )
+
+    @pytest.mark.parametrize("window", [2, 4, 7, 50])
+    def test_heavy_ties(self, rng, window):
+        x = rng.integers(0, 3, size=(80, 5)).astype(float)
+        ref = naive_trailing_median_columns(x, window)
+        for last in (1, 33, 80):
+            assert_bitwise(trailing_median(x, window, last=last), ref[80 - last :])
+
+    def test_signed_zero_ties_are_equal_in_value(self, rng):
+        # Among tied +0.0 and -0.0 the sign of the zero returned depends on
+        # the filter's history, so only values are pinned here (the
+        # assertion treats -0.0 == 0.0); every nonzero output is bitwise.
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(120, 6))
+        ref = naive_trailing_median_columns(x, 6)
+        for last in (1, 50, 120):
+            out = trailing_median(x, 6, last=last)
+            np.testing.assert_array_equal(out, ref[120 - last :])
+            nonzero = out != 0.0
+            assert_bitwise(out[nonzero], ref[120 - last :][nonzero])
 
 
 class TestTrailingMadAndHampel:
@@ -131,38 +224,6 @@ class TestTrailingMadAndHampel:
             trailing_hampel(rng.normal(size=10), 3, -1.0)
 
 
-class TestRollingStructures:
-    @pytest.mark.parametrize("window", [1, 2, 3, 4, 9, 16])
-    def test_rolling_median_matches_vectorized_kernel(self, rng, window):
-        x = np.concatenate([rng.normal(size=60), tied_series(rng, 60)])
-        roller = RollingMedian(window)
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_median(x, window))
-
-    def test_rolling_median_reset_forgets_history(self, rng):
-        x = rng.normal(size=30)
-        roller = RollingMedian(5)
-        for v in x:
-            roller.push(v)
-        roller.reset()
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_median(x, 5))
-
-    @pytest.mark.parametrize("window", [3, 8])
-    def test_rolling_hampel_matches_trailing_hampel(self, rng, window):
-        x = rng.normal(size=100)
-        x[::17] += 10.0
-        roller = RollingHampel(window, 0.01)
-        streamed = np.array([roller.push(v) for v in x])
-        np.testing.assert_array_equal(streamed, trailing_hampel(x, window, 0.01))
-
-    def test_structure_validation(self):
-        with pytest.raises(ConfigurationError):
-            RollingMedian(0)
-        with pytest.raises(ConfigurationError):
-            RollingHampel(5, -0.1)
-
-
 class TestBatchedCenteredKernels:
     def test_batched_rolling_median_matches_per_column(self, rng):
         matrix = rng.normal(size=(64, 5))
@@ -194,6 +255,62 @@ class TestBatchedCenteredKernels:
         out = batched_hampel_filter(x, 7, 0.01)
         assert out.shape == (40, 1)
         np.testing.assert_array_equal(out[:, 0], hampel_filter(x, 7, 0.01))
+
+
+class TestRowStore:
+    def test_random_interleaving_matches_concatenate_reference(self, rng):
+        store = RowStore((2, 3), np.int64)
+        ref = np.empty((0, 2, 3), dtype=np.int64)
+        counter = 0
+        for _ in range(400):
+            if rng.random() < 0.55:
+                m = int(rng.choice([0, 1, 2, 5, 17, 60]))
+                block = np.arange(counter, counter + 6 * m).reshape(m, 2, 3)
+                counter += 6 * m
+                store.extend(block)
+                ref = np.concatenate([ref, block], axis=0)
+            else:
+                n = int(rng.integers(0, len(ref) + 3))
+                store.evict(n)
+                ref = ref[n:]
+            assert len(store) == len(ref)
+            np.testing.assert_array_equal(store.rows, ref)
+
+    def test_in_place_compaction_in_overlapping_chunks(self):
+        store = RowStore((1,))
+        store.extend(np.arange(16.0)[:, None])
+        assert store.capacity == 18
+        store.extend([[16.0], [17.0]])
+        store.evict(5)  # 13 live rows behind a gap of 5
+        store.extend([[18.0]])
+        assert store.capacity == 18
+        np.testing.assert_array_equal(store.rows[:, 0], np.arange(5.0, 19.0))
+
+    def test_capacity_follows_the_live_rows(self):
+        store = RowStore((4,))
+        assert store.capacity == 0
+        store.extend(np.zeros((1, 4)))
+        assert store.capacity == 1  # no fixed minimum
+        store.extend(np.zeros((63, 4)))
+        assert store.capacity == 64 + 64 // 8
+        store.evict(64)
+        store.extend(np.zeros((70, 4)))  # empty: writes from the front
+        assert store.capacity == 72
+        store.extend(np.zeros((2, 4)))
+        store.evict(70)
+        store.extend(np.zeros((1, 4)))  # 3 rows in 72: shrinks
+        assert store.capacity == 3
+        np.testing.assert_array_equal(store.rows, np.zeros((3, 4)))
+
+    def test_validation(self):
+        store = RowStore((3,))
+        with pytest.raises(ConfigurationError):
+            store.extend(np.zeros((2, 4)))
+        with pytest.raises(ConfigurationError):
+            store.evict(-1)
+        store.extend(np.zeros((2, 3)))
+        store.evict(5)
+        assert len(store) == 0
 
 
 class TestCycleUnwrap:
