@@ -23,8 +23,6 @@ Modules:
 * :mod:`~repro.dsp.streaming_kernels.unwrap` — integer-cycle phase
   unwrapping whose incremental continuation is bitwise equal to a
   from-scratch pass (the cycle counter is an exact integer cumsum).
-* :mod:`~repro.dsp.streaming_kernels.sliding_dft` — sliding-window DFT with
-  O(n_bins) updates and a cached rFFT plan.
 * :mod:`~repro.dsp.streaming_kernels.calibrator` — the incremental
   calibration engine composing the above, with a stateless
   :func:`trailing_calibrate` reference the equivalence suite gates against.
@@ -45,8 +43,7 @@ from .rolling import (
     trailing_median,
 )
 from .row_store import RowStore
-from .sliding_dft import SlidingDFT
-from .unwrap import CycleUnwrapper, cycle_unwrap
+from .unwrap import cycle_unwrap
 
 __all__ = [
     "batched_hampel_filter",
@@ -55,9 +52,7 @@ __all__ = [
     "trailing_mad",
     "trailing_median",
     "RowStore",
-    "CycleUnwrapper",
     "cycle_unwrap",
-    "SlidingDFT",
     "StreamingCalibrator",
     "TrailingCalibration",
     "TrailingHampelState",

@@ -9,10 +9,9 @@ Two corpus sources, both fully seeded:
   swaps the RF chain for direct calibrated-matrix synthesis (same feature
   path, ~50x faster) — used by the chaos/sanitize scenarios where training
   happens in-process;
-* **recorded ``.cst`` stores** — :func:`corpus_from_store` slices stored
-  traces into windows through :class:`repro.store.TraceReader`, with
-  calibration optionally memoized by a
-  :class:`repro.store.StoreCalibrationMemo`.
+* **recorded ``.cst`` stores** — :func:`corpus_from_store` reads each
+  store once through :class:`repro.store.TraceReader`, calibrates it once
+  and slices the calibrated matrix into windows.
 
 Training is deterministic end to end: window ``k`` of a corpus draws from
 ``default_rng((seed, k))``, the models are closed-form or fixed-iteration,
@@ -23,11 +22,12 @@ so the same config yields byte-identical bundles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..contracts import FloatArray
+from ..core.pipeline import prepare_calibrated_matrix
 from ..errors import ConfigurationError, EstimationError, ReproError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..physio.breathing import ApneicBreathing, SinusoidalBreathing
@@ -44,9 +44,6 @@ from ..rf.scene import laboratory_scenario, through_wall_scenario
 from .features import FEATURE_NAMES, FeatureConfig, matrix_features, window_features
 from .models import LogisticClassifier, RidgeRegressor, TinyMLP
 from .persist import LearnedBundle
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from ..store.memo import StoreCalibrationMemo
 
 __all__ = [
     "TrainingConfig",
@@ -356,15 +353,12 @@ def corpus_from_store(
     window_duration_s: float = 20.0,
     hop_s: float = 10.0,
     features: FeatureConfig | None = None,
-    memo: "StoreCalibrationMemo | None" = None,
     instrumentation: Instrumentation | None = None,
 ) -> FeatureDataset:
     """Featurize recorded ``.cst`` stores into a training corpus.
 
-    Each store is read through :class:`repro.store.TraceReader` (salvage
-    semantics included), calibrated once — through the shared
-    :class:`repro.store.StoreCalibrationMemo` when one is passed, so
-    repeated reads of the same segments hit the cache — and sliced into
+    Each store is read once through :class:`repro.store.TraceReader`
+    (salvage semantics included), calibrated once and sliced into
     overlapping windows.  Ground-truth rates come from the recorded
     ``breathing_rates_bpm`` trace metadata.
 
@@ -375,7 +369,6 @@ def corpus_from_store(
         window_duration_s: Window length sliced from each store.
         hop_s: Hop between window starts.
         features: Feature-extraction parameters.
-        memo: Optional shared calibration memo.
         instrumentation: Optional metrics sink.
 
     Returns:
@@ -383,7 +376,6 @@ def corpus_from_store(
         recorded stores carry no apnea ground truth).
     """
     from ..store.backend import DirectoryBackend
-    from ..store.memo import StoreCalibrationMemo
     from ..store.reader import TraceReader
 
     if window_duration_s <= 0 or hop_s <= 0:
@@ -402,9 +394,6 @@ def corpus_from_store(
         stems = tuple(found)
     if not stems:
         raise ConfigurationError(f"no .cst stores found under {root_dir!r}")
-    worker = memo if memo is not None else StoreCalibrationMemo(
-        instrumentation=instrumentation
-    )
 
     rows: list[FloatArray] = []
     rates: list[float] = []
@@ -413,8 +402,8 @@ def corpus_from_store(
         reader = TraceReader(backend, stem, instrumentation=instrumentation)
         trace, _ = reader.read_trace()
         truth_bpm = float(trace.meta["breathing_rates_bpm"][0])
-        matrix, quality, rate_hz = worker.calibrated_matrix(
-            backend, stem, calibration=cfg.calibration
+        matrix, quality, rate_hz = prepare_calibrated_matrix(
+            trace, calibration=cfg.calibration
         )
         window_samples = int(round(window_duration_s * rate_hz))
         hop_samples = max(1, int(round(hop_s * rate_hz)))
@@ -523,7 +512,6 @@ def train_from_store(
     stems: tuple[str, ...] | None = None,
     *,
     config: TrainingConfig | None = None,
-    memo: "StoreCalibrationMemo | None" = None,
     instrumentation: Instrumentation | None = None,
 ) -> LearnedBundle:
     """Train the rate head from recorded ``.cst`` stores.
@@ -532,8 +520,6 @@ def train_from_store(
         root_dir: Directory holding the ``.cst`` segments.
         stems: Store stems to read; all stems when omitted.
         config: Model parameters (corpus-generation fields are unused).
-        memo: Optional shared calibration memo (cache hits when the same
-            stores are calibrated again, e.g. train-then-eval).
         instrumentation: Optional metrics sink.
 
     Returns:
@@ -550,7 +536,6 @@ def train_from_store(
             stems,
             window_duration_s=cfg.window_duration_s,
             features=cfg.features,
-            memo=memo,
             instrumentation=instrumentation,
         )
         if corpus.n_windows < 8:

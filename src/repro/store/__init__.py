@@ -15,18 +15,15 @@ The storage layer the service records through and backtests from:
 * :mod:`~repro.store.tap` — :class:`RecordingTap` wrapping any packet
   source with a write-through recorder;
 * :mod:`~repro.store.backtest` — replay a committed scenario corpus and
-  diff accuracy/health against baselines;
-* :mod:`~repro.store.memo` — content-keyed memoization of calibration
-  and subcarrier selection over recorded stores.
+  diff accuracy/health against baselines.
 """
 
 from .backend import DirectoryBackend, MemoryBackend, StorageBackend
 from .faults import FaultyBackend, FaultyFile, TornWriteFile
 from .format import SegmentHeader
-from .memo import StoreCalibrationMemo, store_digest
 from .reader import SalvageIssue, SalvageReport, TraceReader, scan_segment
 from .replay import ReplayPacketSource
-from .tap import RecordingTap
+from .tap import RecordingTap, store_digest
 from .writer import TraceWriter
 
 __all__ = [
@@ -44,6 +41,5 @@ __all__ = [
     "FaultyBackend",
     "ReplayPacketSource",
     "RecordingTap",
-    "StoreCalibrationMemo",
     "store_digest",
 ]

@@ -35,17 +35,14 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core.breathing import PeakBreathingEstimator
-from ..core.dwt_stage import decompose
 from ..core.streaming import StreamingConfig
-from ..errors import ReproError, TraceStoreError
+from ..errors import TraceStoreError
 from ..obs import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.clock import Clock, WallClock
 from ..service.clock import SimulatedClock
 from ..service.sources import PacketSource
 from ..service.supervisor import MonitorSupervisor, SupervisorConfig
 from .backend import DirectoryBackend
-from .memo import StoreCalibrationMemo
 from .reader import TraceReader
 from .replay import ReplayPacketSource
 
@@ -144,9 +141,6 @@ class ScenarioResult:
         n_salvage_issues: Issue count from the salvage pass.
         health: Final subject health string.
         failures: Machine-readable failure reasons (empty = passed).
-        offline_bpm: Whole-store offline estimate computed through the
-            calibration memo (``None`` when no memo was passed or the
-            offline path could not estimate).
     """
 
     name: str
@@ -161,7 +155,6 @@ class ScenarioResult:
     n_salvage_issues: int
     health: str
     failures: list[str] = field(default_factory=list)
-    offline_bpm: float | None = None
 
     @property
     def passed(self) -> bool:
@@ -184,7 +177,6 @@ class ScenarioResult:
             "health": self.health,
             "failures": list(self.failures),
             "passed": self.passed,
-            "offline_bpm": self.offline_bpm,
         }
 
 
@@ -297,7 +289,6 @@ def _replay_scenario(
     inject_bias_bpm: float,
     wall_clock: Clock,
     instrumentation: Instrumentation,
-    memo: StoreCalibrationMemo | None,
 ) -> ScenarioResult:
     store_dir = os.path.join(corpus_dir, baseline.name)
     if not os.path.isdir(store_dir):
@@ -355,23 +346,6 @@ def _replay_scenario(
     )
     health = supervisor.health_summary()[baseline.name]["health"]
 
-    offline_bpm: float | None = None
-    if memo is not None:
-        # Offline cross-check through the content-keyed memo: repeated
-        # backtests of the same (unchanged) store hit the cache instead of
-        # re-running calibration + selection.
-        try:
-            matrix, _, rate_hz = memo.calibrated_matrix(backend, stem)
-            selection = memo.selection(backend, stem)
-            bands = decompose(matrix[:, selection.selected], rate_hz)
-            offline_bpm = float(
-                PeakBreathingEstimator().estimate_bpm(
-                    bands.breathing, rate_hz
-                )
-            )
-        except ReproError:
-            offline_bpm = None
-
     failures: list[str] = []
     if len(usable) < baseline.min_estimates:
         failures.append("too-few-estimates")
@@ -393,7 +367,6 @@ def _replay_scenario(
         n_salvage_issues=len(salvage.issues),
         health=str(health),
         failures=failures,
-        offline_bpm=offline_bpm,
     )
 
 
@@ -407,7 +380,6 @@ def run_backtest(
     inject_bias_bpm: float = 0.0,
     wall_clock: Clock | None = None,
     instrumentation: Instrumentation | None = None,
-    memo: StoreCalibrationMemo | None = None,
 ) -> BacktestReport:
     """Replay a corpus through the pipeline and diff against baselines.
 
@@ -428,11 +400,6 @@ def run_backtest(
         instrumentation: Optional :class:`repro.obs.Instrumentation`
             (``replay_records_total``, ``replay_speedup_ratio`` and the
             supervisor's series).
-        memo: Optional :class:`~repro.store.memo.StoreCalibrationMemo`;
-            when given, each scenario also computes an offline
-            whole-store estimate (``offline_bpm``) through the memo, so
-            repeated backtests of an unchanged corpus reuse calibration
-            and selection results (``store_memo_cache_hits_count``).
 
     Raises:
         TraceStoreError: Bad manifest, unknown scenario selection, or a
@@ -464,7 +431,6 @@ def run_backtest(
             inject_bias_bpm=inject_bias_bpm,
             wall_clock=wall,
             instrumentation=obs,
-            memo=memo,
         )
         for baseline in baselines
     ]

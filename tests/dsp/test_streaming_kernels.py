@@ -1,4 +1,4 @@
-"""Streaming-kernel exactness: trailing medians, cycle unwrap, sliding DFT.
+"""Streaming-kernel exactness: trailing medians, cycle unwrap, row store.
 
 The incremental monitor's correctness argument rests on two bitwise claims
 pinned here against naive reference implementations:
@@ -8,9 +8,6 @@ pinned here against naive reference implementations:
   from-scratch pass exactly;
 * the integer cycle counter of ``cycle_unwrap`` is exactly associative, so
   blockwise unwrapping equals a single pass bitwise.
-
-Float-tolerance claims (sliding DFT vs a fresh rFFT) are tested against the
-1e-9 equivalence budget used throughout the streaming suite.
 """
 
 import numpy as np
@@ -24,9 +21,7 @@ from repro.dsp.fft_utils import (
 from repro.dsp.hampel import hampel_filter, rolling_median
 from repro.dsp.stats import MAD_TO_SIGMA
 from repro.dsp.streaming_kernels import (
-    CycleUnwrapper,
     RowStore,
-    SlidingDFT,
     StreamingCalibrator,
     TrailingHampelState,
     batched_hampel_filter,
@@ -346,88 +341,6 @@ class TestCycleUnwrap:
             prev_angle, prev_cycles = block[-1], c[-1]
         np.testing.assert_array_equal(np.concatenate(pieces), full)
         np.testing.assert_array_equal(np.concatenate(cycles_pieces), full_cycles)
-
-    def test_stateful_wrapper_matches_single_pass(self, rng):
-        wrapped, _ = self.wrapped_walk(rng, (250, 3))
-        unwrapper = CycleUnwrapper()
-        blocks = [
-            unwrapper.extend(b)
-            for b in np.array_split(wrapped, [40, 41, 150], axis=0)
-        ]
-        full, _ = cycle_unwrap(wrapped)
-        np.testing.assert_array_equal(np.concatenate(blocks), full)
-
-    def test_empty_block_is_a_noop(self, rng):
-        wrapped, _ = self.wrapped_walk(rng, (50, 2))
-        unwrapper = CycleUnwrapper()
-        unwrapper.extend(wrapped[:20])
-        out = unwrapper.extend(wrapped[:0])
-        assert out.shape == (0, 2)
-        full, _ = cycle_unwrap(wrapped)
-        np.testing.assert_array_equal(unwrapper.extend(wrapped[20:]), full[20:])
-
-
-class TestSlidingDFT:
-    def test_full_window_matches_direct_rfft(self, rng):
-        n = 64
-        x = rng.normal(size=3 * n)
-        sdft = SlidingDFT(n, resync_every=0)
-        for v in x[:-1]:
-            sdft.push(v)
-        spectrum = sdft.push(x[-1])
-        np.testing.assert_allclose(
-            spectrum, np.fft.rfft(x[-n:]), rtol=0, atol=1e-9
-        )
-
-    def test_block_extend_replacing_window_is_exact(self, rng):
-        n = 32
-        sdft = SlidingDFT(n)
-        x = rng.normal(size=100)
-        spectrum = sdft.extend(x)
-        np.testing.assert_array_equal(spectrum, np.fft.rfft(x[-n:]))
-
-    def test_partial_window_equals_zero_padded_rfft(self, rng):
-        n = 16
-        sdft = SlidingDFT(n, resync_every=0)
-        x = rng.normal(size=5)
-        for v in x:
-            spectrum = sdft.push(v)
-        padded = np.concatenate([np.zeros(n - 5), x])
-        np.testing.assert_allclose(spectrum, np.fft.rfft(padded), atol=1e-9)
-
-    def test_tracked_bin_subset(self, rng):
-        n = 64
-        bins = np.array([2, 3, 4])
-        sdft = SlidingDFT(n, bins=bins, resync_every=0)
-        x = rng.normal(size=n)
-        spectrum = sdft.extend(x)
-        np.testing.assert_allclose(spectrum, np.fft.rfft(x)[bins], atol=1e-9)
-
-    def test_resync_bounds_drift(self, rng):
-        n = 16
-        sdft = SlidingDFT(n, resync_every=8)
-        x = rng.normal(size=200)
-        for v in x:
-            spectrum = sdft.push(v)
-        np.testing.assert_allclose(spectrum, np.fft.rfft(x[-n:]), atol=1e-9)
-
-    def test_window_contents_oldest_first(self, rng):
-        sdft = SlidingDFT(4, resync_every=0)
-        for v in [1.0, 2.0, 3.0, 4.0, 5.0]:
-            sdft.push(v)
-        np.testing.assert_array_equal(
-            sdft.window_contents(), [2.0, 3.0, 4.0, 5.0]
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SlidingDFT(1)
-        with pytest.raises(ConfigurationError):
-            SlidingDFT(8, bins=np.array([], dtype=int))
-        with pytest.raises(ConfigurationError):
-            SlidingDFT(8, bins=np.array([5]))  # > n // 2
-        with pytest.raises(ConfigurationError):
-            SlidingDFT(8, resync_every=-1)
 
 
 class TestRfftPlan:

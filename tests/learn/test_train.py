@@ -19,7 +19,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.instrument import Instrumentation
 from repro.service.clock import SimulatedClock
 from repro.service.sources import TracePacketSource
-from repro.store import DirectoryBackend, RecordingTap, StoreCalibrationMemo
+from repro.store import DirectoryBackend, RecordingTap
 
 FAST = TrainingConfig(mode="synthetic", n_windows=32, seed=5, with_mlp=False)
 
@@ -137,19 +137,16 @@ class TestTrainFromStore:
         assert bundle.apnea_model is None  # stores carry no apnea truth
         assert bundle.meta["mode"] == "store"
 
-    def test_shared_memo_is_hit_across_train_calls(self, store_dir):
+    def test_store_training_is_byte_reproducible(self, store_dir):
         config = TrainingConfig(
             mode="synthetic",
             n_windows=8,
             window_duration_s=10.0,
             with_mlp=False,
         )
-        memo = StoreCalibrationMemo()
-        train_from_store(store_dir, config=config, memo=memo)
-        assert memo.misses > 0
-        before = memo.hits
-        train_from_store(store_dir, config=config, memo=memo)
-        assert memo.hits > before
+        first = dump_bundle(train_from_store(store_dir, config=config))
+        second = dump_bundle(train_from_store(store_dir, config=config))
+        assert first == second
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="no .cst stores"):

@@ -11,7 +11,7 @@ from repro import capture_trace, laboratory_scenario
 from repro.errors import TraceStoreError
 from repro.service.clock import SimulatedClock
 from repro.service.sources import TracePacketSource
-from repro.store import DirectoryBackend, RecordingTap, StoreCalibrationMemo
+from repro.store import DirectoryBackend, RecordingTap
 from repro.store.backtest import (
     MANIFEST_NAME,
     BacktestReport,
@@ -135,23 +135,6 @@ class TestRunBacktest:
         )
         with pytest.raises(TraceStoreError, match="does not exist"):
             run_backtest(str(tmp_path))
-
-    def test_memoized_offline_estimate_hits_on_rerun(self, corpus_dir):
-        memo = StoreCalibrationMemo()
-        first = run_backtest(corpus_dir, seed=0, memo=memo)
-        assert first.passed
-        offline = first.results[0].offline_bpm
-        assert offline is not None
-        assert offline == pytest.approx(first.results[0].median_bpm, abs=6.0)
-        misses = memo.misses
-        assert misses > 0
-        # Replaying the same unchanged corpus must reuse the calibrated
-        # matrices instead of recomputing them.
-        second = run_backtest(corpus_dir, seed=0, memo=memo)
-        assert second.results[0].offline_bpm == offline
-        assert memo.hits > 0
-        assert memo.misses == misses
-        assert memo.hit_ratio > 0.0
 
     def test_report_is_jsonable(self, corpus_dir):
         report = run_backtest(corpus_dir, seed=0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.store
 from repro.errors import TraceStoreError
 from repro.service.clock import SimulatedClock
 from repro.service.sources import Packet
@@ -181,3 +182,27 @@ class TestRecordingTap:
         tap = self.make_tap(make_packets(2), MemoryBackend())
         with pytest.raises(TraceStoreError, match=">= 0"):
             tap.crash(torn_tail_bytes=-1)
+
+
+class TestStoreDigest:
+    def test_package_exports_the_tap_digest(self):
+        assert repro.store.store_digest is store_digest
+
+    def test_digest_is_stable_for_identical_bytes(self):
+        backend = MemoryBackend()
+        write_store(backend, "a", n_packets=10, seed=1)
+        assert store_digest(backend, "a") == store_digest(backend, "a")
+
+    def test_digest_tracks_content(self):
+        backend = MemoryBackend()
+        write_store(backend, "a", n_packets=10, seed=1)
+        write_store(backend, "b", n_packets=10, seed=2)
+        first, second = store_digest(backend, "a"), store_digest(backend, "b")
+        assert first != second
+        assert [seg["sha256"] for seg in first["segments"]] != [
+            seg["sha256"] for seg in second["segments"]
+        ]
+
+    def test_missing_store_rejected(self):
+        with pytest.raises(TraceStoreError, match="no segments"):
+            store_digest(MemoryBackend(), "ghost")
