@@ -79,9 +79,24 @@ def v_statistic(phase_diff: FloatArray) -> float:
 
 @check_arrays(phase_diff="n_packets|n_packets,n_subcarriers")
 def windowed_v(
-    phase_diff: FloatArray, sample_rate_hz: float, config: EnvironmentConfig
+    phase_diff: FloatArray,
+    sample_rate_hz: float,
+    config: EnvironmentConfig,
+    *,
+    memo: dict[int, float] | None = None,
+    first_row: int = 0,
 ) -> tuple[FloatArray, FloatArray]:
     """V statistic over hopping windows.
+
+    Args:
+        phase_diff: Unwrapped phase differences of the segment.
+        sample_rate_hz: Their sample rate.
+        config: Window geometry.
+        memo: V of earlier sub-windows, keyed by absolute start row.  A
+            caller whose rows never change under a given absolute index
+            (the streaming engine's) passes the same dict every window;
+            sub-windows found there are not recomputed, new ones are added.
+        first_row: Absolute index of ``phase_diff``'s row 0 (memo keys).
 
     Returns:
         ``(centers_s, v)`` — window center times and their V values.
@@ -101,7 +116,14 @@ def windowed_v(
     for start in range(0, n - window + 1, hop):
         stop = start + window
         centers.append((start + stop) / 2.0 / sample_rate_hz)
-        values.append(v_statistic(phase_diff[start:stop]))
+        if memo is None:
+            values.append(v_statistic(phase_diff[start:stop]))
+            continue
+        key = first_row + start
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = v_statistic(phase_diff[start:stop])
+        values.append(v)
     return np.asarray(centers), np.asarray(values)
 
 

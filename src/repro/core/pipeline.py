@@ -291,7 +291,12 @@ class PhaseBeat:
         )
 
     def classify_environment(
-        self, diff: FloatArray, sample_rate_hz: float
+        self,
+        diff: FloatArray,
+        sample_rate_hz: float,
+        *,
+        v_memo: dict[int, float] | None = None,
+        first_row: int = 0,
     ) -> tuple[float, ActivityState]:
         """Environment detection on an unwrapped phase-difference matrix.
 
@@ -305,6 +310,9 @@ class PhaseBeat:
             diff: ``[n_samples × n_subcarriers]`` unwrapped differences of
                 a single antenna pair.
             sample_rate_hz: Their sample rate.
+            v_memo: Sliding-window V memo passed to
+                :func:`~repro.core.environment.windowed_v`.
+            first_row: Absolute index of ``diff``'s row 0 (memo keys).
 
         Returns:
             ``(v, state)`` — the deciding V statistic (the max windowed V
@@ -319,7 +327,13 @@ class PhaseBeat:
             return v, ActivityState.WALKING
         window = int(round(cfg.environment.window_s * sample_rate_hz))
         if diff.shape[0] >= 2 * window:
-            _, windowed = windowed_v(diff, sample_rate_hz, cfg.environment)
+            _, windowed = windowed_v(
+                diff,
+                sample_rate_hz,
+                cfg.environment,
+                memo=v_memo,
+                first_row=first_row,
+            )
             if windowed.max() > hi:
                 return float(windowed.max()), ActivityState.WALKING
         return v, ActivityState.SITTING

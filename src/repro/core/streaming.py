@@ -242,6 +242,14 @@ class StreamingMonitor:
         self._context_rows = 2 * (trend_w - 1) + 2 * (noise_w - 1)
         self._engine: StreamingCalibrator | None = None
         self._amps: RowStore | None = None
+        # Sliding-window V of the environment check, keyed by the absolute
+        # row a sub-window starts at: engine rows are frozen for the
+        # engine's lifetime, so each sub-window is computed once.  The memo
+        # is empty whenever the engine is (_drop_engine clears it).
+        # _engine_row0 is the absolute row of engine row 0 (rows evicted
+        # since the engine was built).
+        self._v_memo: dict[int, float] = {}
+        self._engine_row0 = 0
         self._pairs: list[tuple[int, int]] | None = None
         self._win_start = 0
         self._anomaly_time: float | None = None
@@ -531,8 +539,7 @@ class StreamingMonitor:
             # from the buffer at the next clean emit, re-anchored on the
             # checkpointed cycle counts so the restored run stays
             # bit-identical to an uninterrupted one.
-            self._engine = None
-            self._amps = None
+            self._drop_engine()
             self._restored_cycles = (
                 None if cycles is None else np.asarray(cycles, dtype=np.int64)
             )
@@ -579,6 +586,7 @@ class StreamingMonitor:
         """Invalidate the trailing engine (and any restored unwrap anchor)."""
         self._engine = None
         self._amps = None
+        self._v_memo.clear()
         self._restored_cycles = None
 
     def _reject(
@@ -684,10 +692,16 @@ class StreamingMonitor:
                 engine.extend(wrapped_pair_matrix(block, self._pairs))
                 self._amps.extend(np.abs(block))
         idx0 = self._win_start
+        row0 = self._engine_row0 + idx0
         with self._obs.stage("incremental_estimate", component="monitor"):
+            for key in [key for key in self._v_memo if key < row0]:
+                del self._v_memo[key]
             unwrapped = engine.unwrapped_window(idx0)
             v, state = self._pipeline.classify_environment(
-                unwrapped[:, :n_sub], self.sample_rate_hz
+                unwrapped[:, :n_sub],
+                self.sample_rate_hz,
+                v_memo=self._v_memo,
+                first_row=row0,
             )
             if (
                 pipeline_cfg.enforce_stationarity
@@ -751,6 +765,7 @@ class StreamingMonitor:
         self._amps = RowStore(block.shape[1:], float)
         self._amps.extend(np.abs(block))
         self._restored_cycles = None
+        self._engine_row0 = 0
         self._obs.count(
             "monitor_engine_rebuilds_total",
             help_text="Trailing-engine rebuilds from the retained buffer.",
@@ -779,6 +794,7 @@ class StreamingMonitor:
         if self._engine is not None:
             self._engine.evict(n_evict)
             self._amps.evict(n_evict)
+            self._engine_row0 += n_evict
         elif self._restored_cycles is not None:
             # The anchor described the old buffer front; no retained row
             # carries it any more.

@@ -15,7 +15,7 @@ purity is what makes the checkpoint/restore round-trip exact.
 
 Modules:
 
-* :mod:`~repro.dsp.streaming_kernels.rolling` — trailing median / MAD /
+* :mod:`~repro.dsp.streaming_kernels.rolling` — trailing median and
   Hampel (vectorized, one scipy call per matrix) and batched
   (multi-column) centered Hampel used by :mod:`repro.core.calibration`.
 * :mod:`~repro.dsp.streaming_kernels.row_store` — the append/evict row
@@ -39,7 +39,6 @@ from .rolling import (
     batched_hampel_filter,
     batched_rolling_median,
     trailing_hampel,
-    trailing_mad,
     trailing_median,
 )
 from .row_store import RowStore
@@ -49,7 +48,6 @@ __all__ = [
     "batched_hampel_filter",
     "batched_rolling_median",
     "trailing_hampel",
-    "trailing_mad",
     "trailing_median",
     "RowStore",
     "cycle_unwrap",

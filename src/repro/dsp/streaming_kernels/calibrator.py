@@ -8,7 +8,8 @@ The engine here uses the *trailing* kernels from
 pure function of the trailing ``trend_window + noise_window`` raw samples,
 is computed exactly once, and never changes.  Per hop, only the new packets
 are filtered: one scipy call per median over the new rows and their window
-context, instead of a full-window pass.  The per-packet caches are
+context (cut down to the values that can still be a median once the context
+is full), instead of a full-window pass.  The per-packet caches are
 :class:`~repro.dsp.streaming_kernels.row_store.RowStore` buffers, so a hop
 writes its rows in place instead of copying the whole cache.
 
@@ -41,7 +42,7 @@ from ...contracts import FloatArray, IntArray
 from ...errors import ConfigurationError
 from ..resample import decimate, downsampled_rate
 from ..stats import MAD_TO_SIGMA
-from .rolling import trailing_median
+from .rolling import trailing_hampel, trailing_median
 from .row_store import RowStore
 from .unwrap import cycle_unwrap
 
@@ -228,9 +229,9 @@ def trailing_calibrate(
         else np.asarray(initial_cycles, dtype=np.int64)
     )
     unwrapped, cycles = cycle_unwrap(a, prev_angle=a[0], prev_cycles=base)
-    trend = _trailing_hampel_full(unwrapped, trend_w, hampel_threshold)
+    trend = trailing_hampel(unwrapped, trend_w, hampel_threshold)
     detrended = unwrapped - trend
-    denoised = _trailing_hampel_full(detrended, noise_w, hampel_threshold)
+    denoised = trailing_hampel(detrended, noise_w, hampel_threshold)
     series = (
         decimate(denoised, decimation_factor, axis=0)
         if decimation_factor > 1
@@ -245,19 +246,6 @@ def trailing_calibrate(
         input_rate_hz=float(sample_rate_hz),
         decimation_factor=int(decimation_factor),
     )
-
-
-def _trailing_hampel_full(
-    x: FloatArray, window: int, threshold: float
-) -> FloatArray:
-    """Trailing Hampel over a full matrix (same ops as the incremental state)."""
-    med = trailing_median(x, window)
-    y = np.abs(x - med)
-    mad = trailing_median(y, window)
-    outlier = y > threshold * MAD_TO_SIGMA * mad
-    out = x.copy()
-    out[outlier] = med[outlier]
-    return out
 
 
 class StreamingCalibrator:

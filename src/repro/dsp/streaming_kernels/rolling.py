@@ -15,6 +15,12 @@ Two families live here:
   are laid end to end, each prefixed with copies of its own first row, so
   every kept output's window lies inside its own column.
 
+  When only the last ``m`` rows are kept, their context is complete and
+  ``m`` is small against the window (a streaming hop), the rows every kept
+  window shares (the *core*) are first cut down to the ``m`` values that
+  can still be a median, so each column is filtered over ``3m - 2`` rows
+  instead of ``w - 1 + m`` (docs/performance.md §7).
+
 * **Batched centered kernels** — per-column application of the 1-D
   centered kernels from :mod:`repro.dsp.hampel` over a ``[window × series]``
   matrix, with the elementwise outlier logic vectorized across the matrix.
@@ -39,7 +45,6 @@ from ..stats import MAD_TO_SIGMA
 
 __all__ = [
     "trailing_median",
-    "trailing_mad",
     "trailing_hampel",
     "batched_rolling_median",
     "batched_hampel_filter",
@@ -83,6 +88,11 @@ def trailing_median(
     sign of the zero returned depends on the filter's history, so it can
     differ with ``last`` or with the column layout.
 
+    A call that keeps ``last`` rows with a full window of real context
+    behind each, and ``5 * last <= 2 * window``, filters the core-
+    compressed layout of :func:`_core_compressed_median`; every other call
+    filters the rows' whole window context.
+
     Args:
         x: 1-D series or ``[n_samples × n_series]`` matrix.
         window: Trailing window length in samples.  May exceed the series
@@ -104,38 +114,58 @@ def trailing_median(
     k = cols.shape[1]
     if last == 0 or k == 0:
         return np.empty((last,) + x.shape[1:])
-    # Each column becomes one segment of ``window - 1 + last`` samples: the
-    # window context of its kept rows, left-padded with its first row where
-    # the series is shorter than that.
     start = max(0, n - last - (window - 1))
     pad = max(0, window - 1 - (n - last))
-    seg = np.empty((k, pad + n - start))
-    seg[:, :pad] = cols[0][:, np.newaxis]
-    seg[:, pad:] = cols[start:].T
-    med = median_filter(
-        seg.ravel(), size=window, mode="nearest", origin=trailing_origin(window)
-    )
-    out = med.reshape(k, -1)[:, window - 1 :].T
+    if pad == 0 and 5 * last <= 2 * window:
+        # The compressed layout is faster up to about last = 0.45 * window
+        # (docs/performance.md §7); 2/5 stays below that and inside the
+        # layout's own limit, last <= window - window // 2.
+        out = _core_compressed_median(cols, window, last)
+    else:
+        # Each column becomes one segment of ``window - 1 + last`` samples:
+        # the window context of its kept rows, left-padded with its first
+        # row where the series is shorter than that.
+        seg = np.empty((k, pad + n - start))
+        seg[:, :pad] = cols[0][:, np.newaxis]
+        seg[:, pad:] = cols[start:].T
+        med = median_filter(
+            seg.ravel(), size=window, mode="nearest", origin=trailing_origin(window)
+        )
+        out = med.reshape(k, -1)[:, window - 1 :].T
     return out.reshape((last,) + x.shape[1:])
 
 
-def trailing_mad(
-    x: FloatArray, window: int, *, median: FloatArray | None = None
-) -> FloatArray:
-    """Trailing rolling MAD about the trailing rolling median.
+def _core_compressed_median(cols: FloatArray, window: int, m: int) -> FloatArray:
+    """The last ``m`` trailing medians of full-context ``[n × k]`` columns.
 
-    Args:
-        x: 1-D series or ``[n_samples × n_series]`` matrix.
-        window: Trailing window length in samples.
-        median: The trailing median of ``x`` over the same window, when the
-            caller has already computed it; omitted, it is recomputed.
-
-    Returns:
-        Trailing MAD array, same shape as ``x``.
+    With ``s = n - m - (window - 1)``, the kept windows are
+    ``[s + j, s + j + window - 1]`` for ``j < m``, and all of them contain
+    the *core* rows ``[s + m - 1, s + window - 1]`` (``window - m + 1``
+    rows).  A window's median is its rank-``r`` value, ``r = window // 2``;
+    only ``m - 1`` of its rows lie outside the core, so its median is at
+    least the core's rank-``(r - m + 1)`` value and at most the core's
+    rank-``r`` value.  Dropping the ``r - m + 1`` core values ranked below
+    that band and the ``window - m - r`` ranked above it therefore drops
+    values on either side of every kept window's median, and leaves each
+    window ``2m - 1`` values whose rank-``(m - 1)`` value — a median again —
+    is the same.  The kept ``m`` core values sit between the ``m - 1`` head
+    and ``m - 1`` tail rows, and one scipy call filters those ``3m - 2``
+    rows per column.  Requires ``1 <= m <= window - window // 2``.
     """
-    x = _validate(x, window)
-    med = trailing_median(x, window) if median is None else np.asarray(median, float)
-    return trailing_median(np.abs(x - med), window)
+    n, k = cols.shape
+    s = n - m - (window - 1)
+    lo = window // 2 - m + 1
+    core = np.ascontiguousarray(cols[s + m - 1 : s + window].T)
+    core.partition((lo, lo + m - 1), axis=1)
+    seg = np.empty((k, 3 * m - 2))
+    seg[:, : m - 1] = cols[s : s + m - 1].T
+    seg[:, m - 1 : 2 * m - 1] = core[:, lo : lo + m]
+    seg[:, 2 * m - 1 :] = cols[s + window :].T
+    short = 2 * m - 1
+    med = median_filter(
+        seg.ravel(), size=short, mode="nearest", origin=trailing_origin(short)
+    )
+    return med.reshape(k, -1)[:, short - 1 :].T
 
 
 def trailing_hampel(

@@ -25,6 +25,7 @@ import pytest
 from repro import capture_trace, laboratory_scenario
 from repro.core.calibration import calibrate
 from repro.core.dwt_stage import decompose, decompose_matrix
+from repro.core.environment import v_statistic
 from repro.core.phase_difference import phase_difference, wrapped_pair_matrix
 from repro.core.pipeline import PhaseBeat, pair_difference_matrix
 from repro.core.streaming import StreamingConfig, StreamingMonitor
@@ -32,7 +33,11 @@ from repro.core.subcarrier_selection import (
     amplitude_mask_from_mean,
     amplitude_quality_mask,
 )
-from repro.dsp.streaming_kernels import trailing_calibrate
+from repro.dsp.streaming_kernels import (
+    TrailingHampelState,
+    rolling,
+    trailing_calibrate,
+)
 from repro.obs import Instrumentation
 from repro.rf.impairments import (
     BernoulliLoss,
@@ -121,6 +126,44 @@ class TestEngineMatchesFromScratch:
 
         assert any(e.fresh for e in running_estimates)
         assert_estimates_bitwise_equal(rebuilt_estimates, running_estimates)
+
+    def test_hops_take_the_core_compressed_median(
+        self, short_lab_trace, monkeypatch
+    ):
+        # At this geometry (0.5 s hop, 5 s trend window) every warm hop
+        # keeps a tenth of the trend window, so the trend median and its
+        # MAD run the compressed layout; the caches still equal the
+        # padded from-scratch pass above.
+        calls = []
+        compressed = rolling._core_compressed_median
+
+        def spy(cols, window, m):
+            calls.append((window, m))
+            return compressed(cols, window, m)
+
+        monkeypatch.setattr(rolling, "_core_compressed_median", spy)
+        self.test_live_engine_caches_equal_trailing_calibrate(short_lab_trace)
+        rate = short_lab_trace.sample_rate_hz
+        assert calls
+        assert {window for window, _ in calls} == {int(round(5.0 * rate))}
+
+    def test_400hz_trend_hop_takes_the_compressed_median(self, monkeypatch):
+        # The same geometry at the paper's rate: a 0.5 s hop keeps 200 of
+        # the 2000-row trend window.
+        calls = []
+        compressed = rolling._core_compressed_median
+
+        def spy(cols, window, m):
+            calls.append((window, m))
+            return compressed(cols, window, m)
+
+        monkeypatch.setattr(rolling, "_core_compressed_median", spy)
+        trend = TrailingHampelState(int(round(5.0 * 400.0)), 0.01)
+        block = np.random.default_rng(0).normal(size=(trend.window, 2))
+        trend.extend(block)
+        assert calls == []  # the warm-up call pads
+        trend.extend(block[: int(round(CONFIG.hop_s * 400.0))])
+        assert calls == [(2000, 200)] * 2  # median and MAD
 
     def test_incremental_windows_actually_served_by_engine(self, short_lab_trace):
         obs = Instrumentation()
@@ -312,3 +355,101 @@ class TestCheckpointAfterEviction:
         assert estimates_b, "no estimates after restore"
         assert_estimates_bitwise_equal(estimates_a + estimates_b, ref_estimates)
         assert second.counters == reference.counters
+
+
+class TestSubwindowVMemo:
+    """The monitor's sliding-window V memo changes no decision.
+
+    Every engine-served ``classify_environment`` call is checked against
+    the same call without the memo, bitwise, and every memo entry against
+    the V of the rows its key names in that call's window (the sub-window
+    values decide only on motion, so the first check alone would miss a
+    stale entry on a still subject).  The memo only ever holds sub-windows
+    at or after the window start, and is empty whenever the engine is.
+    """
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        stats = {"calls": 0, "reused": 0}
+        original = PhaseBeat.classify_environment
+
+        def classify(self, diff, rate, *, v_memo=None, first_row=0):
+            if v_memo is None:
+                return original(self, diff, rate)
+            before = set(v_memo)
+            v, state = original(
+                self, diff, rate, v_memo=v_memo, first_row=first_row
+            )
+            v_plain, state_plain = original(self, diff, rate)
+            assert state is state_plain
+            assert np.float64(v).view(np.uint64) == np.float64(v_plain).view(
+                np.uint64
+            )
+            window = int(round(self.config.environment.window_s * rate))
+            for key, value in v_memo.items():
+                start = key - first_row
+                assert 0 <= start <= diff.shape[0] - window
+                expected = v_statistic(diff[start : start + window])
+                assert np.float64(value).view(np.uint64) == np.float64(
+                    expected
+                ).view(np.uint64)
+            stats["calls"] += 1
+            stats["reused"] += len(before & set(v_memo))
+            return v, state
+
+        monkeypatch.setattr(PhaseBeat, "classify_environment", classify)
+        return stats
+
+    @staticmethod
+    def push_all(monitor, trace, start=0, stop=None):
+        out = []
+        for k in range(start, trace.n_packets if stop is None else stop):
+            estimate = monitor.push_packet(
+                trace.csi[k], float(trace.timestamps_s[k])
+            )
+            if monitor._engine is None:
+                assert monitor._v_memo == {}
+            if estimate is not None:
+                out.append(estimate)
+        return out
+
+    def test_clean_run_reuses_subwindows(self, short_lab_trace, checked):
+        monitor = StreamingMonitor(short_lab_trace.sample_rate_hz, CONFIG)
+        estimates = self.push_all(monitor, short_lab_trace)
+        assert any(e.fresh for e in estimates)
+        assert checked["calls"] > 1
+        assert checked["reused"] > 0
+
+    def test_engine_drop_clears_the_memo(self, eviction_trace, checked):
+        # A 0.3 s gap at 8 s drops the engine; once the gap has left the
+        # retained buffer (about 14 s later) the engine is rebuilt with a
+        # fresh memo.
+        impaired = apply_impairments(
+            eviction_trace, [DropoutGap(duration_s=0.3, start_s=8.0)], seed=0
+        )
+        obs = Instrumentation()
+        monitor = StreamingMonitor(
+            impaired.sample_rate_hz,
+            StreamingConfig(window_s=4.0, hop_s=0.5),
+            instrumentation=obs,
+        )
+        self.push_all(monitor, impaired)
+        assert counter_value(obs, "monitor_engine_rebuilds_total") == 2
+        assert checked["reused"] > 0
+
+    def test_checkpoint_restore(self, eviction_trace, checked):
+        config = TestCheckpointAfterEviction.CONFIG
+        reference = StreamingMonitor(eviction_trace.sample_rate_hz, config)
+        ref_estimates = self.push_all(reference, eviction_trace)
+
+        first = StreamingMonitor(eviction_trace.sample_rate_hz, config)
+        estimates = self.push_all(first, eviction_trace, 0, 4000)
+        # Restore into a monitor whose own memo is populated.
+        second = StreamingMonitor(eviction_trace.sample_rate_hz, config)
+        self.push_all(second, eviction_trace, 0, 2000)
+        assert second._v_memo
+        second.restore(first.checkpoint())
+        assert second._v_memo == {}
+        estimates += self.push_all(second, eviction_trace, 4000)
+        assert_estimates_bitwise_equal(estimates, ref_estimates)
+        assert checked["reused"] > 0

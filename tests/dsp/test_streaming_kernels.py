@@ -27,9 +27,9 @@ from repro.dsp.streaming_kernels import (
     batched_hampel_filter,
     batched_rolling_median,
     cycle_unwrap,
+    rolling,
     trailing_calibrate,
     trailing_hampel,
-    trailing_mad,
     trailing_median,
     trailing_window_samples,
 )
@@ -187,22 +187,88 @@ class TestTrailingMedianLastRows:
             nonzero = out != 0.0
             assert_bitwise(out[nonzero], ref[120 - last :][nonzero])
 
+    # The core-compressed layout (full context, few kept rows) against the
+    # naive reference, bitwise, over its whole valid range of ``m``; the
+    # helper is called directly past the selection boundary.
+
+    @staticmethod
+    def compressed_rows(window):
+        # 1, the selection boundary 5m <= 2w, and the layout's own limit.
+        return sorted({1, 2 * window // 5, window - window // 2} - {0})
+
+    @pytest.mark.parametrize("window", [3, 4, 9, 10, 50, 51])
+    def test_core_compressed_matches_naive_reference(self, rng, window):
+        for m in self.compressed_rows(window):
+            x = self.mixed_matrix(rng, window + m + 2)
+            ref = naive_trailing_median_columns(x, window)[x.shape[0] - m :]
+            assert_bitwise(rolling._core_compressed_median(x, window, m), ref)
+            assert_bitwise(trailing_median(x, window, last=m), ref)
+
+    @pytest.mark.parametrize("window", [4, 7, 50, 51])
+    def test_core_compressed_heavy_ties(self, rng, window):
+        for m in self.compressed_rows(window):
+            n = window - 1 + m + 5
+            x = rng.integers(0, 3, size=(n, 5)).astype(float)
+            ref = naive_trailing_median_columns(x, window)[n - m :]
+            assert_bitwise(rolling._core_compressed_median(x, window, m), ref)
+
+    @pytest.mark.parametrize("window", [9, 10])
+    def test_core_compressed_1d_series(self, rng, window):
+        for m in self.compressed_rows(window):
+            n = window - 1 + m + 2
+            x = np.concatenate([rng.normal(size=n - n // 2), tied_series(rng, n // 2)])
+            out = trailing_median(x, window, last=m)
+            assert out.shape == (m,)
+            assert_bitwise(out, naive_trailing_median(x, window)[n - m :])
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda a: a[::2, ::2], lambda a: a[3:, 1:].T.T],
+    )
+    def test_core_compressed_fortran_ordered_and_sliced_input(self, rng, layout):
+        x = layout(np.column_stack([self.mixed_matrix(rng, 90)] * 2))
+        ref = naive_trailing_median_columns(np.array(x), 21)
+        for m in self.compressed_rows(21):
+            assert_bitwise(
+                rolling._core_compressed_median(x, 21, m), ref[x.shape[0] - m :]
+            )
+            assert_bitwise(trailing_median(x, 21, last=m), ref[x.shape[0] - m :])
+
+    def test_core_compressed_signed_zero_ties_are_equal_in_value(self, rng):
+        x = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(120, 6))
+        ref = naive_trailing_median_columns(x, 20)
+        for m in self.compressed_rows(20):
+            out = rolling._core_compressed_median(x, 20, m)
+            np.testing.assert_array_equal(out, ref[120 - m :])
+            nonzero = out != 0.0
+            assert_bitwise(out[nonzero], ref[120 - m :][nonzero])
+
+    def test_core_compressed_selection_follows_shape(self, rng, monkeypatch):
+        calls = []
+        compressed = rolling._core_compressed_median
+
+        def spy(cols, window, m):
+            calls.append((cols.shape[0], window, m))
+            return compressed(cols, window, m)
+
+        monkeypatch.setattr(rolling, "_core_compressed_median", spy)
+        # 400 Hz trend hop: full context, 400 of a 2000-row window.
+        trailing_median(rng.normal(size=(2399, 2)), 2000, last=400)
+        assert calls == [(2399, 2000, 400)]
+        # 20 Hz trend hop (80 of 100), the 400 Hz noise hop (400 of 50),
+        # a padded call (context one row short) and a rebuild: plain layout.
+        trailing_median(rng.normal(size=(179, 2)), 100, last=80)
+        trailing_median(rng.normal(size=(449, 2)), 50, last=400)
+        trailing_median(rng.normal(size=(2398, 2)), 2000, last=400)
+        trailing_median(rng.normal(size=(3000, 2)), 2000)
+        assert len(calls) == 1
+        # The selection boundary, 5m <= 2w, on either side.
+        trailing_median(rng.normal(size=(139, 2)), 100, last=40)
+        trailing_median(rng.normal(size=(140, 2)), 100, last=41)
+        assert calls[1:] == [(139, 100, 40)]
+
 
 class TestTrailingMadAndHampel:
-    def test_mad_is_median_of_deviations(self, rng):
-        x = rng.normal(size=80)
-        med = trailing_median(x, 7)
-        np.testing.assert_array_equal(
-            trailing_mad(x, 7), trailing_median(np.abs(x - med), 7)
-        )
-
-    def test_mad_median_reuse_is_bitwise_neutral(self, rng):
-        x = rng.normal(size=80)
-        med = trailing_median(x, 7)
-        np.testing.assert_array_equal(
-            trailing_mad(x, 7), trailing_mad(x, 7, median=med)
-        )
-
     def test_hampel_applies_outlier_rule_about_trailing_stats(self, rng):
         x = rng.normal(size=90)
         x[40] += 25.0  # a spike the small threshold must replace
