@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import FloatArray, check_arrays
+from ..dsp.hampel import hampel_filter
 from ..dsp.resample import decimate, downsampled_rate
-from ..dsp.streaming_kernels.rolling import batched_hampel_filter
 from ..errors import ConfigurationError
 
 __all__ = ["CalibrationConfig", "CalibratedData", "calibrate"]
@@ -127,13 +127,11 @@ def calibrate(
     trend_window = min(trend_window, n)
     noise_window = min(noise_window, n)
 
-    # Batched over all subcarrier columns at once; bitwise equal to looping
-    # hampel_filter per column (the per-column equivalence test pins this).
-    trend = batched_hampel_filter(phase_diff, trend_window, config.hampel_threshold)
+    # All subcarrier columns in one call; each column is filtered exactly
+    # as a 1-D series (the per-column equivalence test pins this).
+    trend = hampel_filter(phase_diff, trend_window, config.hampel_threshold)
     detrended = phase_diff - trend
-    calibrated = batched_hampel_filter(
-        detrended, noise_window, config.hampel_threshold
-    )
+    calibrated = hampel_filter(detrended, noise_window, config.hampel_threshold)
 
     factor = config.decimation_factor(sample_rate_hz)
     if factor > 1:

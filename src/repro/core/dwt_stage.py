@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..contracts import FloatArray
 from ..dsp.wavelet import (
     WaveletDecomposition,
@@ -21,7 +19,7 @@ from ..dsp.wavelet import (
 )
 from ..errors import ConfigurationError
 
-__all__ = ["DWTConfig", "DWTBands", "decompose", "decompose_matrix"]
+__all__ = ["DWTConfig", "DWTBands", "decompose"]
 
 
 @dataclass(frozen=True)
@@ -77,64 +75,25 @@ def decompose(
     sample_rate_hz: float,
     config: DWTConfig | None = None,
 ) -> DWTBands:
-    """Run the DWT stage on the selected subcarrier series.
+    """Run the DWT stage on the selected series, or on every column.
+
+    A matrix goes through one vectorized multilevel transform — the heart
+    stage band-splits its top-MAD candidate columns this way — and
+    ``bands.breathing[:, i]`` / ``bands.heart[:, i]`` match a 1-D call on
+    column ``i``.
 
     Args:
-        series: 1-D calibrated phase-difference series (post selection).
+        series: 1-D calibrated phase-difference series (post selection), or
+            an ``[n_samples × n_series]`` matrix of them.
         sample_rate_hz: Its sample rate (20 Hz after standard calibration).
         config: Stage parameters.
 
     Returns:
-        :class:`DWTBands` with the breathing and heart reconstructions.
+        :class:`DWTBands` with the breathing and heart reconstructions, each
+        shaped like ``series``.
     """
     config = config if config is not None else DWTConfig()
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ConfigurationError(
-            f"DWT stage expects the single selected series, got {series.shape}"
-        )
     decomposition = wavedec(series, config.wavelet, level=config.level)
-    return _bands_from_decomposition(decomposition, sample_rate_hz, config)
-
-
-def decompose_matrix(
-    matrix: FloatArray,
-    sample_rate_hz: float,
-    config: DWTConfig | None = None,
-) -> DWTBands:
-    """Batched DWT stage over every column of a series matrix.
-
-    The band reconstructions of :func:`decompose`, computed for all columns
-    in one vectorized multilevel transform — the heart stage uses this to
-    band-split its top-MAD candidate columns in a single call instead of a
-    Python loop.  ``bands.breathing[:, i]`` / ``bands.heart[:, i]`` match
-    ``decompose(matrix[:, i], ...)`` on that column.
-
-    Args:
-        matrix: ``[n_samples × n_series]`` calibrated series matrix.
-        sample_rate_hz: Common sample rate of the columns.
-        config: Stage parameters.
-
-    Returns:
-        :class:`DWTBands` whose ``breathing``/``heart`` entries are
-        ``[n_samples × n_series]`` matrices.
-    """
-    config = config if config is not None else DWTConfig()
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ConfigurationError(
-            f"decompose_matrix expects an [n_samples x n_series] matrix, "
-            f"got {matrix.shape}"
-        )
-    decomposition = wavedec(matrix, config.wavelet, level=config.level)
-    return _bands_from_decomposition(decomposition, sample_rate_hz, config)
-
-
-def _bands_from_decomposition(
-    decomposition: WaveletDecomposition,
-    sample_rate_hz: float,
-    config: DWTConfig,
-) -> DWTBands:
     breathing = reconstruct_band(decomposition, keep_approx=True)
     heart = reconstruct_band(decomposition, keep_details=config.heart_detail_levels)
     lo_heart = min(

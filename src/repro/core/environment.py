@@ -26,7 +26,14 @@ from ..dsp.stats import mean_absolute_deviation
 from ..errors import ConfigurationError
 from ..physio.motion import ActivityState
 
-__all__ = ["EnvironmentConfig", "v_statistic", "windowed_v", "classify_windows", "EnvironmentDetector"]
+__all__ = [
+    "EnvironmentConfig",
+    "v_statistic",
+    "windowed_v",
+    "classify_v",
+    "classify_windows",
+    "EnvironmentDetector",
+]
 
 
 @dataclass(frozen=True)
@@ -127,26 +134,31 @@ def windowed_v(
     return np.asarray(centers), np.asarray(values)
 
 
-def classify_windows(v: FloatArray, config: EnvironmentConfig) -> np.ndarray:  # phaselint: disable=PL002 -- object array of ActivityState
-    """Map V values to activity states.
+def classify_v(v: float, config: EnvironmentConfig) -> ActivityState:
+    """Map one V value to an activity state.
 
     Below the band → :attr:`ActivityState.NO_PERSON` (no modulation at
-    all); inside → :attr:`ActivityState.SITTING` (stationary, usable);
-    above → :attr:`ActivityState.WALKING` (large motion — the detector
-    cannot distinguish walking from standing up, and does not need to).
+    all); inside, edges included → :attr:`ActivityState.SITTING`
+    (stationary, usable); above → :attr:`ActivityState.WALKING` (large
+    motion — the detector cannot distinguish walking from standing up, and
+    does not need to).
     """
-    v = np.asarray(v, dtype=float)
     lo, hi = config.stationary_band
+    if v < lo:
+        return ActivityState.NO_PERSON
+    if v > hi:
+        return ActivityState.WALKING
+    return ActivityState.SITTING
+
+
+def classify_windows(v: FloatArray, config: EnvironmentConfig) -> np.ndarray:  # phaselint: disable=PL002 -- object array of ActivityState
+    """Map V values to activity states with :func:`classify_v`."""
+    v = np.asarray(v, dtype=float)
     # Element-wise assignment keeps the enum objects intact (bulk fills of a
     # str-enum decay to plain strings under numpy's scalar coercion).
     out = np.empty(v.shape, dtype=object)
     for i, value in np.ndenumerate(v):
-        if value < lo:
-            out[i] = ActivityState.NO_PERSON
-        elif value > hi:
-            out[i] = ActivityState.WALKING
-        else:
-            out[i] = ActivityState.SITTING
+        out[i] = classify_v(value, config)
     return out
 
 
@@ -158,9 +170,8 @@ class EnvironmentDetector:
 
     def is_stationary(self, phase_diff: FloatArray) -> bool:
         """Whole-segment decision: V of the full segment inside the band."""
-        v = v_statistic(phase_diff)
-        lo, hi = self.config.stationary_band
-        return lo <= v <= hi
+        state = classify_v(v_statistic(phase_diff), self.config)
+        return state is ActivityState.SITTING
 
     def segment_report(
         self, phase_diff: FloatArray, sample_rate_hz: float

@@ -94,20 +94,7 @@ def phase_difference(
     Returns:
         ``(n_packets, n_subcarriers)`` phase differences in radians.
     """
-    a, b = antenna_pair
-    if a == b:
-        raise ConfigurationError("antenna pair must name two distinct chains")
-    for idx in (a, b):
-        if not 0 <= idx < trace.n_rx:
-            raise ConfigurationError(
-                f"antenna index {idx} out of range for {trace.n_rx} chains"
-            )
-    # Explicit ufunc call for the same extent-independence reason as
-    # :func:`wrapped_pair_matrix` — keeps the per-pair path bitwise equal
-    # to the batched one regardless of trace length.
-    diff = np.angle(
-        np.multiply(trace.csi[:, a, :], np.conjugate(trace.csi[:, b, :]))
-    )
+    diff = wrapped_pair_matrix(trace.csi, [antenna_pair])
     if unwrap:
         diff = np.unwrap(diff, axis=0)
     return diff

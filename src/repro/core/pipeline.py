@@ -39,10 +39,10 @@ from .breathing import (
     PeakBreathingEstimator,
 )
 from .calibration import CalibrationConfig, calibrate
-from .dwt_stage import DWTConfig, decompose, decompose_matrix
+from .dwt_stage import DWTConfig, decompose
 from .environment import (
     EnvironmentConfig,
-    EnvironmentDetector,
+    classify_v,
     v_statistic,
     windowed_v,
 )
@@ -210,7 +210,6 @@ class PhaseBeat:
         instrumentation: Instrumentation | None = None,
     ):
         self.config = config if config is not None else PhaseBeatConfig()
-        self._detector = EnvironmentDetector(self.config.environment)
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
@@ -320,11 +319,9 @@ class PhaseBeat:
         """
         cfg = self.config
         v = v_statistic(diff)
-        lo, hi = cfg.environment.stationary_band
-        if v < lo:
-            return v, ActivityState.NO_PERSON
-        if v > hi:
-            return v, ActivityState.WALKING
+        state = classify_v(v, cfg.environment)
+        if state is not ActivityState.SITTING:
+            return v, state
         window = int(round(cfg.environment.window_s * sample_rate_hz))
         if diff.shape[0] >= 2 * window:
             _, windowed = windowed_v(
@@ -334,7 +331,7 @@ class PhaseBeat:
                 memo=v_memo,
                 first_row=first_row,
             )
-            if windowed.max() > hi:
+            if windowed.max() > cfg.environment.stationary_band[1]:
                 return float(windowed.max()), ActivityState.WALKING
         return v, ActivityState.SITTING
 
@@ -480,7 +477,7 @@ class PhaseBeat:
         plus harmonic comb, see :func:`subtract_cycle_template`) has been
         removed.  Returns ``None`` when no candidate can be cleansed.
         """
-        from ..dsp.fft_utils import band_mask, batched_magnitude_spectrum
+        from ..dsp.fft_utils import band_mask, magnitude_spectrum
 
         cfg = self.config
         eligible = np.flatnonzero(quality) if quality.any() else np.arange(
@@ -499,15 +496,15 @@ class PhaseBeat:
                 continue
         if not cleansed_columns:
             return None
-        # One batched DWT + one batched FFT over all surviving candidates
-        # replaces the per-candidate decompose/spectrum loop.
+        # One DWT and one FFT over the matrix of surviving candidates
+        # replace a per-candidate decompose/spectrum loop.
         try:
-            candidates = decompose_matrix(
+            candidates = decompose(
                 np.column_stack(cleansed_columns), sample_rate_hz, cfg.dwt
             ).heart
         except SignalTooShortError:
             return None
-        freqs, mags = batched_magnitude_spectrum(candidates, sample_rate_hz)
+        freqs, mags = magnitude_spectrum(candidates, sample_rate_hz)
         mask = band_mask(freqs, cfg.heart_estimator.band_hz)
         if not mask.any():
             return None

@@ -6,7 +6,6 @@ DWT, and root-MUSIC.  The :mod:`repro.core` pipeline composes these into the
 paper's processing chain.
 """
 
-from .detrend import hampel_denoise, hampel_detrend, remove_dc
 from .fft_utils import (
     dominant_frequency,
     fundamental_frequency,
@@ -15,7 +14,7 @@ from .fft_utils import (
     spectral_peaks,
     three_bin_phase_frequency,
 )
-from .hampel import hampel_filter, hampel_trend, rolling_mad, rolling_median
+from .hampel import hampel_filter, rolling_median
 from .music import estimate_frequencies as root_music_estimate
 from .peaks import find_peaks, mean_peak_interval, peak_rate_bpm
 from .resample import ReclockedSeries, decimate, downsampled_rate, reclock
@@ -59,10 +58,7 @@ __all__ = [
     "dwt_max_level",
     "estimate_frequencies",
     "find_peaks",
-    "hampel_denoise",
-    "hampel_detrend",
     "hampel_filter",
-    "hampel_trend",
     "idwt",
     "magnitude_spectrum",
     "make_wavelet",
@@ -74,8 +70,6 @@ __all__ = [
     "reclock",
     "ReclockedSeries",
     "reconstruct_band",
-    "remove_dc",
-    "rolling_mad",
     "rolling_median",
     "root_music_estimate",
     "spectral_peaks",

@@ -25,7 +25,6 @@ __all__ = [
     "RfftPlan",
     "rfft_plan",
     "magnitude_spectrum",
-    "batched_magnitude_spectrum",
     "band_mask",
     "dominant_frequency",
     "fundamental_frequency",
@@ -80,80 +79,52 @@ def rfft_plan(n_fft: int, sample_rate_hz: float) -> RfftPlan:
 def magnitude_spectrum(
     x: FloatArray, sample_rate_hz: float, *, nfft: int | None = None, detrend: bool = True
 ) -> tuple[FloatArray, FloatArray]:
-    """One-sided FFT magnitude spectrum of a real series.
+    """One-sided FFT magnitude spectrum of a real series or of every column.
+
+    A matrix is transformed along axis 0 in one ``np.fft.rfft`` call.  Its
+    columns equal 1-D calls on them to float rounding, not bitwise: the
+    vectorized transform takes a different code path.
 
     Args:
-        x: 1-D real series.
+        x: 1-D real series or ``[n_samples × n_series]`` real matrix.
         sample_rate_hz: Sample rate in Hz.
-        nfft: FFT length; defaults to ``len(x)`` (no zero padding).
-        detrend: Subtract the mean first, so the DC bin does not mask
-            low-frequency breathing peaks.
+        nfft: FFT length; defaults to ``n_samples`` (no zero padding).
+        detrend: Subtract each series' mean first, so the DC bin does not
+            mask low-frequency breathing peaks.
 
     Returns:
-        ``(freqs, magnitude)`` arrays of equal length ``nfft // 2 + 1``.
+        ``(freqs, magnitude)``: ``nfft // 2 + 1`` frequencies and the
+        magnitudes, ``[n_bins]`` for a series or ``[n_bins × n_series]`` for
+        a matrix.
     """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ConfigurationError(
+            f"expected a 1-D series or 2-D matrix, got shape {x.shape}"
+        )
+    n_samples = x.shape[0]
+    if n_samples < 2:
+        raise SignalTooShortError(2, n_samples, "FFT input")
+    if sample_rate_hz <= 0:
+        raise ConfigurationError(f"sample rate must be positive, got {sample_rate_hz}")
+    if detrend:
+        x = x - x.mean(axis=0)
+    n = int(nfft) if nfft is not None else n_samples
+    if n < n_samples:
+        raise ConfigurationError(f"nfft ({n}) shorter than the signal ({n_samples})")
+    spectrum = np.fft.rfft(x, n=n, axis=0)
+    freqs = rfft_plan(n, float(sample_rate_hz)).freqs_hz
+    return freqs, np.abs(spectrum)
+
+
+def _series_spectrum(
+    x: FloatArray, sample_rate_hz: float, nfft: int | None
+) -> tuple[FloatArray, FloatArray]:
+    """:func:`magnitude_spectrum` of a 1-D series, for the peak pickers."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ConfigurationError(f"expected a 1-D series, got shape {x.shape}")
-    if x.size < 2:
-        raise SignalTooShortError(2, x.size, "FFT input")
-    if sample_rate_hz <= 0:
-        raise ConfigurationError(f"sample rate must be positive, got {sample_rate_hz}")
-    if detrend:
-        x = x - x.mean()
-    n = int(nfft) if nfft is not None else x.size
-    if n < x.size:
-        raise ConfigurationError(f"nfft ({n}) shorter than the signal ({x.size})")
-    spectrum = np.fft.rfft(x, n=n)
-    freqs = rfft_plan(n, float(sample_rate_hz)).freqs_hz
-    return freqs, np.abs(spectrum)
-
-
-def batched_magnitude_spectrum(
-    matrix: FloatArray,
-    sample_rate_hz: float,
-    *,
-    nfft: int | None = None,
-    detrend: bool = True,
-) -> tuple[FloatArray, FloatArray]:
-    """One-sided magnitude spectra of every column of a real matrix.
-
-    The batched counterpart of :func:`magnitude_spectrum`: one
-    ``np.fft.rfft`` call over axis 0 replaces a Python loop over series, and
-    the frequency grid comes from the cached :func:`rfft_plan`.  Per-column
-    results equal :func:`magnitude_spectrum` on that column to float
-    rounding (the vectorized FFT takes a different code path than the 1-D
-    transform, so agreement is ulp-level rather than bitwise).
-
-    Args:
-        matrix: ``[n_samples × n_series]`` real matrix.
-        sample_rate_hz: Sample rate in Hz.
-        nfft: FFT length; defaults to ``n_samples``.
-        detrend: Subtract each column's mean first.
-
-    Returns:
-        ``(freqs, magnitude)`` with shapes ``[n_bins]`` and
-        ``[n_bins × n_series]``.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ConfigurationError(
-            f"expected an [n_samples x n_series] matrix, got shape {matrix.shape}"
-        )
-    if matrix.shape[0] < 2:
-        raise SignalTooShortError(2, matrix.shape[0], "FFT input")
-    if sample_rate_hz <= 0:
-        raise ConfigurationError(f"sample rate must be positive, got {sample_rate_hz}")
-    if detrend:
-        matrix = matrix - matrix.mean(axis=0, keepdims=True)
-    n = int(nfft) if nfft is not None else matrix.shape[0]
-    if n < matrix.shape[0]:
-        raise ConfigurationError(
-            f"nfft ({n}) shorter than the signal ({matrix.shape[0]})"
-        )
-    spectrum = np.fft.rfft(matrix, n=n, axis=0)
-    freqs = rfft_plan(n, float(sample_rate_hz)).freqs_hz
-    return freqs, np.abs(spectrum)
+    return magnitude_spectrum(x, sample_rate_hz, nfft=nfft)
 
 
 def band_mask(
@@ -182,7 +153,7 @@ def dominant_frequency(
     With ``interpolate=True`` the raw bin frequency is refined by quadratic
     interpolation over the peak bin and its neighbours.
     """
-    freqs, mag = magnitude_spectrum(x, sample_rate_hz, nfft=nfft)
+    freqs, mag = _series_spectrum(x, sample_rate_hz, nfft)
     mask = band_mask(freqs, band)
     if not mask.any():
         raise EstimationError(f"no FFT bins inside the band {band}")
@@ -224,7 +195,7 @@ def fundamental_frequency(
     Returns:
         The corrected fundamental frequency in Hz.
     """
-    freqs, mag = magnitude_spectrum(x, sample_rate_hz, nfft=nfft)
+    freqs, mag = _series_spectrum(x, sample_rate_hz, nfft)
     mask = band_mask(freqs, band)
     if not mask.any():
         raise EstimationError(f"no FFT bins inside the band {band}")
@@ -368,7 +339,7 @@ def spectral_peaks(
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
-    freqs, mag = magnitude_spectrum(x, sample_rate_hz, nfft=nfft)
+    freqs, mag = _series_spectrum(x, sample_rate_hz, nfft)
     mask = band_mask(freqs, band)
     # A local maximum that also lies in the band.
     local = np.zeros(mag.size, dtype=bool)

@@ -14,8 +14,10 @@ median:
 * window 50 samples (0.125 s) → the output is a median-smoothed series with
   high-frequency noise removed (denoising).
 
-Both uses are exposed here: :func:`hampel_filter` is the generic filter and
-:func:`rolling_median` / :func:`rolling_mad` are the building blocks.
+:func:`hampel_filter` is the filter and :func:`rolling_median` its building
+block.  Both take a 1-D series or an ``[n_samples × n_series]`` matrix whose
+columns are filtered independently, so calibration runs every subcarrier of
+every antenna pair through one call.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from ..contracts import FloatArray
 from ..errors import ConfigurationError
 from .stats import MAD_TO_SIGMA
 
-__all__ = ["rolling_median", "rolling_mad", "hampel_filter", "hampel_trend"]
+__all__ = ["rolling_median", "hampel_filter"]
 
 
 def _validate_window(x: FloatArray, window: int) -> FloatArray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    if x.ndim not in (1, 2):
         raise ConfigurationError(
-            f"Hampel filtering expects a 1-D series, got shape {x.shape}"
+            f"Hampel filtering expects a 1-D series or 2-D matrix, got shape {x.shape}"
         )
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
@@ -47,32 +49,37 @@ def rolling_median(x: FloatArray, window: int) -> FloatArray:
     The window is clipped at the signal edges (``mode='nearest'``), so the
     first and last samples are medians of partially replicated windows rather
     than zero-padded ones — zero padding would fabricate a trend step at the
-    boundaries, which then leaks into the detrended vital-sign band.
-    """
-    x = _validate_window(x, window)
-    window = min(window, x.size)
-    return median_filter(x, size=window, mode="nearest")
+    boundaries, which then leaks into the detrended vital-sign band.  The
+    window is clamped to the series length.
 
-
-def rolling_mad(
-    x: FloatArray, window: int, *, median: FloatArray | None = None
-) -> FloatArray:
-    """Centered rolling median absolute deviation (about the rolling median).
+    A matrix is filtered column by column in one scipy call: the columns are
+    laid end to end, each preceded by ``window // 2`` copies of its first row
+    and followed by ``(window - 1) // 2`` copies of its last row, so every
+    kept output's window lies inside its own column and sees the same
+    replicated edges as a 1-D call on that column.  The outputs equal
+    per-column 1-D calls in value; among tied ``+0.0`` and ``-0.0`` samples
+    the sign of the zero returned can depend on the layout.
 
     Args:
-        x: 1-D input series.
-        window: Window length in samples.
-        median: The rolling median of ``x`` over the same window, when the
-            caller has already computed it (as :func:`hampel_filter` has);
-            omitted, it is recomputed here.
+        x: 1-D series or ``[n_samples × n_series]`` matrix.
+        window: Centered window length in samples.
 
     Returns:
-        The rolling MAD series, same shape as ``x``.
+        The rolling median, same shape as ``x``.
     """
-    med = rolling_median(x, window) if median is None else np.asarray(
-        median, dtype=float
-    )
-    return rolling_median(np.abs(np.asarray(x, dtype=float) - med), window)
+    x = _validate_window(x, window)
+    n = x.shape[0]
+    window = min(window, n)
+    if x.ndim == 1:
+        return median_filter(x, size=window, mode="nearest")
+    k = x.shape[1]
+    before = window // 2
+    seg = np.empty((k, before + n + (window - 1) // 2))
+    seg[:, :before] = x[0][:, np.newaxis]
+    seg[:, before : before + n] = x.T
+    seg[:, before + n :] = x[-1][:, np.newaxis]
+    med = median_filter(seg.ravel(), size=window, mode="nearest")
+    return med.reshape(k, -1)[:, before : before + n].T
 
 
 def hampel_filter(
@@ -91,31 +98,22 @@ def hampel_filter(
     PhaseBeat extracts trends and smooths noise.
 
     Args:
-        x: 1-D input series.
+        x: 1-D series or ``[n_samples × n_series]`` matrix (columns are
+            filtered independently).
         window: Window length in samples.
         threshold: Number of robust standard deviations beyond which a sample
             is declared an outlier and replaced.
         scale: MAD-to-sigma factor (Gaussian-consistent by default).
 
     Returns:
-        The filtered series, same shape as ``x``.
+        The filtered array, same shape as ``x``.
     """
     x = _validate_window(x, window)
     if threshold < 0:
         raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
     med = rolling_median(x, window)
-    mad = rolling_mad(x, window, median=med)
+    mad = rolling_median(np.abs(x - med), window)
     outlier = np.abs(x - med) > threshold * scale * mad
     out = x.copy()
     out[outlier] = med[outlier]
     return out
-
-
-def hampel_trend(x: FloatArray, window: int, threshold: float = 0.01) -> FloatArray:
-    """Trend of the series as PhaseBeat computes it (large-window Hampel).
-
-    Equivalent to :func:`hampel_filter` with the paper's large window and
-    small threshold; split out so calibration code reads as
-    ``x - hampel_trend(x, 2000)``.
-    """
-    return hampel_filter(x, window, threshold)

@@ -16,8 +16,7 @@ purity is what makes the checkpoint/restore round-trip exact.
 Modules:
 
 * :mod:`~repro.dsp.streaming_kernels.rolling` — trailing median and
-  Hampel (vectorized, one scipy call per matrix) and batched
-  (multi-column) centered Hampel used by :mod:`repro.core.calibration`.
+  Hampel (vectorized, one scipy call per matrix).
 * :mod:`~repro.dsp.streaming_kernels.row_store` — the append/evict row
   buffer behind the engine's and the monitor's per-packet caches.
 * :mod:`~repro.dsp.streaming_kernels.unwrap` — integer-cycle phase
@@ -35,18 +34,11 @@ from .calibrator import (
     trailing_calibrate,
     trailing_window_samples,
 )
-from .rolling import (
-    batched_hampel_filter,
-    batched_rolling_median,
-    trailing_hampel,
-    trailing_median,
-)
+from .rolling import trailing_hampel, trailing_median
 from .row_store import RowStore
 from .unwrap import cycle_unwrap
 
 __all__ = [
-    "batched_hampel_filter",
-    "batched_rolling_median",
     "trailing_hampel",
     "trailing_median",
     "RowStore",

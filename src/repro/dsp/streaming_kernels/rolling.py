@@ -1,37 +1,28 @@
-"""Trailing and batched rolling-median kernels.
+"""Trailing (causal) rolling-median kernels.
 
-Two families live here:
+The filtered value at index ``i`` is an order statistic of the trailing
+window ``[i - w + 1, i]`` with the left edge replicated (``x[0]`` stands in
+for negative indices).  Trailing values are frozen once computed, which is
+what makes incremental streaming exact: extending the series never changes
+past outputs.  The implementations ride on ``scipy.ndimage.median_filter``
+with a positive ``origin`` — ``origin=(w - 1) // 2`` shifts the centered
+footprint fully to the left, which equals the naive trailing median
+(verified against a naive implementation in the test suite, including ties
+and even windows).  A whole ``[n × k]`` matrix goes through *one* 1-D scipy
+call: the columns are laid end to end, each prefixed with copies of its own
+first row, so every kept output's window lies inside its own column.
 
-* **Trailing (causal) kernels** — the filtered value at index ``i`` is an
-  order statistic of the trailing window ``[i - w + 1, i]`` with the left
-  edge replicated (``x[0]`` stands in for negative indices).  Trailing
-  values are frozen once computed, which is what makes incremental streaming
-  exact: extending the series never changes past outputs.  The vectorized
-  implementations ride on ``scipy.ndimage.median_filter`` with a positive
-  ``origin`` — ``origin=(w - 1) // 2`` shifts the centered footprint fully
-  to the left, which equals the naive trailing median (verified against a
-  naive implementation in the test suite, including ties and even windows).
-  A whole ``[n × k]`` matrix goes through *one* 1-D scipy call: the columns
-  are laid end to end, each prefixed with copies of its own first row, so
-  every kept output's window lies inside its own column.
+When only the last ``m`` rows are kept, their context is complete and ``m``
+is small against the window (a streaming hop), the rows every kept window
+shares (the *core*) are first cut down to the ``m`` values that can still be
+a median, so each column is filtered over ``3m - 2`` rows instead of
+``w - 1 + m`` (docs/performance.md §7).
 
-  When only the last ``m`` rows are kept, their context is complete and
-  ``m`` is small against the window (a streaming hop), the rows every kept
-  window shares (the *core*) are first cut down to the ``m`` values that
-  can still be a median, so each column is filtered over ``3m - 2`` rows
-  instead of ``w - 1 + m`` (docs/performance.md §7).
-
-* **Batched centered kernels** — per-column application of the 1-D
-  centered kernels from :mod:`repro.dsp.hampel` over a ``[window × series]``
-  matrix, with the elementwise outlier logic vectorized across the matrix.
-  Output is bitwise equal to looping :func:`repro.dsp.hampel.hampel_filter`
-  over columns; :mod:`repro.core.calibration` uses this to calibrate all
-  subcarriers of all antenna pairs in one call.
-
-scipy's 1-D rank filter is the fast path for both families.  A 2-D
-``median_filter`` with a ``(w, 1)`` footprint computes the same order
-statistics but takes scipy's generic n-D path, which is about a hundred
-times slower at the engine's trend shape (docs/performance.md).
+scipy's 1-D rank filter is the fast path.  A 2-D ``median_filter`` with a
+``(w, 1)`` footprint computes the same order statistics but takes scipy's
+generic n-D path, which is about a hundred times slower at the engine's
+trend shape (docs/performance.md).  The centered counterparts live in
+:mod:`repro.dsp.hampel`.
 """
 
 from __future__ import annotations
@@ -43,12 +34,7 @@ from ...contracts import FloatArray
 from ...errors import ConfigurationError
 from ..stats import MAD_TO_SIGMA
 
-__all__ = [
-    "trailing_median",
-    "trailing_hampel",
-    "batched_rolling_median",
-    "batched_hampel_filter",
-]
+__all__ = ["trailing_median", "trailing_hampel"]
 
 
 def _validate(x: FloatArray, window: int) -> FloatArray:
@@ -200,59 +186,5 @@ def trailing_hampel(
     mad = trailing_median(np.abs(x - med), window)
     outlier = np.abs(x - med) > threshold * scale * mad
     out = x.copy()
-    out[outlier] = med[outlier]
-    return out
-
-
-def batched_rolling_median(matrix: FloatArray, window: int) -> FloatArray:
-    """Centered rolling median applied independently to each column.
-
-    Bitwise equal to calling :func:`repro.dsp.hampel.rolling_median` on
-    every column (same scipy kernel, same ``min(window, n)`` clamp).
-    """
-    matrix = _validate(matrix, window)
-    if matrix.ndim == 1:
-        matrix = matrix[:, np.newaxis]
-    window = min(window, matrix.shape[0])
-    out = np.empty_like(matrix)
-    for col in range(matrix.shape[1]):
-        out[:, col] = median_filter(matrix[:, col], size=window, mode="nearest")
-    return out
-
-
-def batched_hampel_filter(
-    matrix: FloatArray,
-    window: int,
-    threshold: float,
-    *,
-    scale: float = MAD_TO_SIGMA,
-) -> FloatArray:
-    """Centered Hampel filter applied independently to each column.
-
-    The per-column medians reuse the 1-D scipy kernel; the outlier mask and
-    replacement are vectorized across the whole matrix.  Bitwise equal to
-    looping :func:`repro.dsp.hampel.hampel_filter` over columns.
-
-    Args:
-        matrix: ``[n_samples × n_series]`` matrix (1-D input is treated as
-            a single column and returned 2-D).
-        window: Centered window length in samples (clamped to the series
-            length, matching the 1-D filter).
-        threshold: Robust standard deviations beyond which a sample is
-            replaced by the local median.
-        scale: MAD-to-sigma factor.
-
-    Returns:
-        Filtered ``[n_samples × n_series]`` matrix.
-    """
-    matrix = _validate(matrix, window)
-    if matrix.ndim == 1:
-        matrix = matrix[:, np.newaxis]
-    if threshold < 0:
-        raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
-    med = batched_rolling_median(matrix, window)
-    mad = batched_rolling_median(np.abs(matrix - med), window)
-    outlier = np.abs(matrix - med) > threshold * scale * mad
-    out = matrix.copy()
     out[outlier] = med[outlier]
     return out

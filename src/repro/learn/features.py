@@ -29,7 +29,7 @@ import numpy as np
 from ..contracts import BoolArray, FloatArray, check_matrix, check_trace
 from ..core.calibration import CalibrationConfig
 from ..core.pipeline import prepare_calibrated_matrix
-from ..dsp.fft_utils import band_mask, batched_magnitude_spectrum
+from ..dsp.fft_utils import band_mask, magnitude_spectrum
 from ..errors import ConfigurationError, EstimationError
 from ..io_.trace import CSITrace
 
@@ -240,9 +240,7 @@ def matrix_features(
 
     columns = matrix[:, eligible]
     nfft = _nfft_for(n_samples, cfg.nfft_min)
-    freqs, mags = batched_magnitude_spectrum(
-        columns, sample_rate_hz, nfft=nfft
-    )
+    freqs, mags = magnitude_spectrum(columns, sample_rate_hz, nfft=nfft)
     in_band = band_mask(freqs, cfg.breathing_band_hz)
     if not in_band.any():
         raise EstimationError(

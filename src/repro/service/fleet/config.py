@@ -1,9 +1,11 @@
 """Fleet gateway configuration.
 
 One frozen dataclass holds every knob of the fleet layer — admission
-ceilings, queue geometry, the watermark/pressure ladder, the shed budget,
-and the scheduling cadence — validated eagerly so a bad fleet deployment
-fails at construction, not twenty minutes into a run.
+ceilings, queue geometry, the watermarks and escalation delay of the
+pressure ladder, the shed budget, and the scheduling cadence — validated
+eagerly so a bad fleet deployment fails at construction, not twenty minutes
+into a run.  The ladder's fixed steps (recovery delay, shed delay, hop
+stretches, degraded fallback floor) are the module constants below.
 """
 
 from __future__ import annotations
@@ -12,7 +14,30 @@ from dataclasses import dataclass
 
 from ...errors import ConfigurationError
 
-__all__ = ["FleetConfig"]
+__all__ = [
+    "FleetConfig",
+    "RECOVER_AFTER_ROUNDS",
+    "SHED_AFTER_ROUNDS",
+    "THROTTLE_HOP_STRETCH",
+    "DEGRADE_HOP_STRETCH",
+    "DEGRADE_FALLBACK_LEVEL",
+]
+
+# Consecutive under-watermark rounds before the pressure ladder steps back
+# down one level.
+RECOVER_AFTER_ROUNDS = 2
+# Rounds a session must remain over the high watermark *at the deepest
+# pressure level* before it becomes a shed candidate — degradation always
+# precedes shedding.
+SHED_AFTER_ROUNDS = 4
+# Hop-widening factor at pressure level 1 (estimates emitted less often,
+# geometry unchanged).
+THROTTLE_HOP_STRETCH = 2.0
+# Hop-widening factor at pressure level 2.
+DEGRADE_HOP_STRETCH = 3.0
+# Estimator-ladder floor pinned at pressure level 2 (1 = csi-ratio),
+# trading accuracy for cycles.
+DEGRADE_FALLBACK_LEVEL = 1
 
 
 @dataclass(frozen=True)
@@ -33,16 +58,6 @@ class FleetConfig:
             accrues recovery rounds.
         throttle_after_rounds: Consecutive over-watermark rounds before
             the pressure ladder steps up one level.
-        recover_after_rounds: Consecutive under-watermark rounds before
-            the ladder steps back down one level.
-        shed_after_rounds: Rounds a session must remain over the high
-            watermark *at the deepest pressure level* before it becomes a
-            shed candidate — degradation always precedes shedding.
-        throttle_hop_stretch: Hop-widening factor applied at pressure
-            level 1 (estimates emitted less often, geometry unchanged).
-        degrade_hop_stretch: Hop-widening factor at pressure level 2.
-        degrade_fallback_level: Estimator-ladder floor pinned at pressure
-            level 2 (1 = csi-ratio), trading accuracy for cycles.
         max_shed_sessions: Hard budget of sessions the gateway may shed
             over a run — the invariant the chaos report enforces.
         round_interval_s: Simulated time one scheduling round represents;
@@ -60,11 +75,6 @@ class FleetConfig:
     high_watermark_packets: int = 160
     low_watermark_packets: int = 48
     throttle_after_rounds: int = 2
-    recover_after_rounds: int = 2
-    shed_after_rounds: int = 4
-    throttle_hop_stretch: float = 2.0
-    degrade_hop_stretch: float = 3.0
-    degrade_fallback_level: int = 1
     max_shed_sessions: int = 16
     round_interval_s: float = 0.5
     ingest_budget_packets: int = 64
@@ -93,18 +103,6 @@ class FleetConfig:
             )
         if self.throttle_after_rounds < 1:
             raise ConfigurationError("throttle_after_rounds must be >= 1")
-        if self.recover_after_rounds < 1:
-            raise ConfigurationError("recover_after_rounds must be >= 1")
-        if self.shed_after_rounds < 1:
-            raise ConfigurationError("shed_after_rounds must be >= 1")
-        if self.throttle_hop_stretch < 1.0:
-            raise ConfigurationError("throttle_hop_stretch must be >= 1")
-        if self.degrade_hop_stretch < self.throttle_hop_stretch:
-            raise ConfigurationError(
-                "degrade_hop_stretch must be >= throttle_hop_stretch"
-            )
-        if self.degrade_fallback_level < 1:
-            raise ConfigurationError("degrade_fallback_level must be >= 1")
         if self.max_shed_sessions < 0:
             raise ConfigurationError("max_shed_sessions must be >= 0")
         if self.round_interval_s <= 0:

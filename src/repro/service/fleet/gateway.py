@@ -60,7 +60,14 @@ from ..supervisor import (
     SupervisorConfig,
 )
 from .admission import AdmissionController
-from .config import FleetConfig
+from .config import (
+    DEGRADE_FALLBACK_LEVEL,
+    DEGRADE_HOP_STRETCH,
+    RECOVER_AFTER_ROUNDS,
+    SHED_AFTER_ROUNDS,
+    THROTTLE_HOP_STRETCH,
+    FleetConfig,
+)
 from .queue import BoundedPacketQueue, QueuedPacketSource
 
 __all__ = ["SessionStatus", "FleetGateway"]
@@ -613,7 +620,7 @@ class FleetGateway:
         elif session.pressure_level == 2 and session.rounds_over_high > 0:
             session.rounds_shed_eligible += 1
         if (
-            session.rounds_under_low >= self.config.recover_after_rounds
+            session.rounds_under_low >= RECOVER_AFTER_ROUNDS
             and session.pressure_level > 0
         ):
             self._relieve_pressure(session)
@@ -623,14 +630,12 @@ class FleetGateway:
         session.rounds_over_high = 0
         session.pressure_level += 1
         if session.pressure_level == 1:
-            session.supervisor.set_hop_stretch(
-                sid, self.config.throttle_hop_stretch
-            )
+            session.supervisor.set_hop_stretch(sid, THROTTLE_HOP_STRETCH)
             self.events.record(
                 self.clock.now_s,
                 sid,
                 "session-throttled",
-                hop_stretch=self.config.throttle_hop_stretch,
+                hop_stretch=THROTTLE_HOP_STRETCH,
                 depth=session.queue.depth,
             )
             self._obs.count(
@@ -639,20 +644,16 @@ class FleetGateway:
                 "(hop throttling).",
             )
         else:
-            session.supervisor.set_hop_stretch(
-                sid, self.config.degrade_hop_stretch
-            )
+            session.supervisor.set_hop_stretch(sid, DEGRADE_HOP_STRETCH)
             session.supervisor.set_min_fallback_level(
-                sid,
-                self.config.degrade_fallback_level,
-                reason="fleet-overload",
+                sid, DEGRADE_FALLBACK_LEVEL, reason="fleet-overload"
             )
             self.events.record(
                 self.clock.now_s,
                 sid,
                 "session-degraded",
-                hop_stretch=self.config.degrade_hop_stretch,
-                fallback_level=self.config.degrade_fallback_level,
+                hop_stretch=DEGRADE_HOP_STRETCH,
+                fallback_level=DEGRADE_FALLBACK_LEVEL,
                 depth=session.queue.depth,
             )
             self._obs.count(
@@ -670,9 +671,7 @@ class FleetGateway:
             session.supervisor.set_min_fallback_level(
                 sid, 0, reason="fleet-overload-cleared"
             )
-            session.supervisor.set_hop_stretch(
-                sid, self.config.throttle_hop_stretch
-            )
+            session.supervisor.set_hop_stretch(sid, THROTTLE_HOP_STRETCH)
         else:
             session.supervisor.set_hop_stretch(sid, 1.0)
         self.events.record(
@@ -695,7 +694,7 @@ class FleetGateway:
             for s in self._sessions.values()
             if s.active
             and s.pressure_level == 2
-            and s.rounds_shed_eligible >= self.config.shed_after_rounds
+            and s.rounds_shed_eligible >= SHED_AFTER_ROUNDS
         ]
         if not candidates:
             return

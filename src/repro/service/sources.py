@@ -46,8 +46,13 @@ __all__ = [
     "SourceFault",
     "FlakySourceAdapter",
     "RetryConfig",
+    "BACKOFF_BASE_S",
     "ResilientSource",
 ]
+
+# Delay before the first retry of a transient source failure; later
+# retries multiply it by ``RetryConfig.backoff_factor`` per attempt.
+BACKOFF_BASE_S = 0.05
 
 _FAULT_KINDS = ("crash", "stall", "hang", "transient-errors")
 
@@ -276,22 +281,18 @@ class RetryConfig:
 
     Attributes:
         max_retries: Additional attempts after the first failure.
-        backoff_base_s: Delay before the first retry.
         backoff_factor: Multiplier per subsequent retry.
         jitter_fraction: Uniform ±fraction applied to each delay (seeded),
             so many sources retrying together do not synchronize.
     """
 
     max_retries: int = 3
-    backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     jitter_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_base_s <= 0:
-            raise ConfigurationError("backoff_base_s must be positive")
         if self.backoff_factor < 1.0:
             raise ConfigurationError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter_fraction < 1.0:
@@ -394,7 +395,7 @@ class ResilientSource:
         )
 
     def _backoff_delay_s(self, attempt: int) -> float:
-        base = self.retry.backoff_base_s * self.retry.backoff_factor**attempt
+        base = BACKOFF_BASE_S * self.retry.backoff_factor**attempt
         jitter = 1.0 + self.retry.jitter_fraction * float(
             self._rng.uniform(-1.0, 1.0)
         )

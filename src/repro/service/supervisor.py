@@ -66,6 +66,8 @@ __all__ = [
     "SubjectHealth",
     "FALLBACK_METHODS",
     "LEARNED_FALLBACK_METHODS",
+    "RECOVERY_TOLERANCE_BPM",
+    "RECOVERY_FRESH_WINDOWS",
     "BreathingEstimator",
     "SupervisorConfig",
     "ServiceEstimate",
@@ -88,6 +90,13 @@ LEARNED_FALLBACK_METHODS: tuple[str, ...] = (
     "csi-ratio",
     "amplitude",
 )
+
+# Recovery back to the primary rung: it is cross-checked when the fallback
+# estimator agrees with the recovered primary within RECOVERY_TOLERANCE_BPM,
+# and forced after RECOVERY_FRESH_WINDOWS fresh primary windows when the
+# fallback cannot produce a cross-check value or disagrees.
+RECOVERY_TOLERANCE_BPM = 1.5
+RECOVERY_FRESH_WINDOWS = 2
 
 
 class BreathingEstimator(Protocol):
@@ -119,11 +128,6 @@ class SupervisorConfig:
         fallback_after_windows: Consecutive quality-gated windows
             (``"data-gap"`` / ``"degraded-input"``) before stepping one
             rung down the estimator ladder.
-        recovery_tolerance_bpm: Max |primary − fallback| disagreement for
-            a cross-checked recovery back to the primary estimator.
-        recovery_fresh_windows: Fresh primary windows after which recovery
-            happens even when the fallback estimator cannot produce a
-            cross-check value.
         deadline_s: Per-read deadline handed to each subject's
             :class:`~repro.service.sources.ResilientSource`.
         retry: Bounded-backoff retry parameters for transient source
@@ -135,8 +139,6 @@ class SupervisorConfig:
     watchdog_timeout_s: float = 3.0
     max_monitor_restarts: int = 3
     fallback_after_windows: int = 3
-    recovery_tolerance_bpm: float = 1.5
-    recovery_fresh_windows: int = 2
     deadline_s: float = 1.0
     retry: RetryConfig = field(default_factory=RetryConfig)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
@@ -150,10 +152,6 @@ class SupervisorConfig:
             raise ConfigurationError("max_monitor_restarts must be >= 0")
         if self.fallback_after_windows < 1:
             raise ConfigurationError("fallback_after_windows must be >= 1")
-        if self.recovery_tolerance_bpm <= 0:
-            raise ConfigurationError("recovery_tolerance_bpm must be positive")
-        if self.recovery_fresh_windows < 1:
-            raise ConfigurationError("recovery_fresh_windows must be >= 1")
         if self.deadline_s <= 0:
             raise ConfigurationError("deadline_s must be positive")
 
@@ -776,14 +774,12 @@ class MonitorSupervisor:
         alt_bpm = self._fallback_estimate(subject)
         recovered = False
         reason = ""
-        if alt_bpm is not None and (
-            abs(alt_bpm - primary_bpm) <= self.config.recovery_tolerance_bpm
-        ):
+        if alt_bpm is not None and abs(alt_bpm - primary_bpm) <= RECOVERY_TOLERANCE_BPM:
             recovered = True
             reason = "cross-check-agreed"
         else:
             subject.consecutive_fresh += 1
-            if subject.consecutive_fresh >= self.config.recovery_fresh_windows:
+            if subject.consecutive_fresh >= RECOVERY_FRESH_WINDOWS:
                 recovered = True
                 reason = (
                     "fallback-unavailable"

@@ -45,9 +45,10 @@ class TestDecompose:
         assert bands.breathing_band_hz == (0.0, 1.25)
         assert bands.decomposition.level == 3
 
-    def test_rejects_2d(self):
+    def test_rejects_3d(self):
+        # A 2-D input is a column matrix; anything deeper is an error.
         with pytest.raises(ConfigurationError):
-            decompose(np.zeros((100, 2)), 20.0)
+            decompose(np.zeros((100, 2, 2)), 20.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -8,6 +8,7 @@ import pytest
 from repro.core.environment import (
     EnvironmentConfig,
     EnvironmentDetector,
+    classify_v,
     classify_windows,
     v_statistic,
     windowed_v,
@@ -72,6 +73,22 @@ class TestClassifyWindows:
         assert states[0] is ActivityState.NO_PERSON
         assert states[1] is ActivityState.SITTING
         assert states[2] is ActivityState.WALKING
+
+    def test_scalar_rule_matches_windows_and_detector(self, rng):
+        config = EnvironmentConfig(stationary_band=(0.05, 1.0))
+        values = [0.0, 0.049, 0.05, 0.5, 1.0, 1.001, 7.0]
+        expected = (
+            [ActivityState.NO_PERSON] * 2
+            + [ActivityState.SITTING] * 3
+            + [ActivityState.WALKING] * 2
+        )
+        assert [classify_v(v, config) for v in values] == expected
+        assert list(classify_windows(np.array(values), config)) == expected
+        # V of unit-normal columns is about 0.8 times the scale.
+        detector = EnvironmentDetector(config)
+        for scale, stationary in [(1e-3, False), (0.3, True), (50.0, False)]:
+            x = scale * rng.normal(size=(400, 4))
+            assert detector.is_stationary(x) is stationary
 
     def test_band_edges_are_stationary(self):
         config = EnvironmentConfig(stationary_band=(0.05, 1.0))

@@ -21,10 +21,11 @@ bottom — the case the plain checkpoint suite's short trace cannot reach.
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
 from repro import capture_trace, laboratory_scenario
-from repro.core.calibration import calibrate
-from repro.core.dwt_stage import decompose, decompose_matrix
+from repro.core.calibration import CalibrationConfig, calibrate
+from repro.core.dwt_stage import DWTConfig, decompose
 from repro.core.environment import v_statistic
 from repro.core.phase_difference import phase_difference, wrapped_pair_matrix
 from repro.core.pipeline import PhaseBeat, pair_difference_matrix
@@ -38,6 +39,8 @@ from repro.dsp.streaming_kernels import (
     rolling,
     trailing_calibrate,
 )
+from repro.dsp.stats import MAD_TO_SIGMA
+from repro.dsp.wavelet import coefficient_band, reconstruct_band, wavedec
 from repro.obs import Instrumentation
 from repro.rf.impairments import (
     BernoulliLoss,
@@ -269,26 +272,46 @@ class TestBatchedStagesMatchLoops:
     def test_batched_calibration_equals_per_column_loop(self, short_lab_trace):
         diff = pair_difference_matrix(short_lab_trace, PAIRS)[:, :8]
         rate = short_lab_trace.sample_rate_hz
-        batched = calibrate(diff, rate)
+        cfg = CalibrationConfig()
+        batched = calibrate(diff, rate, cfg)
+
+        def column_hampel(x, window_s):
+            # Reference: scipy's 1-D centered median on this column alone.
+            window = min(max(3, int(round(window_s * rate))), x.size)
+            med = median_filter(x, size=window, mode="nearest")
+            mad = median_filter(np.abs(x - med), size=window, mode="nearest")
+            outlier = np.abs(x - med) > cfg.hampel_threshold * MAD_TO_SIGMA * mad
+            return np.where(outlier, med, x)
+
+        factor = cfg.decimation_factor(rate)
+        assert batched.sample_rate_hz == rate / factor
         for col in range(diff.shape[1]):
-            single = calibrate(diff[:, col : col + 1], rate)
-            np.testing.assert_allclose(
-                batched.series[:, col], single.series[:, 0], rtol=0, atol=1e-9
-            )
-            assert single.sample_rate_hz == batched.sample_rate_hz
+            x = diff[:, col]
+            detrended = x - column_hampel(x, cfg.trend_window_s)
+            expected = column_hampel(detrended, cfg.noise_window_s)[::factor]
+            assert batched.series[:, col].tobytes() == expected.tobytes()
 
     def test_batched_dwt_equals_per_column_loop(self, rng):
         matrix = rng.normal(size=(400, 6))
-        bands = decompose_matrix(matrix, 20.0)
+        cfg = DWTConfig()
+        bands = decompose(matrix, 20.0, cfg)
         for col in range(6):
-            single = decompose(matrix[:, col], 20.0)
+            single = wavedec(matrix[:, col], cfg.wavelet, level=cfg.level)
             np.testing.assert_allclose(
-                bands.breathing[:, col], single.breathing, rtol=0, atol=1e-9
+                bands.breathing[:, col],
+                reconstruct_band(single, keep_approx=True),
+                rtol=0,
+                atol=1e-9,
             )
             np.testing.assert_allclose(
-                bands.heart[:, col], single.heart, rtol=0, atol=1e-9
+                bands.heart[:, col],
+                reconstruct_band(single, keep_details=cfg.heart_detail_levels),
+                rtol=0,
+                atol=1e-9,
             )
-        assert bands.breathing_band_hz == decompose(matrix[:, 0], 20.0).breathing_band_hz
+        assert bands.breathing_band_hz == coefficient_band(
+            20.0, cfg.level, is_approx=True
+        )
 
     def test_amplitude_mask_from_mean_equals_trace_path(self, short_lab_trace):
         mean_amplitude = np.abs(short_lab_trace.csi).mean(axis=0)

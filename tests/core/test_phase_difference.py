@@ -41,6 +41,18 @@ class TestPhaseDifference:
         f = dominant_frequency(diff[:, strongest], 400.0, band=(0.1, 0.7))
         assert f == pytest.approx(lab_person.breathing.frequency_hz, abs=0.02)
 
+    def test_equals_conjugate_product_of_the_two_chains(self, short_lab_trace):
+        csi = short_lab_trace.csi
+        for a, b in [(0, 1), (1, 2), (0, 2), (2, 0)]:
+            wrapped = np.angle(np.multiply(csi[:, a, :], np.conjugate(csi[:, b, :])))
+            for unwrap, expected in [
+                (False, wrapped),
+                (True, np.unwrap(wrapped, axis=0)),
+            ]:
+                diff = phase_difference(short_lab_trace, (a, b), unwrap=unwrap)
+                assert diff.shape == expected.shape
+                assert diff.tobytes() == expected.tobytes()
+
     def test_same_antenna_rejected(self, short_lab_trace):
         with pytest.raises(ConfigurationError):
             phase_difference(short_lab_trace, (1, 1))

@@ -47,6 +47,18 @@ class TestMagnitudeSpectrum:
         with pytest.raises(SignalTooShortError):
             magnitude_spectrum(np.zeros(1), 20.0)
 
+    def test_rejects_3d(self):
+        with pytest.raises(ConfigurationError):
+            magnitude_spectrum(np.zeros((100, 2, 2)), 20.0)
+
+    def test_peak_pickers_take_one_series(self):
+        # The spectrum takes a column matrix; the pickers built on it do not.
+        matrix = np.column_stack([tone(1.0, 20.0, 200), tone(2.0, 20.0, 200)])
+        with pytest.raises(ConfigurationError):
+            dominant_frequency(matrix, 20.0)
+        with pytest.raises(ConfigurationError):
+            spectral_peaks(matrix, 20.0, 2)
+
 
 class TestBandMask:
     def test_none_selects_everything(self):

@@ -1,4 +1,5 @@
-"""Streaming-kernel exactness: trailing medians, cycle unwrap, row store.
+"""Kernel exactness: trailing medians, cycle unwrap, row store, and the
+centered matrix kernels.
 
 The incremental monitor's correctness argument rests on two bitwise claims
 pinned here against naive reference implementations:
@@ -12,20 +13,15 @@ pinned here against naive reference implementations:
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
-from repro.dsp.fft_utils import (
-    batched_magnitude_spectrum,
-    magnitude_spectrum,
-    rfft_plan,
-)
+from repro.dsp.fft_utils import magnitude_spectrum, rfft_plan
 from repro.dsp.hampel import hampel_filter, rolling_median
 from repro.dsp.stats import MAD_TO_SIGMA
 from repro.dsp.streaming_kernels import (
     RowStore,
     StreamingCalibrator,
     TrailingHampelState,
-    batched_hampel_filter,
-    batched_rolling_median,
     cycle_unwrap,
     rolling,
     trailing_calibrate,
@@ -285,37 +281,92 @@ class TestTrailingMadAndHampel:
             trailing_hampel(rng.normal(size=10), 3, -1.0)
 
 
+def per_column_median(matrix, window):
+    """Reference: scipy's 1-D centered median, one call per column."""
+    window = min(window, matrix.shape[0])
+    out = np.empty_like(matrix)
+    for col in range(matrix.shape[1]):
+        out[:, col] = median_filter(matrix[:, col], size=window, mode="nearest")
+    return out
+
+
+def per_column_hampel(matrix, window, threshold):
+    """Reference Hampel rule about :func:`per_column_median` statistics."""
+    med = per_column_median(matrix, window)
+    mad = per_column_median(np.abs(matrix - med), window)
+    outlier = np.abs(matrix - med) > threshold * MAD_TO_SIGMA * mad
+    return np.where(outlier, med, matrix)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 class TestBatchedCenteredKernels:
-    def test_batched_rolling_median_matches_per_column(self, rng):
-        matrix = rng.normal(size=(64, 5))
-        out = batched_rolling_median(matrix, 9)
-        for col in range(5):
-            np.testing.assert_array_equal(
-                out[:, col], rolling_median(matrix[:, col], 9)
+    """Matrix calls of the centered kernels against per-column scipy calls."""
+
+    def test_matrix_median_equals_per_column(self, rng):
+        # Odd and even windows, a window longer than the series, one row,
+        # one column.
+        for shape, window in [
+            ((64, 5), 9),
+            ((64, 5), 10),
+            ((64, 5), 1),
+            ((6, 3), 50),
+            ((1, 4), 7),
+            ((40, 1), 8),
+            ((1, 1), 2),
+        ]:
+            matrix = rng.normal(size=shape)
+            assert_bitwise(
+                rolling_median(matrix, window), per_column_median(matrix, window)
             )
 
     def test_batched_hampel_matches_per_column_loop(self, rng):
-        matrix = rng.normal(size=(64, 5))
+        matrix = rng.normal(size=(300, 5))
         matrix[10, 2] += 30.0
-        out = batched_hampel_filter(matrix, 11, 0.01)
-        for col in range(5):
-            np.testing.assert_array_equal(
-                out[:, col], hampel_filter(matrix[:, col], 11, 0.01)
-            )
+        for window in (11, 50, 2000):
+            for threshold in (0.01, 3.0):
+                assert_bitwise(
+                    hampel_filter(matrix, window, threshold),
+                    per_column_hampel(matrix, window, threshold),
+                )
 
     def test_window_clamped_to_series_length_like_1d_filter(self, rng):
-        matrix = rng.normal(size=(6, 3))
-        out = batched_hampel_filter(matrix, 50, 0.01)
-        for col in range(3):
-            np.testing.assert_array_equal(
-                out[:, col], hampel_filter(matrix[:, col], 50, 0.01)
+        for shape in [(6, 3), (1, 3), (2, 1)]:
+            matrix = rng.normal(size=shape)
+            assert_bitwise(
+                hampel_filter(matrix, 50, 0.01),
+                per_column_hampel(matrix, 50, 0.01),
             )
 
-    def test_1d_input_treated_as_single_column(self, rng):
-        x = rng.normal(size=40)
-        out = batched_hampel_filter(x, 7, 0.01)
-        assert out.shape == (40, 1)
-        np.testing.assert_array_equal(out[:, 0], hampel_filter(x, 7, 0.01))
+    def test_heavy_ties_are_bitwise(self, rng):
+        # Few distinct values, zeros among them: every window is full of
+        # ties, and the MAD stage sees many exact zeros.
+        matrix = rng.integers(-2, 3, size=(500, 6)).astype(float)
+        for window in (4, 5, 50, 51):
+            assert_bitwise(
+                rolling_median(matrix, window), per_column_median(matrix, window)
+            )
+            assert_bitwise(
+                hampel_filter(matrix, window, 0.01),
+                per_column_hampel(matrix, window, 0.01),
+            )
+
+    def test_column_layout_does_not_matter(self, rng):
+        base = rng.normal(size=(200, 12))
+        for matrix in (np.asfortranarray(base), base[::2, 1::3]):
+            assert_bitwise(
+                hampel_filter(matrix, 25, 0.01), per_column_hampel(matrix, 25, 0.01)
+            )
+
+    def test_1d_series_takes_the_direct_call(self, rng):
+        x = rng.normal(size=120)
+        assert_bitwise(rolling_median(x, 30), median_filter(x, size=30, mode="nearest"))
+        assert_bitwise(
+            hampel_filter(x, 30, 0.01), per_column_hampel(x[:, np.newaxis], 30, 0.01)[:, 0]
+        )
 
 
 class TestRowStore:
@@ -431,23 +482,35 @@ class TestRfftPlan:
 
 
 class TestBatchedSpectrum:
-    # The batched rFFT takes a different (vectorized) FFT code path than the
-    # 1-D transform, so per-column agreement is to float rounding, not
-    # bitwise — well inside the suite's 1e-9 budget either way.
+    # A matrix is transformed along axis 0, which takes a different
+    # (vectorized) FFT code path than a 1-D transform, so per-column
+    # agreement is to float rounding, not bitwise — well inside the suite's
+    # 1e-9 budget either way.
     def test_matches_per_column_magnitude_spectrum(self, rng):
         matrix = rng.normal(size=(128, 4))
-        freqs, mags = batched_magnitude_spectrum(matrix, 20.0)
+        freqs, mags = magnitude_spectrum(matrix, 20.0)
+        np.testing.assert_array_equal(freqs, np.fft.rfftfreq(128, d=1 / 20.0))
+        assert mags.shape == (65, 4)
         for col in range(4):
-            f_col, m_col = magnitude_spectrum(matrix[:, col], 20.0)
-            np.testing.assert_array_equal(freqs, f_col)
-            np.testing.assert_allclose(mags[:, col], m_col, rtol=0, atol=1e-9)
+            x = matrix[:, col]
+            reference = np.abs(np.fft.rfft(x - x.mean()))
+            np.testing.assert_allclose(mags[:, col], reference, rtol=0, atol=1e-9)
 
     def test_zero_padding_matches(self, rng):
         matrix = rng.normal(size=(100, 3))
-        freqs, mags = batched_magnitude_spectrum(matrix, 20.0, nfft=256)
-        f0, m0 = magnitude_spectrum(matrix[:, 0], 20.0, nfft=256)
-        np.testing.assert_array_equal(freqs, f0)
-        np.testing.assert_allclose(mags[:, 0], m0, rtol=0, atol=1e-9)
+        freqs, mags = magnitude_spectrum(matrix, 20.0, nfft=256)
+        np.testing.assert_array_equal(freqs, np.fft.rfftfreq(256, d=1 / 20.0))
+        for col in range(3):
+            x = matrix[:, col]
+            reference = np.abs(np.fft.rfft(x - x.mean(), n=256))
+            np.testing.assert_allclose(mags[:, col], reference, rtol=0, atol=1e-9)
+
+    def test_1d_series_is_one_rfft(self, rng):
+        x = rng.normal(size=101)
+        _, mag = magnitude_spectrum(x, 20.0)
+        assert_bitwise(mag, np.abs(np.fft.rfft(x - x.mean())))
+        _, raw = magnitude_spectrum(x, 20.0, detrend=False)
+        assert_bitwise(raw, np.abs(np.fft.rfft(x)))
 
 
 def wrapped_phase_matrix(rng, n, n_series):
