@@ -47,7 +47,15 @@ EXPECTED_KINDS = {
         "session-degraded",
         "session-shed",
     },
+    # A recorder crash writes no fleet event of its own; its salvage is
+    # asserted in tests/service/fleet/test_fleet_chaos.py.
+    "record-crash-resume": {"session-finished"},
 }
+
+
+def test_every_scenario_has_expected_kinds():
+    """A new fleet scenario must name the events its fault path emits."""
+    assert EXPECTED_KINDS.keys() == FLEET_SCENARIOS.keys()
 
 
 @pytest.mark.parametrize("name", sorted(FLEET_SCENARIOS))

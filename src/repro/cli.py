@@ -861,7 +861,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         ),
         probe.sample_rate_hz,
     )
-    estimates = supervisor.run()["replay"]
+    estimates = supervisor.run()
     wall_s = max(wall.now_s - wall_start, 1e-9)
     speedup = probe.duration_s / wall_s
     salvage = probe.salvage_report

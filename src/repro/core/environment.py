@@ -141,10 +141,11 @@ def classify_v(v: float, config: EnvironmentConfig) -> ActivityState:
     all); inside, edges included → :attr:`ActivityState.SITTING`
     (stationary, usable); above → :attr:`ActivityState.WALKING` (large
     motion — the detector cannot distinguish walking from standing up, and
-    does not need to).
+    does not need to).  A NaN V (a NaN sample in the segment) is no
+    evidence of a person and maps to NO_PERSON, never to SITTING.
     """
     lo, hi = config.stationary_band
-    if v < lo:
+    if not v >= lo:
         return ActivityState.NO_PERSON
     if v > hi:
         return ActivityState.WALKING

@@ -120,10 +120,12 @@ class CsiRatioEstimator:
     def breathing_series(self, trace: CSITrace) -> tuple[FloatArray, float]:
         """The calibrated principal-axis series and its sample rate.
 
-        Per subcarrier: form the complex ratio, decimate to the processing
-        rate, project the fluctuation on its principal axis, then Hampel
-        detrend/denoise.  The subcarrier whose principal axis explains the
-        most variance (strongest coherent arc) is selected.
+        Form the complex ratio and Hampel denoise, then detrend, its real
+        and imaginary parts: all subcarriers go through one matrix call per
+        Hampel window.  Then, per subcarrier, decimate to the processing rate and project
+        the fluctuation on its principal axis.  The subcarrier whose
+        principal axis explains the most variance (strongest coherent arc)
+        is selected.
         """
         cfg = self.config
         ratio = csi_ratio_series(trace, cfg.antenna_pair)
@@ -134,18 +136,16 @@ class CsiRatioEstimator:
         best_energy = -np.inf
         noise_window = max(3, int(round(cfg.noise_window_s * trace.sample_rate_hz)))
         trend_window = max(5, int(round(cfg.trend_window_s * trace.sample_rate_hz)))
-        for column in range(ratio.shape[1]):
-            # Smooth the complex components before decimation.
-            real = hampel_filter(ratio[:, column].real, noise_window, 0.01)
-            imag = hampel_filter(ratio[:, column].imag, noise_window, 0.01)
-            smooth = real + 1j * imag
-            trend = hampel_filter(smooth.real, trend_window, 0.01) + 1j * (
-                hampel_filter(smooth.imag, trend_window, 0.01)
-            )
+        n_sub = ratio.shape[1]
+        # Real parts in columns [0, n_sub), imaginary parts after them;
+        # the complex components are smoothed before decimation.
+        smooth = hampel_filter(
+            np.concatenate([ratio.real, ratio.imag], axis=1), noise_window, 0.01
+        )
+        detrended_parts = smooth - hampel_filter(smooth, trend_window, 0.01)
+        for column in range(n_sub):
             detrended = decimate(
-                np.column_stack([(smooth - trend).real, (smooth - trend).imag]),
-                factor,
-                axis=0,
+                detrended_parts[:, [column, n_sub + column]], factor, axis=0
             )
             complex_series = detrended[:, 0] + 1j * detrended[:, 1]
             projected = _principal_component_series(complex_series)

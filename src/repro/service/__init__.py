@@ -3,11 +3,13 @@
 The pipeline and streaming monitor assume someone hands them packets; this
 package is that someone, hardened.  It supplies the capture-side fault
 domain (:mod:`~repro.service.sources`), the per-source circuit breaker
-(:mod:`~repro.service.breaker`), the multi-subject supervisor with
+(:mod:`~repro.service.breaker`), the one-subject supervisor with
 watchdog, checkpoint/restore and an estimator fallback ladder
-(:mod:`~repro.service.supervisor`), and a scripted chaos harness that
-proves the whole thing recovers (:mod:`~repro.service.chaos`) — all timed
-on one :class:`~repro.service.clock.SimulatedClock` so every run is
+(:mod:`~repro.service.supervisor`), the fleet gateway that runs one such
+supervisor per session (:mod:`~repro.service.fleet`), and a scripted
+chaos harness that proves the whole thing recovers
+(:mod:`~repro.service.chaos`) — all timed on one
+:class:`~repro.service.clock.SimulatedClock` so every run is
 deterministic and bit-replayable.
 
 See ``docs/service.md`` for the fault-domain map and state machines.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -125,26 +125,12 @@ class TimedFault:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "duration_s": self.duration_s,
-            "probability": self.probability,
-            "hang_s": self.hang_s,
-            "loss_fraction": self.loss_fraction,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TimedFault":
         """Parse one fault entry; unknown keys are rejected."""
-        allowed = {
-            "kind",
-            "at_s",
-            "duration_s",
-            "probability",
-            "hang_s",
-            "loss_fraction",
-        }
+        allowed = {f.name for f in fields(cls)}
         unknown = set(data) - allowed
         if unknown:
             raise ConfigurationError(
@@ -375,8 +361,8 @@ class ChaosReport:
         truth_bpm: Ground-truth breathing rate of the simulated subject.
         estimates: Service emissions from the faulted run.
         events: Event log of the faulted run.
-        health: Final :meth:`~MonitorSupervisor.health_summary` entry of
-            the faulted run's subject.
+        health: Final :meth:`~MonitorSupervisor.health_summary` of the
+            faulted run.
         fault_free_median_error_bpm: Median |error| of fresh fault-free
             estimates.
         post_recovery_median_error_bpm: Median |error| of fresh estimates
@@ -509,8 +495,7 @@ def _run_supervised(
     duration_s = float(trace.timestamps_s[-1] - trace.timestamps_s[0])
     # Budgeted well past the trace so exhaustion, not the budget, normally
     # ends the run — the budget only bounds pathological stall loops.
-    results = supervisor.run(max_duration_s=duration_s + 30.0)
-    return supervisor, results[subject_name]
+    return supervisor, supervisor.run(max_duration_s=duration_s + 30.0)
 
 
 def run_chaos(
@@ -621,7 +606,7 @@ def run_chaos(
         monitor_crash_times_s=scenario.monitor_crash_times_s(),
         learned_bundle=learned_bundle,
     )
-    health = faulted.health_summary()["subject"]
+    health = faulted.health_summary()
 
     horizon_s = (
         float(trace.timestamps_s[0])

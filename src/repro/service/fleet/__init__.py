@@ -1,9 +1,10 @@
 """Fleet-scale service layer: one gateway, thousands of monitor sessions.
 
-A single :class:`~repro.service.supervisor.MonitorSupervisor` hardens one
-subject; this package hardens the *population*.  The
-:class:`~repro.service.fleet.gateway.FleetGateway` is the ingest front
-door: it admits sessions through an
+A :class:`~repro.service.supervisor.MonitorSupervisor` hardens exactly one
+subject; this package hardens the *population*, and its
+:class:`~repro.service.fleet.gateway.FleetGateway` is the only component
+that runs many subjects — one supervisor per session.  The gateway is the
+ingest front door: it admits sessions through an
 :class:`~repro.service.fleet.admission.AdmissionController` (max-sessions
 and per-shard capacity, typed
 :class:`~repro.errors.FleetAdmissionError` refusals), multiplexes each

@@ -43,7 +43,7 @@ without running anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -145,30 +145,12 @@ class FleetFault:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "kind": self.kind,
-            "at_s": self.at_s,
-            "duration_s": self.duration_s,
-            "shard": self.shard,
-            "n_sessions": self.n_sessions,
-            "ingest_factor": self.ingest_factor,
-            "drain_factor": self.drain_factor,
-            "torn_tail_bytes": self.torn_tail_bytes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FleetFault":
         """Parse one fault entry; unknown keys are rejected."""
-        allowed = {
-            "kind",
-            "at_s",
-            "duration_s",
-            "shard",
-            "n_sessions",
-            "ingest_factor",
-            "drain_factor",
-            "torn_tail_bytes",
-        }
+        allowed = {f.name for f in fields(cls)}
         unknown = set(data) - allowed
         if unknown:
             raise ConfigurationError(

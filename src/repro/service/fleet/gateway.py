@@ -328,7 +328,7 @@ class FleetGateway:
         by_health = {h.value: 0 for h in SubjectHealth}
         for session in self._sessions.values():  # phaselint: insertion-order -- counts only; every session is visited exactly once
             by_status[session.status.value] += 1
-            summary = session.supervisor.health_summary()[session.session_id]
+            summary = session.supervisor.health_summary()
             by_health[summary["health"]] += 1
         return {
             "n_sessions": len(self._sessions),
@@ -712,7 +712,7 @@ class FleetGateway:
             self._shed(session)
 
     def _degradation_score(self, session: _Session) -> int:
-        summary = session.supervisor.health_summary()[session.session_id]
+        summary = session.supervisor.health_summary()
         health_rank = {"healthy": 0, "degraded": 1, "failed": 2}
         return health_rank[summary["health"]]
 

@@ -1,9 +1,9 @@
-"""Supervised multi-subject monitoring: fault domains around the monitors.
+"""Supervised monitoring of one subject: a fault domain around its monitor.
 
-:class:`MonitorSupervisor` owns one
-:class:`~repro.core.streaming.StreamingMonitor` per subject plus the
-subject's :class:`~repro.service.sources.ResilientSource`, and puts an
-explicit fault boundary around each:
+:class:`MonitorSupervisor` owns one subject's
+:class:`~repro.core.streaming.StreamingMonitor` plus its
+:class:`~repro.service.sources.ResilientSource`, and puts an explicit
+fault boundary around them:
 
 * **source faults** (transient errors, timeouts, crashes, open breakers)
   are absorbed at the source wrapper and surface only as recorded events
@@ -23,9 +23,11 @@ explicit fault boundary around each:
   first served by the learned track before falling to the classical
   baselines.
 
-Every transition lands in the shared :class:`~repro.service.events.EventLog`,
-so a run is fully auditable and the chaos harness can assert transition
-order.
+Many subjects are served by the fleet gateway
+(:class:`~repro.service.fleet.gateway.FleetGateway`), which runs one
+supervisor per session.  Every transition lands in the shared
+:class:`~repro.service.events.EventLog`, so a run is fully auditable and
+the chaos harness can assert transition order.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class SupervisorConfig:
     """Supervision parameters (all times are simulated seconds).
 
     Attributes:
-        checkpoint_interval_s: How often each monitor is checkpointed.
+        checkpoint_interval_s: How often the monitor is checkpointed.
         watchdog_timeout_s: Silence (no packet delivered) before the
             watchdog declares a stall and force-restarts the source.
         max_monitor_restarts: Monitor restarts tolerated before the
@@ -128,7 +130,7 @@ class SupervisorConfig:
         fallback_after_windows: Consecutive quality-gated windows
             (``"data-gap"`` / ``"degraded-input"``) before stepping one
             rung down the estimator ladder.
-        deadline_s: Per-read deadline handed to each subject's
+        deadline_s: Per-read deadline handed to the subject's
             :class:`~repro.service.sources.ResilientSource`.
         retry: Bounded-backoff retry parameters for transient source
             errors.
@@ -210,60 +212,18 @@ class ServiceEstimate:
         }
 
 
-class _Subject:
-    """Mutable supervision state for one subject (internal)."""
-
-    def __init__(
-        self,
-        name: str,
-        source: ResilientSource,
-        monitor: StreamingMonitor,
-        interval_s: float,
-        now_s: float,
-    ):
-        self.name = name
-        self.source = source
-        self.monitor = monitor
-        self.interval_s = interval_s
-        self.health = SubjectHealth.HEALTHY
-        self.fallback_level = 0
-        # Floor the overload policy can pin the ladder at: recovery climbs
-        # back to this rung, never above it, until the pin is released.
-        self.min_fallback_level = 0
-        self.hop_stretch = 1.0
-        self.consecutive_gated = 0
-        self.consecutive_fresh = 0
-        self.monitor_restarts = 0
-        # Scripted monitor-crash times (simulated seconds) not yet fired,
-        # kept sorted; consumed front-to-back by _fire_scheduled_crashes.
-        self.pending_crashes_s: list[float] = []
-        self.failed = False
-        self.last_progress_s = now_s
-        self.last_checkpoint: dict[str, Any] | None = None
-        self.last_checkpoint_s = now_s
-        self.last_estimate: ServiceEstimate | None = None
-        self.estimates: list[ServiceEstimate] = []
-
-    @property
-    def done(self) -> bool:
-        """No further work possible for this subject."""
-        return self.failed or self.source.exhausted
-
-
 class MonitorSupervisor:
-    """Run N subject monitors under explicit supervision.
+    """Run one subject's monitor under explicit supervision.
 
     Args:
-        clock: Shared simulated clock; a fresh one when omitted.
+        clock: Simulated clock; a fresh one when omitted.
         config: Supervision parameters.
-        streaming_config: Per-subject monitor parameters.
+        streaming_config: Monitor parameters.
         pipeline_config: Underlying pipeline parameters.
         events: Event log to record into; a fresh one when omitted.
-        seed: Master seed for per-source retry jitter (each subject gets a
-            distinct child seed, so adding a subject never reshuffles the
-            others' backoff timing).
+        seed: Seed for the source's retry jitter.
         instrumentation: Optional :class:`repro.obs.Instrumentation`,
-            shared with every subject's source, breaker, monitor, and
+            shared with the subject's source, breaker, monitor, and
             pipeline; records restarts, checkpoints, fallback-ladder
             moves, stalls, and health levels (``supervisor_*`` series).
         learned_estimator: Optional trained estimator (typically a
@@ -295,30 +255,46 @@ class MonitorSupervisor:
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         self._seed = int(seed)
-        self._subjects: dict[str, _Subject] = {}
-        self._csi_ratio = CsiRatioEstimator()
-        self._amplitude = AmplitudeMethod()
         self._ladder: tuple[str, ...] = (
             LEARNED_FALLBACK_METHODS
             if learned_estimator is not None
             else FALLBACK_METHODS
         )
         self._rung_estimators: dict[str, BreathingEstimator] = {
-            "csi-ratio": self._csi_ratio,
-            "amplitude": self._amplitude,
+            "csi-ratio": CsiRatioEstimator(),
+            "amplitude": AmplitudeMethod(),
         }
         if learned_estimator is not None:
             self._rung_estimators["learned"] = learned_estimator
+        # The subject's supervision state.  ``_name`` stays empty until
+        # add_subject registers the subject and builds its source/monitor.
+        self._name = ""
+        self._source: ResilientSource
+        self._monitor: StreamingMonitor
+        self._interval_s: float
+        self._last_progress_s: float
+        self._last_checkpoint_s: float
+        self._health = SubjectHealth.HEALTHY
+        self._fallback_level = 0
+        # Floor the overload policy can pin the ladder at: recovery climbs
+        # back to this rung, never above it, until the pin is released.
+        self._min_fallback_level = 0
+        self._hop_stretch = 1.0
+        self._consecutive_gated = 0
+        self._consecutive_fresh = 0
+        self._monitor_restarts = 0
+        # Scripted monitor-crash times (simulated seconds) not yet fired,
+        # kept sorted; consumed front-to-back by _tick.
+        self._pending_crashes_s: list[float] = []
+        self._failed = False
+        self._last_checkpoint: dict[str, Any] | None = None
+        self._last_estimate: ServiceEstimate | None = None
+        self._estimates: list[ServiceEstimate] = []
 
     @property
     def fallback_methods(self) -> tuple[str, ...]:
         """The estimator ladder in effect (primary first)."""
         return self._ladder
-
-    @property
-    def subjects(self) -> tuple[str, ...]:
-        """Registered subject names, in registration order."""
-        return tuple(self._subjects)
 
     def add_subject(
         self,
@@ -326,19 +302,28 @@ class MonitorSupervisor:
         source_factory: Callable[[float], PacketSource],
         sample_rate_hz: float,
     ) -> None:
-        """Register a subject with its capture-source factory.
+        """Register the subject with its capture-source factory.
+
+        A supervisor holds exactly one subject; the fleet gateway runs one
+        supervisor per session.
 
         Args:
-            name: Unique subject name (used in events and estimates).
+            name: Non-empty subject name (used in events and estimates,
+                and checked by every method that takes a name).
             source_factory: ``factory(start_at_s) -> PacketSource``; called
                 now and again after every hard source crash.
             sample_rate_hz: Nominal packet rate of the subject's stream.
         """
-        if name in self._subjects:
-            raise ConfigurationError(f"subject {name!r} already registered")
+        if self._name:
+            raise ConfigurationError(
+                f"subject {self._name!r} already registered; a supervisor "
+                "holds one subject"
+            )
+        if not name:
+            raise ConfigurationError("subject name must be non-empty")
         if sample_rate_hz <= 0:
             raise ConfigurationError("sample rate must be positive")
-        source = ResilientSource(
+        self._source = ResilientSource(
             source_factory,
             self.clock,
             subject=name,
@@ -346,75 +331,69 @@ class MonitorSupervisor:
             deadline_s=self.config.deadline_s,
             retry=self.config.retry,
             breaker=self.config.breaker,
-            seed=self._seed + len(self._subjects),
+            seed=self._seed,
             instrumentation=self._obs,
         )
-        monitor = StreamingMonitor(
+        self._monitor = StreamingMonitor(
             sample_rate_hz,
             self.streaming_config,
             self.pipeline_config,
             instrumentation=self._obs,
         )
-        self._subjects[name] = _Subject(
-            name=name,
-            source=source,
-            monitor=monitor,
-            interval_s=1.0 / float(sample_rate_hz),
-            now_s=self.clock.now_s,
-        )
+        self._interval_s = 1.0 / float(sample_rate_hz)
+        self._last_progress_s = self.clock.now_s
+        self._last_checkpoint_s = self.clock.now_s
+        self._name = name
 
     def run(
         self, *, max_duration_s: float | None = None
-    ) -> dict[str, list[ServiceEstimate]]:
-        """Drive all subjects until their sources are exhausted.
+    ) -> list[ServiceEstimate]:
+        """Drive the subject until its source is exhausted (or it fails).
 
         Args:
             max_duration_s: Optional simulated-time budget; the loop stops
                 once the clock has advanced this far past its start.
 
         Returns:
-            Estimates per subject, in emission order.
+            The subject's estimates, in emission order.
         """
-        if not self._subjects:
-            raise ConfigurationError("no subjects registered")
+        if not self._name:
+            raise ConfigurationError("no subject registered")
         start_s = self.clock.now_s
-        while True:
-            active = [s for s in self._subjects.values() if not s.done]
-            if not active:
-                break
+        while not self._done:
             if (
                 max_duration_s is not None
                 and self.clock.now_s - start_s >= max_duration_s
             ):
                 break
-            for subject in active:
-                self._tick(subject)
-        return {name: s.estimates for name, s in self._subjects.items()}
+            self._tick()
+        return list(self._estimates)
 
     def tick(self, name: str) -> None:
-        """Run one scheduling tick for one subject (no-op once it is done).
+        """Run one scheduling tick (no-op once the subject is done).
 
         This is the unit of work the fleet gateway schedules: one
         supervised source read, fed to the monitor, with checkpointing,
         watchdog, fallback-ladder, and health handling exactly as in
         :meth:`run` — which is itself a loop of these ticks.
         """
-        subject = self._subject(name)
-        if subject.done:
-            return
-        self._tick(subject)
+        self._check(name)
+        if not self._done:
+            self._tick()
 
     def subject_done(self, name: str) -> bool:
-        """Whether a subject has permanently finished (failed or
+        """Whether the subject has permanently finished (failed or
         exhausted)."""
-        return self._subject(name).done
+        self._check(name)
+        return self._done
 
     def estimates_for(self, name: str) -> list[ServiceEstimate]:
         """The subject's emissions so far, in emission order."""
-        return list(self._subject(name).estimates)
+        self._check(name)
+        return list(self._estimates)
 
     def crash_monitor(self, name: str, *, cause: str = "injected") -> None:
-        """Kill a subject's monitor as a crash would, and restart it.
+        """Kill the subject's monitor as a crash would, and restart it.
 
         The monitor object is discarded and rebuilt through the normal
         restart path — restored from the latest periodic checkpoint when
@@ -422,10 +401,9 @@ class MonitorSupervisor:
         shard-crash fault, the scripted ``monitor-crash`` chaos kind)
         exercise exactly the code path a real in-monitor exception takes.
         """
-        subject = self._subject(name)
-        if subject.done:
-            return
-        self._inject_crash(subject, cause)
+        self._check(name)
+        if not self._done:
+            self._inject_crash(cause)
 
     def schedule_monitor_crash(self, name: str, at_s: float) -> None:
         """Script a monitor crash at a simulated time.
@@ -433,119 +411,106 @@ class MonitorSupervisor:
         The crash fires on the first tick at or after ``at_s`` via
         :meth:`crash_monitor`.  Multiple schedules accumulate.
         """
-        subject = self._subject(name)
-        subject.pending_crashes_s.append(float(at_s))
-        subject.pending_crashes_s.sort()
+        self._check(name)
+        self._pending_crashes_s.append(float(at_s))
+        self._pending_crashes_s.sort()
 
     def set_hop_stretch(self, name: str, stretch: float) -> None:
-        """Throttle (or restore) a subject's emission cadence.
+        """Throttle (or restore) the subject's emission cadence.
 
         Applies :meth:`StreamingMonitor.set_hop_stretch` and remembers the
         factor so a monitor rebuilt after a crash comes back with the same
         throttle still in force.
         """
-        subject = self._subject(name)
-        subject.hop_stretch = float(stretch)
-        subject.monitor.set_hop_stretch(subject.hop_stretch)
+        self._check(name)
+        self._hop_stretch = float(stretch)
+        self._monitor.set_hop_stretch(self._hop_stretch)
 
     def set_min_fallback_level(
         self, name: str, level: int, *, reason: str = "overload"
     ) -> None:
-        """Pin a subject's estimator ladder at (or release it to) a floor.
+        """Pin the subject's estimator ladder at (or release it to) a floor.
 
-        Raising the floor above the subject's current rung walks the
-        ladder down immediately (recorded as ``fallback-escalated``
-        events); recovery cross-checks then climb back only as far as the
-        floor.  Lowering the floor releases the pin and lets the normal
-        recovery path climb the rest of the way.
+        Raising the floor above the current rung walks the ladder down
+        immediately (recorded as ``fallback-escalated`` events); recovery
+        cross-checks then climb back only as far as the floor.  Lowering
+        the floor releases the pin and lets the normal recovery path climb
+        the rest of the way.
         """
         if not 0 <= level < len(self._ladder):
             raise ConfigurationError(
                 f"fallback level must be in [0, {len(self._ladder) - 1}], "
                 f"got {level}"
             )
-        subject = self._subject(name)
-        subject.min_fallback_level = int(level)
-        while subject.fallback_level < subject.min_fallback_level:
-            subject.fallback_level += 1
-            subject.consecutive_gated = 0
-            self._obs.count(
-                "supervisor_fallback_escalations_total",
-                labels={"subject": subject.name},
-                help_text="Steps down the estimator fallback ladder.",
-            )
-            self._set_fallback_gauge(subject)
-            self.events.record(
-                self.clock.now_s,
-                subject.name,
-                "fallback-escalated",
-                to_method=self._ladder[subject.fallback_level],
-                level=subject.fallback_level,
-                reason=reason,
-            )
-        self._update_health(subject)
+        self._check(name)
+        self._min_fallback_level = int(level)
+        while self._fallback_level < self._min_fallback_level:
+            self._escalate(reason)
+        self._update_health()
 
-    def _inject_crash(self, subject: _Subject, cause: str) -> None:
+    def health_summary(self) -> dict[str, Any]:
+        """The subject's health snapshot for reporting.
+
+        Returns:
+            ``health``, active estimator ``method``, ``fallback_level``,
+            ``monitor_restarts``, ``breaker`` state, source and monitor
+            counters, and ``n_estimates``.
+        """
+        if not self._name:
+            raise ConfigurationError("no subject registered")
+        return {
+            "health": self._health.value,
+            "method": self._ladder[self._fallback_level],
+            "fallback_level": self._fallback_level,
+            "monitor_restarts": self._monitor_restarts,
+            "breaker": self._source.breaker.state.value,
+            "source_counters": dict(self._source.counters),
+            "monitor_counters": dict(self._monitor.counters),
+            "n_estimates": len(self._estimates),
+        }
+
+    def _check(self, name: str) -> None:
+        if not self._name or name != self._name:
+            raise ConfigurationError(
+                f"unknown subject {name!r}; this supervisor holds "
+                f"{self._name or 'no subject'!r}"
+            )
+
+    @property
+    def _done(self) -> bool:
+        """No further work possible for the subject."""
+        return self._failed or self._source.exhausted
+
+    def _inject_crash(self, cause: str) -> None:
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
             "monitor-crash",
             error="InjectedMonitorCrash",
             message=cause,
         )
         self._restart_monitor(
-            subject, cause=RuntimeError(f"injected monitor crash: {cause}")
+            cause=RuntimeError(f"injected monitor crash: {cause}")
         )
-        self._update_health(subject)
-
-    def _subject(self, name: str) -> _Subject:
-        try:
-            return self._subjects[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown subject {name!r}; registered: "
-                f"{sorted(self._subjects)}"
-            ) from None
-
-    def health_summary(self) -> dict[str, dict[str, Any]]:
-        """Per-subject health snapshot for reporting.
-
-        Returns:
-            For each subject: ``health``, active estimator ``method``,
-            ``fallback_level``, ``monitor_restarts``, ``breaker`` state,
-            source ``counters``, and ``n_estimates``.
-        """
-        summary: dict[str, dict[str, Any]] = {}
-        for name, s in self._subjects.items():
-            summary[name] = {
-                "health": s.health.value,
-                "method": self._ladder[s.fallback_level],
-                "fallback_level": s.fallback_level,
-                "monitor_restarts": s.monitor_restarts,
-                "breaker": s.source.breaker.state.value,
-                "source_counters": dict(s.source.counters),
-                "monitor_counters": dict(s.monitor.counters),
-                "n_estimates": len(s.estimates),
-            }
-        return summary
+        self._update_health()
 
     # ------------------------------------------------------------------
-    # One scheduling tick for one subject.
+    # One scheduling tick.
 
-    def _tick(self, subject: _Subject) -> None:
+    def _tick(self) -> None:
         while (
-            subject.pending_crashes_s
-            and self.clock.now_s >= subject.pending_crashes_s[0]
-            and not subject.done
+            self._pending_crashes_s
+            and self.clock.now_s >= self._pending_crashes_s[0]
+            and not self._done
         ):
-            at_s = subject.pending_crashes_s.pop(0)
-            self._inject_crash(subject, cause=f"scheduled at {at_s:g}s")
-        if subject.done:
+            at_s = self._pending_crashes_s.pop(0)
+            self._inject_crash(cause=f"scheduled at {at_s:g}s")
+        if self._done:
             return
         t_before = self.clock.now_s
         packet = None
         try:
-            packet = subject.source.next_packet()
+            packet = self._source.next_packet()
         except CircuitOpenError:
             # Short-circuited: no read happened.  Time still has to pass,
             # or the cooldown would never elapse (handled below).
@@ -553,7 +518,7 @@ class MonitorSupervisor:
         except (SourceTimeoutError, SourceUnavailableError) as exc:
             self.events.record(
                 self.clock.now_s,
-                subject.name,
+                self._name,
                 "source-error",
                 error=type(exc).__name__,
                 message=str(exc),
@@ -565,141 +530,141 @@ class MonitorSupervisor:
             # Guarantee forward progress: a fruitless tick (failed or
             # short-circuited read) costs one poll interval of simulated
             # time.  A delivered packet is progress by itself — its
-            # timestamp may lag the clock when another subject already
-            # advanced it.
-            self.clock.advance(subject.interval_s)
+            # timestamp may lag the clock when the fleet gateway's round
+            # heartbeat already advanced it.
+            self.clock.advance(self._interval_s)
 
         if packet is None:
-            self._check_watchdog(subject)
-            self._update_health(subject)
+            self._check_watchdog()
+            self._update_health()
             return
 
-        subject.last_progress_s = self.clock.now_s
-        estimate = self._feed_monitor(subject, packet.csi, packet.timestamp_s)
-        self._maybe_checkpoint(subject)
+        self._last_progress_s = self.clock.now_s
+        estimate = self._feed_monitor(packet.csi, packet.timestamp_s)
+        self._maybe_checkpoint()
         if estimate is not None:
-            self._handle_estimate(subject, estimate)
-        self._update_health(subject)
+            self._handle_estimate(estimate)
+        self._update_health()
 
-    def _check_watchdog(self, subject: _Subject) -> None:
-        silence_s = self.clock.now_s - subject.last_progress_s
+    def _check_watchdog(self) -> None:
+        silence_s = self.clock.now_s - self._last_progress_s
         if silence_s <= self.config.watchdog_timeout_s:
             return
-        if subject.source.exhausted:
+        if self._source.exhausted:
             return  # end of data, not a stall
-        if subject.source.breaker.state is not BreakerState.CLOSED:
+        if self._source.breaker.state is not BreakerState.CLOSED:
             # Silence has a known cause (open/probing breaker); restarting
             # the source would not help, and the stall alarm would be noise.
-            subject.last_progress_s = self.clock.now_s
+            self._last_progress_s = self.clock.now_s
             return
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
             "stall-detected",
             silence_s=silence_s,
         )
         self._obs.count(
             "supervisor_stalls_detected_total",
-            labels={"subject": subject.name},
+            labels={"subject": self._name},
             help_text="Silent stalls caught by the watchdog.",
         )
-        subject.source.force_restart()
-        subject.last_progress_s = self.clock.now_s
+        self._source.force_restart()
+        self._last_progress_s = self.clock.now_s
 
     def _feed_monitor(
-        self, subject: _Subject, csi: Any, timestamp_s: float
+        self, csi: Any, timestamp_s: float
     ) -> StreamingEstimate | None:
         try:
-            return subject.monitor.push_packet(csi, timestamp_s)
+            return self._monitor.push_packet(csi, timestamp_s)
         except ReproError as exc:
             self.events.record(
                 self.clock.now_s,
-                subject.name,
+                self._name,
                 "monitor-crash",
                 error=type(exc).__name__,
                 message=str(exc),
             )
-            self._restart_monitor(subject, cause=exc)
+            self._restart_monitor(cause=exc)
             return None
 
-    def _restart_monitor(self, subject: _Subject, cause: Exception) -> None:
-        subject.monitor_restarts += 1
+    def _restart_monitor(self, cause: Exception) -> None:
+        self._monitor_restarts += 1
         self._obs.count(
             "supervisor_monitor_restarts_total",
-            labels={"subject": subject.name},
+            labels={"subject": self._name},
             help_text="Monitor rebuilds after a crash.",
         )
-        if subject.monitor_restarts > self.config.max_monitor_restarts:
-            subject.failed = True
+        if self._monitor_restarts > self.config.max_monitor_restarts:
+            self._failed = True
             self.events.record(
                 self.clock.now_s,
-                subject.name,
+                self._name,
                 "subject-failed",
-                monitor_restarts=subject.monitor_restarts,
+                monitor_restarts=self._monitor_restarts,
             )
             self._obs.count(
                 "supervisor_subject_failures_total",
-                labels={"subject": subject.name},
+                labels={"subject": self._name},
                 help_text="Subjects escalated to FAILED (restart budget "
                 "exhausted).",
             )
             return
         monitor = StreamingMonitor(
-            subject.monitor.sample_rate_hz,
+            self._monitor.sample_rate_hz,
             self.streaming_config,
             self.pipeline_config,
             instrumentation=self._obs,
         )
         restored = False
-        if subject.last_checkpoint is not None:
+        if self._last_checkpoint is not None:
             try:
-                monitor.restore(subject.last_checkpoint)
+                monitor.restore(self._last_checkpoint)
                 restored = True
             except CheckpointError as exc:
                 # A corrupt checkpoint must not stop the restart; the
                 # monitor simply comes back cold (empty window).
                 self.events.record(
                     self.clock.now_s,
-                    subject.name,
+                    self._name,
                     "checkpoint-restore-failed",
                     error=str(exc),
                 )
-        if subject.hop_stretch != 1.0:  # phaselint: disable=PL004 -- exact 'no stretch' sentinel
-            monitor.set_hop_stretch(subject.hop_stretch)
-        subject.monitor = monitor
+        if self._hop_stretch != 1.0:  # phaselint: disable=PL004 -- exact 'no stretch' sentinel
+            monitor.set_hop_stretch(self._hop_stretch)
+        self._monitor = monitor
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
             "monitor-restart",
             restored=restored,
-            restarts=subject.monitor_restarts,
+            restarts=self._monitor_restarts,
             cause=type(cause).__name__,
         )
 
-    def _maybe_checkpoint(self, subject: _Subject) -> None:
+    def _maybe_checkpoint(self) -> None:
         if (
-            self.clock.now_s - subject.last_checkpoint_s
+            self.clock.now_s - self._last_checkpoint_s
             < self.config.checkpoint_interval_s
         ):
             return
-        subject.last_checkpoint = subject.monitor.checkpoint()
-        subject.last_checkpoint_s = self.clock.now_s
-        n_buffered = len(subject.last_checkpoint["buffer"])
+        self._last_checkpoint = self._monitor.checkpoint()
+        self._last_checkpoint_s = self.clock.now_s
+        n_buffered = len(self._last_checkpoint["buffer"])
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
             "checkpoint",
             n_buffered=n_buffered,
         )
         self._obs.count(
             "supervisor_checkpoints_total",
-            labels={"subject": subject.name},
+            labels={"subject": self._name},
             help_text="Periodic monitor checkpoints taken.",
         )
         self._obs.observe(
             "supervisor_checkpoint_size_packets",
             n_buffered,
-            labels={"subject": subject.name},
+            labels={"subject": self._name},
             help_text="Buffered packets per checkpoint.",
             bucket_bounds=DEFAULT_SIZE_BUCKETS,
         )
@@ -707,14 +672,14 @@ class MonitorSupervisor:
     # ------------------------------------------------------------------
     # Estimator fallback ladder.
 
-    def _fallback_estimate(self, subject: _Subject) -> float | None:
-        """Run the subject's current fallback estimator on its window."""
-        if subject.fallback_level == 0:
+    def _fallback_estimate(self) -> float | None:
+        """Run the current fallback estimator on the monitor's window."""
+        if self._fallback_level == 0:
             return None
-        trace = subject.monitor.window_trace()
+        trace = self._monitor.window_trace()
         if trace is None:
             return None
-        estimator = self._rung_estimators[self._ladder[subject.fallback_level]]
+        estimator = self._rung_estimators[self._ladder[self._fallback_level]]
         try:
             return float(estimator.estimate_breathing_bpm(trace))
         except ReproError:
@@ -723,237 +688,154 @@ class MonitorSupervisor:
             # rather than poisoning the emission stream.
             return None
 
-    def _handle_estimate(
-        self, subject: _Subject, estimate: StreamingEstimate
-    ) -> None:
-        gated = estimate.rejected_reason in ("data-gap", "degraded-input")
+    def _handle_estimate(self, estimate: StreamingEstimate) -> None:
         if estimate.fresh:
-            subject.consecutive_gated = 0
-            self._handle_fresh(subject, estimate)
+            assert estimate.result is not None
+            self._consecutive_gated = 0
+            rung_bpm = self._fallback_estimate()
+            # At or below the overload floor the rung is served without a
+            # recovery attempt: the pin exists because the fleet layer
+            # wants this session cheap, not because the primary path is
+            # distrusted.
+            if self._fallback_level > self._min_fallback_level:
+                rung_bpm = self._maybe_recover(
+                    float(estimate.result.breathing_rates_bpm[0]), rung_bpm
+                )
         else:
-            subject.consecutive_fresh = 0
-            if gated:
-                subject.consecutive_gated += 1
-                self._maybe_escalate(subject, estimate.rejected_reason)
-            self._handle_rejected(subject, estimate)
+            self._consecutive_fresh = 0
+            if estimate.rejected_reason in ("data-gap", "degraded-input"):
+                self._consecutive_gated += 1
+                self._maybe_escalate(estimate.rejected_reason)
+            rung_bpm = self._fallback_estimate()
+        self._emit(estimate, rung_bpm)
 
-    def _handle_fresh(
-        self, subject: _Subject, estimate: StreamingEstimate
-    ) -> None:
-        assert estimate.result is not None
-        primary_bpm = float(estimate.result.breathing_rates_bpm[0])
-        if subject.fallback_level == 0:
-            self._emit(
-                subject,
-                estimate,
-                rate_bpm=primary_bpm,
-                method=self._ladder[0],
-                fresh=True,
-            )
-            return
-        if subject.fallback_level <= subject.min_fallback_level:
-            # Pinned at the overload floor: keep emitting the fallback
-            # value without attempting recovery — the pin exists because
-            # the fleet layer wants this session cheap, not because the
-            # primary path is distrusted.
-            alt_bpm = self._fallback_estimate(subject)
-            self._emit(
-                subject,
-                estimate,
-                rate_bpm=alt_bpm if alt_bpm is not None else primary_bpm,
-                method=(
-                    self._ladder[subject.fallback_level]
-                    if alt_bpm is not None
-                    else self._ladder[0]
-                ),
-                fresh=True,
-            )
-            return
-        # In fallback: cross-check the recovered primary path against the
-        # currently trusted estimator before switching back.
-        alt_bpm = self._fallback_estimate(subject)
-        recovered = False
-        reason = ""
-        if alt_bpm is not None and abs(alt_bpm - primary_bpm) <= RECOVERY_TOLERANCE_BPM:
-            recovered = True
+    def _maybe_recover(
+        self, primary_bpm: float, rung_bpm: float | None
+    ) -> float | None:
+        """Cross-check a fresh primary value against the trusted rung.
+
+        On recovery the ladder climbs back to the pinned floor (never
+        above it) and that rung's value is returned; otherwise
+        ``rung_bpm`` is.
+        """
+        if rung_bpm is not None and abs(rung_bpm - primary_bpm) <= RECOVERY_TOLERANCE_BPM:
             reason = "cross-check-agreed"
         else:
-            subject.consecutive_fresh += 1
-            if subject.consecutive_fresh >= RECOVERY_FRESH_WINDOWS:
-                recovered = True
-                reason = (
-                    "fallback-unavailable"
-                    if alt_bpm is None
-                    else "primary-sustained"
-                )
-        if recovered:
-            from_level = subject.fallback_level
-            # Recovery climbs back to the pinned floor, never above it.
-            subject.fallback_level = subject.min_fallback_level
-            subject.consecutive_fresh = 0
-            self._obs.count(
-                "supervisor_fallback_recoveries_total",
-                labels={"subject": subject.name},
-                help_text="Returns to the primary estimator.",
+            self._consecutive_fresh += 1
+            if self._consecutive_fresh < RECOVERY_FRESH_WINDOWS:
+                return rung_bpm
+            reason = (
+                "fallback-unavailable" if rung_bpm is None else "primary-sustained"
             )
-            self._set_fallback_gauge(subject)
-            self.events.record(
-                self.clock.now_s,
-                subject.name,
-                "fallback-recovered",
-                from_method=self._ladder[from_level],
-                reason=reason,
-                primary_bpm=primary_bpm,
-                fallback_bpm=alt_bpm,
-            )
-            if subject.fallback_level == 0:
-                self._emit(
-                    subject,
-                    estimate,
-                    rate_bpm=primary_bpm,
-                    method=self._ladder[0],
-                    fresh=True,
-                )
-            else:
-                pinned_bpm = self._fallback_estimate(subject)
-                self._emit(
-                    subject,
-                    estimate,
-                    rate_bpm=(
-                        pinned_bpm if pinned_bpm is not None else primary_bpm
-                    ),
-                    method=(
-                        self._ladder[subject.fallback_level]
-                        if pinned_bpm is not None
-                        else self._ladder[0]
-                    ),
-                    fresh=True,
-                )
-        else:
-            # Still in fallback: trust the fallback estimator's value when
-            # it has one, else report the (unconfirmed) primary value.
-            rate = alt_bpm if alt_bpm is not None else primary_bpm
-            method = (
-                self._ladder[subject.fallback_level]
-                if alt_bpm is not None
-                else self._ladder[0]
-            )
-            self._emit(
-                subject, estimate, rate_bpm=rate, method=method, fresh=True
-            )
-
-    def _maybe_escalate(
-        self, subject: _Subject, reason: str | None
-    ) -> None:
-        if (
-            subject.consecutive_gated < self.config.fallback_after_windows
-            or subject.fallback_level >= len(self._ladder) - 1
-        ):
-            return
-        subject.fallback_level += 1
-        subject.consecutive_gated = 0
+        from_level = self._fallback_level
+        self._fallback_level = self._min_fallback_level
+        self._consecutive_fresh = 0
         self._obs.count(
-            "supervisor_fallback_escalations_total",
-            labels={"subject": subject.name},
-            help_text="Steps down the estimator fallback ladder.",
+            "supervisor_fallback_recoveries_total",
+            labels={"subject": self._name},
+            help_text="Returns to the primary estimator.",
         )
-        self._set_fallback_gauge(subject)
+        self._set_fallback_gauge()
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
+            "fallback-recovered",
+            from_method=self._ladder[from_level],
+            reason=reason,
+            primary_bpm=primary_bpm,
+            fallback_bpm=rung_bpm,
+        )
+        return self._fallback_estimate()
+
+    def _maybe_escalate(self, reason: str | None) -> None:
+        if (
+            self._consecutive_gated < self.config.fallback_after_windows
+            or self._fallback_level >= len(self._ladder) - 1
+        ):
+            return
+        self._escalate(reason)
+
+    def _escalate(self, reason: str | None) -> None:
+        """Step one rung down the ladder and record it."""
+        self._fallback_level += 1
+        self._consecutive_gated = 0
+        self._obs.count(
+            "supervisor_fallback_escalations_total",
+            labels={"subject": self._name},
+            help_text="Steps down the estimator fallback ladder.",
+        )
+        self._set_fallback_gauge()
+        self.events.record(
+            self.clock.now_s,
+            self._name,
             "fallback-escalated",
-            to_method=self._ladder[subject.fallback_level],
-            level=subject.fallback_level,
+            to_method=self._ladder[self._fallback_level],
+            level=self._fallback_level,
             reason=reason,
         )
 
-    def _set_fallback_gauge(self, subject: _Subject) -> None:
+    def _set_fallback_gauge(self) -> None:
         self._obs.gauge_set(
             "supervisor_fallback_level",
-            subject.fallback_level,
-            labels={"subject": subject.name},
+            self._fallback_level,
+            labels={"subject": self._name},
             help_text="Current fallback-ladder rung (0 = primary).",
         )
 
-    def _handle_rejected(
-        self, subject: _Subject, estimate: StreamingEstimate
-    ) -> None:
-        alt_bpm = self._fallback_estimate(subject)
-        if alt_bpm is not None:
-            self._emit(
-                subject,
-                estimate,
-                rate_bpm=alt_bpm,
-                method=self._ladder[subject.fallback_level],
-                fresh=True,
-            )
-        elif estimate.result is not None:  # held-over primary estimate
-            self._emit(
-                subject,
-                estimate,
-                rate_bpm=float(estimate.result.breathing_rates_bpm[0]),
-                method=self._ladder[0],
-                fresh=False,
-            )
+    def _emit(self, estimate: StreamingEstimate, rung_bpm: float | None) -> None:
+        """Emit the current rung's value when it has one; else the primary
+        value (held over when the window was rejected); else ``nan``."""
+        if rung_bpm is not None:
+            rate_bpm = rung_bpm
+            method: str | None = self._ladder[self._fallback_level]
+            fresh = True
+        elif estimate.result is not None:
+            rate_bpm = float(estimate.result.breathing_rates_bpm[0])
+            method = self._ladder[0]
+            fresh = estimate.fresh
         else:
-            self._emit(
-                subject,
-                estimate,
-                rate_bpm=float("nan"),
-                method=None,
-                fresh=False,
-            )
-
-    def _emit(
-        self,
-        subject: _Subject,
-        estimate: StreamingEstimate,
-        *,
-        rate_bpm: float,
-        method: str | None,
-        fresh: bool,
-    ) -> None:
+            rate_bpm, method, fresh = float("nan"), None, False
         record = ServiceEstimate(
-            subject=subject.name,
+            subject=self._name,
             time_s=estimate.time_s,
             rate_bpm=rate_bpm,
             method=method,
             fresh=fresh,
             held_over=estimate.held_over,
             rejected_reason=estimate.rejected_reason,
-            fallback_level=subject.fallback_level,
-            health=subject.health,
+            fallback_level=self._fallback_level,
+            health=self._health,
         )
-        subject.last_estimate = record
-        subject.estimates.append(record)
+        self._last_estimate = record
+        self._estimates.append(record)
 
     # ------------------------------------------------------------------
     # Health.
 
-    def _compute_health(self, subject: _Subject) -> SubjectHealth:
-        if subject.failed:
+    def _compute_health(self) -> SubjectHealth:
+        if self._failed:
             return SubjectHealth.FAILED
-        if subject.fallback_level > 0:
+        if self._fallback_level > 0:
             return SubjectHealth.DEGRADED
-        if subject.source.breaker.state is not BreakerState.CLOSED:
+        if self._source.breaker.state is not BreakerState.CLOSED:
             return SubjectHealth.DEGRADED
-        last = subject.last_estimate
+        last = self._last_estimate
         if last is not None and (last.held_over or not last.ok):
             return SubjectHealth.DEGRADED
         return SubjectHealth.HEALTHY
 
-    def _update_health(self, subject: _Subject) -> None:
-        new = self._compute_health(subject)
-        if new is subject.health:
+    def _update_health(self) -> None:
+        new = self._compute_health()
+        if new is self._health:
             return
         self.events.record(
             self.clock.now_s,
-            subject.name,
+            self._name,
             "health-changed",
-            previous=subject.health.value,
+            previous=self._health.value,
             health=new.value,
         )
-        subject.health = new
+        self._health = new
         # 0 = healthy, 1 = degraded, 2 = failed.
         health_levels = {
             SubjectHealth.HEALTHY: 0,
@@ -963,7 +845,7 @@ class MonitorSupervisor:
         self._obs.gauge_set(
             "supervisor_subject_health_level",
             health_levels[new],
-            labels={"subject": subject.name},
+            labels={"subject": self._name},
             help_text="Coarse subject health (0 healthy, 1 degraded, "
             "2 failed).",
         )

@@ -322,7 +322,7 @@ def _replay_scenario(
         instrumentation=instrumentation,
     )
     supervisor.add_subject(baseline.name, factory, probe.sample_rate_hz)
-    estimates = supervisor.run()[baseline.name]
+    estimates = supervisor.run()
     wall_s = max(wall_clock.now_s - wall_start, 1e-9)
 
     usable = [
@@ -344,7 +344,8 @@ def _replay_scenario(
         labels={"scenario": baseline.name},
         help_text="Recorded seconds replayed per wall-clock second.",
     )
-    health = supervisor.health_summary()[baseline.name]["health"]
+    summary = supervisor.health_summary()
+    health = summary["health"]
 
     failures: list[str] = []
     if len(usable) < baseline.min_estimates:

@@ -90,6 +90,28 @@ class TestClassifyWindows:
             x = scale * rng.normal(size=(400, 4))
             assert detector.is_stationary(x) is stationary
 
+    def test_nan_sample_is_never_stationary(self, rng):
+        """One NaN in an otherwise stationary 400 Hz, 20 s matrix."""
+        from repro.core.pipeline import PhaseBeat
+
+        config = EnvironmentConfig()
+        x = 0.3 * rng.normal(size=(8000, 30))
+        detector = EnvironmentDetector(config)
+        assert detector.is_stationary(x)
+        x[4000, 7] = np.nan
+        assert classify_v(v_statistic(x), config) is ActivityState.NO_PERSON
+        _, v = windowed_v(x, 400.0, config)
+        states = classify_windows(v, config)
+        assert np.isnan(v).any()
+        assert all(
+            state is not ActivityState.SITTING
+            for state, value in zip(states, v)
+            if np.isnan(value)
+        )
+        assert not detector.is_stationary(x)
+        _, state = PhaseBeat().classify_environment(x, 400.0)
+        assert state is not ActivityState.SITTING
+
     def test_band_edges_are_stationary(self):
         config = EnvironmentConfig(stationary_band=(0.05, 1.0))
         states = classify_windows(np.array([0.05, 1.0]), config)

@@ -5,9 +5,12 @@ import pytest
 
 from repro import Person, capture_trace, laboratory_scenario
 from repro.errors import ConfigurationError
+from repro.dsp.hampel import hampel_filter
+from repro.dsp.resample import decimate
 from repro.extensions.csi_ratio import (
     CsiRatioConfig,
     CsiRatioEstimator,
+    _principal_component_series,
     csi_ratio_series,
 )
 from repro.rf.hardware import HardwareConfig
@@ -75,3 +78,35 @@ class TestEstimator:
         series, rate = CsiRatioEstimator().breathing_series(lab_trace)
         assert rate == pytest.approx(20.0)
         assert series.size == lab_trace.n_packets // 20
+
+    @pytest.mark.parametrize("fixture", ["lab_trace", "short_lab_trace"])
+    def test_breathing_series_equals_per_column_filtering(
+        self, request, fixture
+    ):
+        """The two matrix Hampel calls equal four 1-D calls per subcarrier,
+        byte for byte."""
+        trace = request.getfixturevalue(fixture)
+        cfg = CsiRatioConfig()
+        ratio = csi_ratio_series(trace, cfg.antenna_pair)
+        factor = int(round(trace.sample_rate_hz / cfg.target_rate_hz))
+        noise = max(3, int(round(cfg.noise_window_s * trace.sample_rate_hz)))
+        trend = max(5, int(round(cfg.trend_window_s * trace.sample_rate_hz)))
+        best, best_energy = None, -np.inf
+        for column in range(ratio.shape[1]):
+            real = hampel_filter(ratio[:, column].real, noise, 0.01)
+            imag = hampel_filter(ratio[:, column].imag, noise, 0.01)
+            parts = np.column_stack(
+                [
+                    real - hampel_filter(real, trend, 0.01),
+                    imag - hampel_filter(imag, trend, 0.01),
+                ]
+            )
+            detrended = decimate(parts, factor, axis=0)
+            projected = _principal_component_series(
+                detrended[:, 0] + 1j * detrended[:, 1]
+            )
+            if float(np.var(projected)) > best_energy:
+                best, best_energy = projected, float(np.var(projected))
+
+        series, _ = CsiRatioEstimator(cfg).breathing_series(trace)
+        assert series.tobytes() == best.tobytes()

@@ -9,17 +9,21 @@ from repro.service.fleet import FleetConfig, FleetGateway, SessionStatus
 from repro.service.fleet.chaos import _estimate_stream_bytes
 from repro.service.sources import TracePacketSource
 from repro.service.supervisor import SupervisorConfig
+from tests.service.test_supervisor import _CorruptingSource
 
 _STREAMING = StreamingConfig(
     window_s=8.0, hop_s=4.0, max_gap_s=0.5, holdover_s=20.0
 )
 
 
-def _gateway(trace, *, config=None, seed=0):
+def _gateway(trace, *, config=None, seed=0, max_monitor_restarts=3):
     gateway = FleetGateway(
         clock=SimulatedClock(float(trace.timestamps_s[0])),
         config=config if config is not None else FleetConfig(),
-        supervisor_config=SupervisorConfig(checkpoint_interval_s=5.0),
+        supervisor_config=SupervisorConfig(
+            checkpoint_interval_s=5.0,
+            max_monitor_restarts=max_monitor_restarts,
+        ),
         streaming_config=_STREAMING,
         seed=seed,
     )
@@ -97,6 +101,34 @@ class TestScheduling:
         times = gateway.fresh_emission_times("s0")
         assert times == tuple(sorted(times))
         assert len(times) <= len(gateway.estimates("s0"))
+
+    def test_failed_session_leaves_neighbour_intact(self, fleet_trace):
+        # Every 100th packet after the first checkpoint carries a
+        # truncated CSI row, so each one crashes the session's restarted
+        # monitor until its restart budget runs out.
+        corrupt = set(range(300, fleet_trace.n_packets, 100))
+        fleet = _gateway(fleet_trace, max_monitor_restarts=1)
+        fleet.admit(
+            "sick",
+            lambda clock: _CorruptingSource(fleet_trace, clock, corrupt),
+            fleet_trace.sample_rate_hz,
+        )
+        _admit(fleet, fleet_trace, "well")
+        fleet.run(max_duration_s=60.0)
+
+        solo = _gateway(fleet_trace, max_monitor_restarts=1)
+        _admit(solo, fleet_trace, "alone")
+        solo.run(max_duration_s=60.0)
+
+        failed = [e.subject for e in fleet.events if e.kind == "subject-failed"]
+        assert failed == ["sick"]
+        assert fleet.fleet_summary()["by_health"]["failed"] == 1
+        assert fleet.status("sick") is SessionStatus.FINISHED
+        assert fleet.status("well") is SessionStatus.FINISHED
+        assert fleet.estimates("well")
+        assert _estimate_stream_bytes(
+            fleet.estimates("well")
+        ) == _estimate_stream_bytes(solo.estimates("alone"))
 
     def test_summary_counts_finished_sessions(self, fleet_trace):
         gateway = _gateway(fleet_trace)

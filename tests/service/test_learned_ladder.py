@@ -78,7 +78,7 @@ def run_with(trace, clock, supervisor, name="alice"):
         lambda t0: TracePacketSource(trace, clock, start_at_s=t0),
         trace.sample_rate_hz,
     )
-    return supervisor.run()[name]
+    return supervisor.run()
 
 
 class TestLadderShape:
@@ -113,7 +113,8 @@ class TestEscalationServesLearned:
         assert all(e.rate_bpm == pytest.approx(15.0) for e in served)
         # The run still ends recovered and healthy.
         assert supervisor.events.select(kind="fallback-recovered")
-        assert supervisor.health_summary()["alice"]["health"] == "healthy"
+        health = supervisor.health_summary()
+        assert health["health"] == "healthy"
 
 
 class TestRungDegradation:
@@ -155,7 +156,8 @@ class TestRungDegradation:
         assert escalations[0] == "learned"
         assert "csi-ratio" in escalations
         assert supervisor.events.select(kind="fallback-recovered")
-        assert supervisor.health_summary()["alice"]["health"] == "healthy"
+        health = supervisor.health_summary()
+        assert health["health"] == "healthy"
 
 
 class TestOverloadPins:

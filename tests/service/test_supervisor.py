@@ -60,8 +60,7 @@ class TestBasicRun:
             lambda t0: TracePacketSource(service_trace, clock, start_at_s=t0),
             service_trace.sample_rate_hz,
         )
-        results = supervisor.run()
-        estimates = results["alice"]
+        estimates = supervisor.run()
         assert estimates, "no estimates emitted"
         fresh = [e for e in estimates if e.fresh and e.ok]
         assert fresh, "no fresh estimate in a clean run"
@@ -69,26 +68,10 @@ class TestBasicRun:
         for estimate in fresh:
             assert estimate.method == FALLBACK_METHODS[0]
             assert estimate.rate_bpm == pytest.approx(truth, abs=2.0)
-        health = supervisor.health_summary()["alice"]
+        health = supervisor.health_summary()
         assert health["health"] == "healthy"
         assert health["breaker"] == "closed"
         assert supervisor.events.select(kind="checkpoint")
-
-    def test_two_subjects_run_together(self, service_trace):
-        clock = SimulatedClock()
-        supervisor = make_supervisor(clock)
-        for name in ("alice", "bob"):
-            supervisor.add_subject(
-                name,
-                lambda t0: TracePacketSource(
-                    service_trace, clock, start_at_s=t0
-                ),
-                service_trace.sample_rate_hz,
-            )
-        results = supervisor.run()
-        assert results["alice"] and results["bob"]
-        # The clock tracks packet time, not n_subjects × packet time.
-        assert clock.now_s <= float(service_trace.timestamps_s[-1]) + 1.0
 
     def test_duplicate_subject_rejected(self, service_trace):
         clock = SimulatedClock()
@@ -98,12 +81,39 @@ class TestBasicRun:
             return TracePacketSource(service_trace, clock)
 
         supervisor.add_subject("alice", factory, 100.0)
-        with pytest.raises(ConfigurationError):
-            supervisor.add_subject("alice", factory, 100.0)
+        # A supervisor holds one subject, under any name.
+        for name in ("alice", "bob"):
+            with pytest.raises(ConfigurationError, match="one subject"):
+                supervisor.add_subject(name, factory, 100.0)
 
-    def test_run_without_subjects_rejected(self):
+    def test_unknown_name_rejected(self, service_trace):
+        clock = SimulatedClock()
+        supervisor = make_supervisor(clock)
+        supervisor.add_subject(
+            "alice",
+            lambda t0: TracePacketSource(service_trace, clock, start_at_s=t0),
+            service_trace.sample_rate_hz,
+        )
+        for call in (
+            lambda: supervisor.tick("other"),
+            lambda: supervisor.subject_done("other"),
+            lambda: supervisor.estimates_for("other"),
+            lambda: supervisor.crash_monitor("other"),
+        ):
+            with pytest.raises(ConfigurationError, match="unknown subject"):
+                call()
+        # A rejected name leaves the registered subject untouched.
+        assert supervisor.estimates_for("alice") == []
+        assert clock.now_s == 0.0
+
+    def test_run_without_a_subject_rejected(self):
+        supervisor = make_supervisor()
         with pytest.raises(ConfigurationError):
-            make_supervisor().run()
+            supervisor.run()
+        with pytest.raises(ConfigurationError):
+            supervisor.tick("alice")
+        with pytest.raises(ConfigurationError):
+            supervisor.health_summary()
 
 
 class TestWatchdogAndRestarts:
@@ -140,19 +150,19 @@ class TestWatchdogAndRestarts:
             ),
             service_trace.sample_rate_hz,
         )
-        results = supervisor.run()
+        estimates = supervisor.run()
         kinds = supervisor.events.kinds()
         assert "monitor-crash" in kinds
         restart = supervisor.events.select(kind="monitor-restart")
         assert len(restart) == 1
         assert restart[0].detail["restored"] is True
-        health = supervisor.health_summary()["alice"]
+        health = supervisor.health_summary()
         assert health["monitor_restarts"] == 1
         assert health["health"] == "healthy"
         # The run still produces fresh estimates after the restart.
         assert any(
             e.ok and e.fresh and e.time_s > restart[0].time_s
-            for e in results["alice"]
+            for e in estimates
         )
 
     def test_repeated_monitor_crashes_fail_the_subject(self, service_trace):
@@ -171,32 +181,8 @@ class TestWatchdogAndRestarts:
         supervisor.run()
         kinds = supervisor.events.kinds()
         assert "subject-failed" in kinds
-        health = supervisor.health_summary()["alice"]
+        health = supervisor.health_summary()
         assert health["health"] == "failed"
-
-    def test_failed_subject_does_not_block_the_healthy_one(
-        self, service_trace
-    ):
-        clock = SimulatedClock()
-        supervisor = make_supervisor(clock, max_monitor_restarts=1)
-        recurring = set(range(1200, service_trace.n_packets, 400))
-        supervisor.add_subject(
-            "sick",
-            lambda t0: _CorruptingSource(
-                service_trace, clock, recurring, start_at_s=t0
-            ),
-            service_trace.sample_rate_hz,
-        )
-        supervisor.add_subject(
-            "well",
-            lambda t0: TracePacketSource(service_trace, clock, start_at_s=t0),
-            service_trace.sample_rate_hz,
-        )
-        results = supervisor.run()
-        summary = supervisor.health_summary()
-        assert summary["sick"]["health"] == "failed"
-        assert summary["well"]["health"] == "healthy"
-        assert results["well"]
 
 
 class TestFallbackLadder:
@@ -222,7 +208,7 @@ class TestFallbackLadder:
             lambda t0: TracePacketSource(gappy, clock, start_at_s=t0),
             gappy.sample_rate_hz,
         )
-        results = supervisor.run()
+        estimates = supervisor.run()
         kinds = supervisor.events.kinds()
         assert "fallback-escalated" in kinds
         assert "fallback-recovered" in kinds
@@ -237,8 +223,9 @@ class TestFallbackLadder:
             for e in supervisor.events.select(kind="health-changed")
         ]
         assert "degraded" in health_values
-        assert supervisor.health_summary()["alice"]["health"] == "healthy"
-        assert any(e.fallback_level > 0 for e in results["alice"])
+        health = supervisor.health_summary()
+        assert health["health"] == "healthy"
+        assert any(e.fallback_level > 0 for e in estimates)
 
 
 class TestDeterminism:
@@ -266,11 +253,10 @@ class TestDeterminism:
             supervisor.add_subject(
                 "alice", factory, service_trace.sample_rate_hz
             )
-            results = supervisor.run()
             rates = [
                 (e.time_s, None if math.isnan(e.rate_bpm) else e.rate_bpm,
                  e.method)
-                for e in results["alice"]
+                for e in supervisor.run()
             ]
             return [(e.time_s, e.kind) for e in supervisor.events], rates
 
