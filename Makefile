@@ -11,11 +11,13 @@ test:
 phaselint:
 	PYTHONPATH=tools $(PYTHON) -m phaselint src tests benchmarks
 
-# Run-twice byte-reproducibility check over one solo and one fleet chaos
-# scenario (see docs/static_analysis.md, "Determinism model").
+# Run-twice byte-reproducibility check over the solo and fleet chaos
+# scenarios CI checks (see docs/static_analysis.md, "Determinism model").
 sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode solo --scenario source-crash
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode fleet --scenario shard-crash
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode solo --scenario learned-degradation-burst --seed 2
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode fleet --scenario record-crash-resume
 
 lint: phaselint
 	ruff check src/ tests/ benchmarks/ examples/

@@ -47,9 +47,7 @@ EXPECTED_KINDS = {
         "session-degraded",
         "session-shed",
     },
-    # A recorder crash writes no fleet event of its own; its salvage is
-    # asserted in tests/service/fleet/test_fleet_chaos.py.
-    "record-crash-resume": {"session-finished"},
+    "record-crash-resume": {"recorder-crash", "session-finished"},
 }
 
 

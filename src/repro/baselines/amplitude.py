@@ -17,15 +17,15 @@ PhaseBeat's 90%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.breathing import PeakBreathingEstimator
-from ..core.calibration import CalibrationConfig, calibrate
-from ..core.dwt_stage import DWTConfig, decompose
+from ..core.calibration import calibrate
+from ..core.dwt_stage import decompose
 from ..core.heart import FFTHeartEstimator
-from ..core.subcarrier_selection import SelectionConfig, select_subcarrier
+from ..core.subcarrier_selection import select_subcarrier
 from ..errors import ConfigurationError
 from ..io_.trace import CSITrace
 
@@ -36,25 +36,14 @@ __all__ = ["AmplitudeMethodConfig", "AmplitudeMethod"]
 class AmplitudeMethodConfig:
     """Parameters of the amplitude baseline.
 
+    Calibration, selection, the DWT and the estimators use PhaseBeat's
+    stage defaults.
+
     Attributes:
         antenna: Receive chain whose |CSI| is used.
-        calibration: Detrend/denoise/downsample parameters (shared defaults
-            with PhaseBeat).
-        selection: Subcarrier-selection parameters.
-        dwt: DWT parameters.
-        peak_estimator: Breathing estimator.
-        heart_estimator: Heart estimator (the original work monitors
-            sleeping subjects; heart support is best-effort here).
     """
 
     antenna: int = 0
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    dwt: DWTConfig = field(default_factory=DWTConfig)
-    peak_estimator: PeakBreathingEstimator = field(
-        default_factory=PeakBreathingEstimator
-    )
-    heart_estimator: FFTHeartEstimator = field(default_factory=FFTHeartEstimator)
 
     def __post_init__(self) -> None:
         if self.antenna < 0:
@@ -70,14 +59,17 @@ class AmplitudeMethod:
     def estimate_breathing_bpm(self, trace: CSITrace) -> float:
         """Single-person breathing rate from CSI amplitude."""
         bands, _ = self._band_split(trace)
-        return self.config.peak_estimator.estimate_bpm(
+        return PeakBreathingEstimator().estimate_bpm(
             bands.breathing, bands.sample_rate_hz
         )
 
     def estimate_heart_bpm(self, trace: CSITrace) -> float:
-        """Heart rate from the amplitude DWT detail band (best effort)."""
+        """Heart rate from the amplitude DWT detail band.
+
+        Best effort: the original work monitors sleeping subjects.
+        """
         bands, _ = self._band_split(trace)
-        return self.config.heart_estimator.estimate_bpm(
+        return FFTHeartEstimator().estimate_bpm(
             bands.heart, bands.sample_rate_hz
         )
 
@@ -88,8 +80,8 @@ class AmplitudeMethod:
                 f"antenna {cfg.antenna} out of range for {trace.n_rx} chains"
             )
         amplitude = np.abs(trace.csi[:, cfg.antenna, :])
-        calibrated = calibrate(amplitude, trace.sample_rate_hz, cfg.calibration)
-        selection = select_subcarrier(calibrated.series, cfg.selection)
+        calibrated = calibrate(amplitude, trace.sample_rate_hz)
+        selection = select_subcarrier(calibrated.series)
         series = calibrated.series[:, selection.selected]
-        bands = decompose(series, calibrated.sample_rate_hz, cfg.dwt)
+        bands = decompose(series, calibrated.sample_rate_hz)
         return bands, selection

@@ -35,9 +35,6 @@ class ApneaConfig:
     Attributes:
         min_duration_s: Minimum cessation length to score an event (adult
             clinical scoring uses 10 s).
-        envelope_window_s: Envelope smoothing window; should cover roughly
-            one breathing cycle so inhale/exhale zero crossings don't read
-            as pauses.
         drop_fraction: The envelope must fall below this fraction of its
             reference (median) level to count as cessation — clinical
             criteria use a ≥90% airflow reduction, i.e. 0.1–0.3 here.
@@ -46,15 +43,12 @@ class ApneaConfig:
     """
 
     min_duration_s: float = 10.0
-    envelope_window_s: float = 4.0
     drop_fraction: float = 0.3
     merge_gap_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.min_duration_s <= 0:
             raise ConfigurationError("min_duration_s must be positive")
-        if self.envelope_window_s <= 0:
-            raise ConfigurationError("envelope_window_s must be positive")
         if not 0.0 < self.drop_fraction < 1.0:
             raise ConfigurationError("drop_fraction must be in (0, 1)")
         if self.merge_gap_s < 0:
@@ -126,9 +120,7 @@ def detect_apnea(
     if signal.size < min_samples:
         raise SignalTooShortError(min_samples, signal.size, "apnea input")
 
-    envelope = breathing_envelope(
-        signal, sample_rate_hz, config.envelope_window_s
-    )
+    envelope = breathing_envelope(signal, sample_rate_hz)
     # Reference level: the median envelope over the whole record.  For a
     # mostly-normal record this is the breathing amplitude; if the subject
     # stops breathing for most of the record, everything below threshold is

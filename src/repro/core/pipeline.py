@@ -21,7 +21,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +38,8 @@ from .breathing import (
     MusicBreathingEstimator,
     PeakBreathingEstimator,
 )
-from .calibration import CalibrationConfig, calibrate
-from .dwt_stage import DWTConfig, decompose
+from .calibration import calibrate
+from .dwt_stage import decompose
 from .environment import (
     EnvironmentConfig,
     classify_v,
@@ -49,11 +49,7 @@ from .environment import (
 from .heart import FFTHeartEstimator
 from .phase_difference import wrapped_pair_matrix
 from .results import PhaseBeatResult, PipelineDiagnostics, VitalSignEstimate
-from .subcarrier_selection import (
-    SelectionConfig,
-    amplitude_quality_mask,
-    select_subcarrier,
-)
+from .subcarrier_selection import amplitude_quality_mask, select_subcarrier
 
 __all__ = [
     "PhaseBeatConfig",
@@ -61,6 +57,28 @@ __all__ = [
     "pair_difference_matrix",
     "prepare_calibrated_matrix",
 ]
+
+# The paper defaults of the stages the pipeline calls as objects;
+# calibration, selection and the DWT fall back to their own defaults when
+# called without a config.
+_ENVIRONMENT = EnvironmentConfig()
+_PEAK = PeakBreathingEstimator()
+_FFT = FFTBreathingEstimator()
+_MUSIC = MusicBreathingEstimator()
+_HEART = FFTHeartEstimator()
+
+
+def _antenna_pairs(
+    n_rx: int, use_pair_diversity: bool = True
+) -> list[tuple[int, int]]:
+    """The antenna pairs to draw phase differences from.
+
+    Pair (0, 1) first, then, with diversity on a NIC of three or more
+    chains, pair (1, 2).
+    """
+    if use_pair_diversity and n_rx >= 3:
+        return [(0, 1), (1, 2)]
+    return [(0, 1)]
 
 
 @check_trace()
@@ -111,9 +129,6 @@ def pair_difference_matrix(
 @check_trace()
 def prepare_calibrated_matrix(
     trace: CSITrace,
-    *,
-    antenna_pairs: list[tuple[int, int]] | None = None,
-    calibration: CalibrationConfig | None = None,
 ) -> tuple[FloatArray, BoolArray, float]:
     """Phase-difference extraction + calibration for one or more pairs.
 
@@ -123,73 +138,47 @@ def prepare_calibrated_matrix(
     Extraction and calibration run batched over all pairs' columns at once.
 
     Args:
-        trace: The capture.
-        antenna_pairs: Pairs to stack column-wise; default both adjacent
-            pairs of a 3-chain NIC.
-        calibration: Calibration parameters.
+        trace: The capture.  Its antenna pairs are stacked column-wise,
+            as in :class:`PhaseBeat` (both adjacent pairs of a 3-chain NIC).
 
     Returns:
         ``(matrix, quality, sample_rate_hz)`` -- the stacked calibrated
         series of shape ``(n_samples, 30 * n_pairs)``, the per-column
         eligibility mask, and the post-calibration rate.
     """
-    if antenna_pairs is None:
-        antenna_pairs = [(0, 1)]
-        if trace.n_rx >= 3:
-            antenna_pairs.append((1, 2))
+    antenna_pairs = _antenna_pairs(trace.n_rx)
     needs_reclock = not trace.quality_report().is_uniform
     diff = pair_difference_matrix(
         trace, antenna_pairs, needs_reclock=needs_reclock
     )
-    calibrated = calibrate(diff, trace.sample_rate_hz, calibration)
+    calibrated = calibrate(diff, trace.sample_rate_hz)
     masks = [amplitude_quality_mask(trace, pair) for pair in antenna_pairs]
     return calibrated.series, np.concatenate(masks), calibrated.sample_rate_hz
 
 
 @dataclass(frozen=True)
 class PhaseBeatConfig:
-    """All pipeline parameters in one place (paper defaults).
+    """The pipeline's two switches.
+
+    Every other parameter is the paper default held by its stage's own
+    config or estimator (DESIGN.md, "Key algorithmic parameters", names
+    the holder of each).
 
     Attributes:
-        antenna_pair: RX chains whose phase difference is used.
-        use_pair_diversity: Also derive phase differences from the second
-            adjacent antenna pair and let subcarrier selection choose across
-            both.  A chest reflection can sit at a *null point* of one
-            pair's phase response (the static operating phase makes the
-            breathing fundamental vanish, leaving only its second
+        use_pair_diversity: Derive phase differences from pair (0, 1) and,
+            on a 3-chain NIC, pair (1, 2), and let subcarrier selection
+            choose across both.  A chest reflection can sit at a *null
+            point* of one pair's phase response (the static operating phase
+            makes the breathing fundamental vanish, leaving only its second
             harmonic); the other pair, a half-wavelength away, almost never
             nulls simultaneously.  The paper's hardware exposes all three
             chains; using two pairs is free diversity.
-        environment: Environment-detection parameters.
-        calibration: Calibration (Hampel + downsample) parameters.
-        selection: Subcarrier-selection parameters.
-        dwt: DWT-stage parameters.
-        peak_estimator: Single-person breathing estimator.
-        music_estimator: Multi-person breathing estimator.
-        fft_estimator: FFT breathing estimator (used when explicitly
-            requested via ``breathing_method="fft"``).
-        heart_estimator: Heart-rate estimator.
         enforce_stationarity: Raise :class:`NotStationaryError` when the
             segment fails environment detection; when False the pipeline
             estimates anyway (used by sweeps that control the scene).
     """
 
-    antenna_pair: tuple[int, int] = (0, 1)
     use_pair_diversity: bool = True
-    environment: EnvironmentConfig = field(default_factory=EnvironmentConfig)
-    calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-    dwt: DWTConfig = field(default_factory=DWTConfig)
-    peak_estimator: PeakBreathingEstimator = field(
-        default_factory=PeakBreathingEstimator
-    )
-    music_estimator: MusicBreathingEstimator = field(
-        default_factory=MusicBreathingEstimator
-    )
-    fft_estimator: FFTBreathingEstimator = field(
-        default_factory=FFTBreathingEstimator
-    )
-    heart_estimator: FFTHeartEstimator = field(default_factory=FFTHeartEstimator)
     enforce_stationarity: bool = True
 
 
@@ -246,7 +235,7 @@ class PhaseBeat:
         """
         cfg = self.config
         obs = self._obs
-        pairs = self._antenna_pairs(trace.n_rx)
+        pairs = _antenna_pairs(trace.n_rx, cfg.use_pair_diversity)
         quality_report = trace.quality_report()
         needs_reclock = not quality_report.is_uniform
         n_sub = trace.n_subcarriers
@@ -270,9 +259,9 @@ class PhaseBeat:
         # the multi-person stages then draw on the diversity of both
         # baselines.
         with obs.stage("calibration"):
-            calibrated = calibrate(diff, trace.sample_rate_hz, cfg.calibration)
+            calibrated = calibrate(diff, trace.sample_rate_hz)
             quality = np.concatenate(
-                [self._subcarrier_quality_mask(trace, pair) for pair in pairs]
+                [amplitude_quality_mask(trace, pair) for pair in pairs]
             )
         return self.estimate_from_matrix(
             calibrated.series,
@@ -317,21 +306,20 @@ class PhaseBeat:
             ``(v, state)`` — the deciding V statistic (the max windowed V
             when escalated) and the activity classification.
         """
-        cfg = self.config
         v = v_statistic(diff)
-        state = classify_v(v, cfg.environment)
+        state = classify_v(v, _ENVIRONMENT)
         if state is not ActivityState.SITTING:
             return v, state
-        window = int(round(cfg.environment.window_s * sample_rate_hz))
+        window = int(round(_ENVIRONMENT.window_s * sample_rate_hz))
         if diff.shape[0] >= 2 * window:
             _, windowed = windowed_v(
                 diff,
                 sample_rate_hz,
-                cfg.environment,
+                _ENVIRONMENT,
                 memo=v_memo,
                 first_row=first_row,
             )
-            if windowed.max() > cfg.environment.stationary_band[1]:
+            if windowed.max() > _ENVIRONMENT.stationary_band[1]:
                 return float(windowed.max()), ActivityState.WALKING
         return v, ActivityState.SITTING
 
@@ -378,14 +366,13 @@ class PhaseBeat:
         Returns:
             :class:`PhaseBeatResult`.
         """
-        cfg = self.config
         obs = self._obs
         with obs.stage("subcarrier_selection"):
-            selection = select_subcarrier(matrix, cfg.selection, mask=quality)
+            selection = select_subcarrier(matrix, mask=quality)
         selected_series = matrix[:, selection.selected]
         selected_pair = antenna_pairs[selection.selected // n_subcarriers]
         with obs.stage("dwt"):
-            bands = decompose(selected_series, sample_rate_hz, cfg.dwt)
+            bands = decompose(selected_series, sample_rate_hz)
 
         eligible = matrix[:, quality] if quality.any() else matrix
         method = breathing_method or ("peak" if n_persons == 1 else "music")
@@ -406,7 +393,7 @@ class PhaseBeat:
                 )
                 if heart_signal is None:
                     heart_signal = bands.heart
-                rate = cfg.heart_estimator.estimate_bpm(
+                rate = _HEART.estimate_bpm(
                     heart_signal,
                     bands.sample_rate_hz,
                     breathing_rate_hz=f_breath,
@@ -442,22 +429,6 @@ class PhaseBeat:
             heart_signal=heart_signal,
         )
 
-    def _antenna_pairs(self, n_rx: int) -> list[tuple[int, int]]:
-        """The antenna pairs to draw phase differences from.
-
-        The configured pair first, then (with diversity enabled on a ≥3
-        chain NIC) the first other adjacent pair.
-        """
-        cfg = self.config
-        pairs = [cfg.antenna_pair]
-        if cfg.use_pair_diversity:
-            configured = tuple(sorted(cfg.antenna_pair))
-            for x in range(n_rx - 1):
-                if (x, x + 1) != configured:
-                    pairs.append((x, x + 1))
-                    break
-        return pairs
-
     def _best_heart_signal(
         self,
         stacked: FloatArray,
@@ -479,7 +450,6 @@ class PhaseBeat:
         """
         from ..dsp.fft_utils import band_mask, magnitude_spectrum
 
-        cfg = self.config
         eligible = np.flatnonzero(quality) if quality.any() else np.arange(
             stacked.shape[1]
         )
@@ -500,26 +470,18 @@ class PhaseBeat:
         # replace a per-candidate decompose/spectrum loop.
         try:
             candidates = decompose(
-                np.column_stack(cleansed_columns), sample_rate_hz, cfg.dwt
+                np.column_stack(cleansed_columns), sample_rate_hz
             ).heart
         except SignalTooShortError:
             return None
         freqs, mags = magnitude_spectrum(candidates, sample_rate_hz)
-        mask = band_mask(freqs, cfg.heart_estimator.band_hz)
+        mask = band_mask(freqs, _HEART.band_hz)
         if not mask.any():
             return None
         in_band = mags[mask]
         floors = np.maximum(np.median(in_band, axis=0), 1e-12)
         best = int(np.argmax(in_band.max(axis=0) / floors))
         return candidates[:, best]
-
-    def _subcarrier_quality_mask(
-        self, trace: CSITrace, pair: tuple[int, int] | None = None
-    ) -> BoolArray:
-        """Per-pair eligibility mask (see :func:`amplitude_quality_mask`)."""
-        return amplitude_quality_mask(
-            trace, pair if pair is not None else self.config.antenna_pair
-        )
 
     def _estimate_breathing(
         self,
@@ -530,12 +492,11 @@ class PhaseBeat:
         sample_rate_hz: float,
         n_persons: int,
     ) -> tuple[VitalSignEstimate, ...]:
-        cfg = self.config
         if method == "peak":
-            rate = cfg.peak_estimator.estimate_bpm(breathing_band, sample_rate_hz)
+            rate = _PEAK.estimate_bpm(breathing_band, sample_rate_hz)
             return (VitalSignEstimate(rate_bpm=rate, method="peak"),)
         if method == "fft":
-            rates = cfg.fft_estimator.estimate_bpm(
+            rates = _FFT.estimate_bpm(
                 breathing_band if n_persons == 1 else calibrated_matrix,
                 sample_rate_hz,
                 n_persons,
@@ -544,7 +505,7 @@ class PhaseBeat:
                 VitalSignEstimate(rate_bpm=float(r), method="fft") for r in rates
             )
         if method == "music":
-            rates = cfg.music_estimator.estimate_bpm(
+            rates = _MUSIC.estimate_bpm(
                 calibrated_matrix, sample_rate_hz, n_persons
             )
             return tuple(
@@ -552,7 +513,7 @@ class PhaseBeat:
                 for r in rates
             )
         if method == "music-single":
-            rates = cfg.music_estimator.estimate_bpm(
+            rates = _MUSIC.estimate_bpm(
                 selected_series, sample_rate_hz, n_persons
             )
             return tuple(

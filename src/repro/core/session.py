@@ -71,7 +71,6 @@ class SessionReport:
 def analyze_session(
     trace: CSITrace,
     *,
-    pipeline_config: PhaseBeatConfig | None = None,
     window_s: float = 30.0,
     hop_s: float = 10.0,
     estimate_heart: bool = False,
@@ -81,9 +80,6 @@ def analyze_session(
 
     Args:
         trace: The session capture (≥ 2 × ``window_s`` recommended).
-        pipeline_config: Pipeline parameters; defaults to paper settings
-            with stationarity enforcement off (the report itself carries
-            the usability figures).
         window_s: Sliding analysis window for the rate trend.
         hop_s: Trend resolution.
         estimate_heart: Also estimate the session heart rate.
@@ -100,13 +96,14 @@ def analyze_session(
             f"session of {trace.duration_s:.1f}s is shorter than one "
             f"{window_s:.0f}s analysis window"
         )
-    if pipeline_config is None:
-        pipeline_config = PhaseBeatConfig(enforce_stationarity=False)
+    # Stationarity is not enforced: the report itself carries the
+    # usability figures.
+    pipeline_config = PhaseBeatConfig(enforce_stationarity=False)
     pipeline = PhaseBeat(pipeline_config)
 
     # Usability: windowed environment detection over the whole session.
-    detector = EnvironmentDetector(pipeline_config.environment)
-    diff = phase_difference(trace, pipeline_config.antenna_pair)
+    detector = EnvironmentDetector()
+    diff = phase_difference(trace)
     stationary_fraction = detector.stationary_fraction(
         diff, trace.sample_rate_hz
     )

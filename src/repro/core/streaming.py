@@ -58,7 +58,8 @@ from ..io_.quality import TraceQualityReport, assess_timestamps
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..physio.motion import ActivityState
-from .pipeline import PhaseBeat, PhaseBeatConfig
+from .calibration import CalibrationConfig
+from .pipeline import PhaseBeat, PhaseBeatConfig, _antenna_pairs
 from .phase_difference import wrapped_pair_matrix
 from .results import PhaseBeatResult
 from .subcarrier_selection import amplitude_mask_from_mean
@@ -220,7 +221,7 @@ class StreamingMonitor:
         # engine rebuilt from it alone reproduces the running engine's
         # values bitwise inside the analysis window (see
         # StreamingCalibrator.rebuild_context_samples).
-        calibration = self._pipeline.config.calibration
+        calibration = CalibrationConfig()
         self._incremental = bool(self.config.incremental)
         self._decimation = calibration.decimation_factor(self.sample_rate_hz)
         try:
@@ -681,7 +682,9 @@ class StreamingMonitor:
         pipeline_cfg = self._pipeline.config
         n_sub = self._packet_shape[1]
         if self._pairs is None:
-            self._pairs = self._pipeline._antenna_pairs(self._packet_shape[0])
+            self._pairs = _antenna_pairs(
+                self._packet_shape[0], pipeline_cfg.use_pair_diversity
+            )
         with self._obs.stage("incremental_advance", component="monitor"):
             engine = self._engine
             if engine is None:
@@ -750,7 +753,7 @@ class StreamingMonitor:
         makes checkpoints restore-safe: the restored monitor rebuilds here
         and lands on the exact caches of the engine it replaces.
         """
-        calibration = self._pipeline.config.calibration
+        calibration = CalibrationConfig()
         engine = StreamingCalibrator(
             self.sample_rate_hz,
             len(self._pairs) * n_subcarriers,

@@ -88,15 +88,15 @@ def _principal_component_series(ratio: ComplexArray) -> FloatArray:
 class CsiRatioConfig:
     """CSI-ratio estimator parameters.
 
+    The ratio is formed over chains (0, 1).
+
     Attributes:
-        antenna_pair: Chains forming the ratio.
         trend_window_s: Hampel detrend window (as in the paper pipeline).
         noise_window_s: Hampel denoise window.
         target_rate_hz: Processing rate after decimation.
         band_hz: Breathing search band.
     """
 
-    antenna_pair: tuple[int, int] = (0, 1)
     trend_window_s: float = 5.0
     noise_window_s: float = 0.125
     target_rate_hz: float = 20.0
@@ -128,7 +128,7 @@ class CsiRatioEstimator:
         is selected.
         """
         cfg = self.config
-        ratio = csi_ratio_series(trace, cfg.antenna_pair)
+        ratio = csi_ratio_series(trace)
         factor = max(1, int(round(trace.sample_rate_hz / cfg.target_rate_hz)))
         rate = downsampled_rate(trace.sample_rate_hz, factor)
 

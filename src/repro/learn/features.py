@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import BoolArray, FloatArray, check_matrix, check_trace
-from ..core.calibration import CalibrationConfig
 from ..core.pipeline import prepare_calibrated_matrix
 from ..dsp.fft_utils import band_mask, magnitude_spectrum
 from ..errors import ConfigurationError, EstimationError
@@ -65,6 +64,11 @@ FEATURE_NAMES: tuple[str, ...] = (
     "window_rate_hz",
 )
 
+# Minimum FFT length (see _nfft_for).
+_NFFT_MIN = 1024
+# Sliding-RMS window of the breathing envelope.
+_ENVELOPE_WINDOW_S = 4.0
+
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -72,27 +76,20 @@ class FeatureConfig:
 
     Attributes:
         breathing_band_hz: Search band for the breathing fundamental.
-        nfft_min: Minimum FFT length (windows are zero-padded up to at
-            least this, and to the next power of two above the window).
         min_samples: Minimum calibrated samples per window; shorter
             windows raise :class:`~repro.errors.EstimationError` so the
             serving rung degrades instead of guessing.
         min_eligible_fraction: Minimum fraction of quality-eligible
             subcarrier columns; below it the window counts as too
             degraded to featurize.
-        envelope_window_s: Sliding-RMS window for the breathing envelope.
         quiet_threshold_fraction: Envelope fraction of its median below
             which a sample counts as "quiet" (apnea cue).
-        calibration: Calibration parameters for the trace front half.
     """
 
     breathing_band_hz: tuple[float, float] = (0.1, 0.7)
-    nfft_min: int = 1024
     min_samples: int = 64
     min_eligible_fraction: float = 0.05
-    envelope_window_s: float = 4.0
     quiet_threshold_fraction: float = 0.3
-    calibration: CalibrationConfig | None = None
 
     def __post_init__(self) -> None:
         lo, hi = self.breathing_band_hz
@@ -101,25 +98,21 @@ class FeatureConfig:
                 f"breathing_band_hz must satisfy 0 < lo < hi, got "
                 f"{self.breathing_band_hz}"
             )
-        if self.nfft_min < 8:
-            raise ConfigurationError("nfft_min must be >= 8")
         if self.min_samples < 8:
             raise ConfigurationError("min_samples must be >= 8")
         if not 0.0 <= self.min_eligible_fraction <= 1.0:
             raise ConfigurationError(
                 "min_eligible_fraction must be in [0, 1]"
             )
-        if self.envelope_window_s <= 0:
-            raise ConfigurationError("envelope_window_s must be positive")
         if not 0.0 < self.quiet_threshold_fraction < 1.0:
             raise ConfigurationError(
                 "quiet_threshold_fraction must be in (0, 1)"
             )
 
 
-def _nfft_for(n_samples: int, nfft_min: int) -> int:
-    """FFT length: next power of two >= both the window and ``nfft_min``."""
-    n = max(int(nfft_min), int(n_samples))
+def _nfft_for(n_samples: int) -> int:
+    """FFT length: next power of two >= both the window and ``_NFFT_MIN``."""
+    n = max(_NFFT_MIN, int(n_samples))
     return 1 << (n - 1).bit_length()
 
 
@@ -239,7 +232,7 @@ def matrix_features(
         )
 
     columns = matrix[:, eligible]
-    nfft = _nfft_for(n_samples, cfg.nfft_min)
+    nfft = _nfft_for(n_samples)
     freqs, mags = magnitude_spectrum(columns, sample_rate_hz, nfft=nfft)
     in_band = band_mask(freqs, cfg.breathing_band_hz)
     if not in_band.any():
@@ -318,7 +311,7 @@ def matrix_features(
 
     envelope = _moving_rms(
         pooled_series - pooled_series.mean(),
-        int(round(cfg.envelope_window_s * sample_rate_hz)),
+        int(round(_ENVELOPE_WINDOW_S * sample_rate_hz)),
     )
     envelope_median = float(np.median(envelope))
     envelope_min_ratio = float(
@@ -376,7 +369,5 @@ def window_features(
         A 1-D float vector aligned with :data:`FEATURE_NAMES`.
     """
     cfg = config if config is not None else FeatureConfig()
-    matrix, quality, rate_hz = prepare_calibrated_matrix(
-        trace, calibration=cfg.calibration
-    )
+    matrix, quality, rate_hz = prepare_calibrated_matrix(trace)
     return matrix_features(matrix, rate_hz, quality=quality, config=cfg)

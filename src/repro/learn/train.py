@@ -402,9 +402,7 @@ def corpus_from_store(
         reader = TraceReader(backend, stem, instrumentation=instrumentation)
         trace, _ = reader.read_trace()
         truth_bpm = float(trace.meta["breathing_rates_bpm"][0])
-        matrix, quality, rate_hz = prepare_calibrated_matrix(
-            trace, calibration=cfg.calibration
-        )
+        matrix, quality, rate_hz = prepare_calibrated_matrix(trace)
         window_samples = int(round(window_duration_s * rate_hz))
         hop_samples = max(1, int(round(hop_s * rate_hz)))
         n_samples = matrix.shape[0]

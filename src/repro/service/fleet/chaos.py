@@ -14,7 +14,8 @@ that only exist at fleet scale:
   simultaneously (a shared capture appliance dying);
 * ``recorder-crash`` — the recording taps on N sessions die mid-write
   (optionally tearing the bytes they had in flight) and are restarted,
-  resuming in a fresh segment while the torn one is left for salvage.
+  resuming in a fresh segment while the torn one is left for salvage;
+  each crashed tap records one ``recorder-crash`` event.
 
 :func:`run_fleet_chaos` runs a seeded fleet under one scenario and checks
 three invariants in :meth:`FleetChaosReport.violations`:
@@ -510,12 +511,19 @@ class _FleetRecorders:
 
     def crash_and_resume(
         self, targets: tuple[str, ...], torn_tail_bytes: int
-    ) -> None:
-        """Fire one recorder-crash fault at every targeted tap."""
+    ) -> list[str]:
+        """Fire one recorder-crash fault at every targeted tap.
+
+        Returns:
+            The ids of the sessions whose tap crashed, in target order.
+        """
+        crashed = []
         for sid in targets:
             tap = self._taps.get(sid)
             if tap is not None:
                 tap.crash_and_resume(torn_tail_bytes=torn_tail_bytes)
+                crashed.append(sid)
+        return crashed
 
     def finalize(self) -> dict[str, Any]:
         """Close every tap and digest every store, by session id."""
@@ -603,9 +611,15 @@ def _fault_firer(
                 )
             elif fault.kind == "recorder-crash":
                 if recorders is not None:
-                    recorders.crash_and_resume(
+                    for sid in recorders.crash_and_resume(
                         targets, fault.torn_tail_bytes
-                    )
+                    ):
+                        gateway.events.record(
+                            gateway.clock.now_s,
+                            sid,
+                            "recorder-crash",
+                            torn_tail_bytes=fault.torn_tail_bytes,
+                        )
             else:
                 gateway.set_source_loss(targets, until_s=fault.end_s)
 

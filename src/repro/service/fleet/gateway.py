@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable
 
-from ...core.pipeline import PhaseBeatConfig
 from ...core.streaming import StreamingConfig
 from ...errors import (
     ConfigurationError,
@@ -141,7 +140,6 @@ class FleetGateway:
         config: Fleet parameters (ceilings, watermarks, budgets).
         supervisor_config: Supervision parameters for every session.
         streaming_config: Monitor parameters for every session.
-        pipeline_config: Pipeline parameters for every session.
         events: Shared event log; a fresh one when omitted.
         seed: Master seed; each session derives a stable child seed from
             its id, so the same session is bit-identical in any fleet.
@@ -157,7 +155,6 @@ class FleetGateway:
         config: FleetConfig | None = None,
         supervisor_config: SupervisorConfig | None = None,
         streaming_config: StreamingConfig | None = None,
-        pipeline_config: PhaseBeatConfig | None = None,
         events: EventLog | None = None,
         seed: int = 0,
         instrumentation: Instrumentation | None = None,
@@ -174,7 +171,6 @@ class FleetGateway:
             if streaming_config is not None
             else StreamingConfig()
         )
-        self.pipeline_config = pipeline_config
         self.events = events if events is not None else EventLog()
         self._seed = int(seed)
         self._obs = (
@@ -252,7 +248,6 @@ class FleetGateway:
             clock=self.clock,
             config=self.supervisor_config,
             streaming_config=self.streaming_config,
-            pipeline_config=self.pipeline_config,
             events=self.events,
             seed=self._seed + self._session_seed(session_id),
         )

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from ..baselines.amplitude import AmplitudeMethod
-from ..core.pipeline import PhaseBeatConfig
 from ..core.streaming import (
     StreamingConfig,
     StreamingEstimate,
@@ -219,7 +218,6 @@ class MonitorSupervisor:
         clock: Simulated clock; a fresh one when omitted.
         config: Supervision parameters.
         streaming_config: Monitor parameters.
-        pipeline_config: Underlying pipeline parameters.
         events: Event log to record into; a fresh one when omitted.
         seed: Seed for the source's retry jitter.
         instrumentation: Optional :class:`repro.obs.Instrumentation`,
@@ -238,7 +236,6 @@ class MonitorSupervisor:
         clock: SimulatedClock | None = None,
         config: SupervisorConfig | None = None,
         streaming_config: StreamingConfig | None = None,
-        pipeline_config: PhaseBeatConfig | None = None,
         events: EventLog | None = None,
         seed: int = 0,
         instrumentation: Instrumentation | None = None,
@@ -249,7 +246,6 @@ class MonitorSupervisor:
         self.streaming_config = (
             streaming_config if streaming_config is not None else StreamingConfig()
         )
-        self.pipeline_config = pipeline_config
         self.events = events if events is not None else EventLog()
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
@@ -337,7 +333,6 @@ class MonitorSupervisor:
         self._monitor = StreamingMonitor(
             sample_rate_hz,
             self.streaming_config,
-            self.pipeline_config,
             instrumentation=self._obs,
         )
         self._interval_s = 1.0 / float(sample_rate_hz)
@@ -612,7 +607,6 @@ class MonitorSupervisor:
         monitor = StreamingMonitor(
             self._monitor.sample_rate_hz,
             self.streaming_config,
-            self.pipeline_config,
             instrumentation=self._obs,
         )
         restored = False

@@ -8,8 +8,7 @@ The storage layer the service records through and backtests from:
   segment rotation and explicit durability boundaries;
 * :mod:`~repro.store.reader` — salvaging :class:`TraceReader` that
   recovers every intact record from torn files and reports the rest;
-* :mod:`~repro.store.faults` — seeded storage fault injection (torn
-  writes, bit flips, short reads);
+* :mod:`~repro.store.faults` — torn-write fault injection;
 * :mod:`~repro.store.replay` — :class:`ReplayPacketSource` driving the
   service at N× real time from a recorded store;
 * :mod:`~repro.store.tap` — :class:`RecordingTap` wrapping any packet
@@ -19,7 +18,7 @@ The storage layer the service records through and backtests from:
 """
 
 from .backend import DirectoryBackend, MemoryBackend, StorageBackend
-from .faults import FaultyBackend, FaultyFile, TornWriteFile
+from .faults import TornWriteFile
 from .format import SegmentHeader
 from .reader import SalvageIssue, SalvageReport, TraceReader, scan_segment
 from .replay import ReplayPacketSource
@@ -37,8 +36,6 @@ __all__ = [
     "SalvageReport",
     "scan_segment",
     "TornWriteFile",
-    "FaultyFile",
-    "FaultyBackend",
     "ReplayPacketSource",
     "RecordingTap",
     "store_digest",

@@ -1,62 +1,19 @@
 """Seeded storage fault injection — the disk analogue of ``FlakySourceAdapter``.
 
-Wraps a :class:`~repro.store.backend.StorageBackend` (or a single append
-handle) and injects the failure modes real storage exhibits:
-
-* **torn writes** — the process "crashes" partway through a ``write``
-  call, persisting only a prefix of the requested bytes
-  (:class:`TornWriteFile`, raising
-  :class:`~repro.errors.TornWriteError`);
-* **bit flips** — stored bytes silently corrupted at seeded offsets;
-* **short reads / premature EOF** — reads return fewer bytes than the
-  file holds, modelling a file cut off mid-copy.
-
-Everything is driven by a seeded ``numpy`` Generator or by explicit
-byte offsets, so every fault sequence is reproducible — the same
-requirement the chaos harness imposes on source faults.
+:class:`TornWriteFile` wraps a single append handle and models the torn
+write real storage exhibits: the process "crashes" partway through a
+``write`` call, persisting only a prefix of the requested bytes and raising
+:class:`~repro.errors.TornWriteError`.  The crash point is an explicit byte
+budget, so every fault sequence is reproducible — the same requirement the
+chaos harness imposes on source faults.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import TornWriteError, TraceStoreError
-from .backend import AppendHandle, StorageBackend
+from .backend import AppendHandle
 
-__all__ = [
-    "TornWriteFile",
-    "FaultyFile",
-    "FaultyBackend",
-    "flip_bit",
-    "truncate_at",
-]
-
-
-def flip_bit(data: bytes, offset: int, bit: int = 0) -> bytes:
-    """Return ``data`` with one bit flipped at ``offset``.
-
-    Args:
-        data: Original bytes (not modified).
-        offset: Byte offset to corrupt; must be in range.
-        bit: Which bit (0–7) to flip within that byte.
-
-    Raises:
-        TraceStoreError: ``offset`` or ``bit`` is out of range.
-    """
-    if not 0 <= offset < len(data):
-        raise TraceStoreError(
-            f"flip offset {offset} outside buffer of {len(data)} bytes"
-        )
-    if not 0 <= bit <= 7:
-        raise TraceStoreError(f"bit index must be 0..7, got {bit}")
-    corrupted = bytearray(data)
-    corrupted[offset] ^= 1 << bit
-    return bytes(corrupted)
-
-
-def truncate_at(data: bytes, length: int) -> bytes:
-    """Return the first ``length`` bytes of ``data`` (premature EOF)."""
-    return data[: max(0, int(length))]
+__all__ = ["TornWriteFile"]
 
 
 class TornWriteFile:
@@ -122,138 +79,3 @@ class TornWriteFile:
     def close(self) -> None:
         """Close the inner handle (always allowed, even post-crash)."""
         self._inner.close()
-
-
-class FaultyFile:
-    """Append handle with seeded per-call fault probabilities.
-
-    Args:
-        inner: The real handle.
-        rng: Seeded generator driving every fault decision.
-        torn_write_probability: Chance a given ``write`` call is torn at
-            a uniform random prefix length.
-        bit_flip_probability: Chance a given ``write`` call has one bit
-            of its payload flipped (silent corruption — the call
-            "succeeds").
-    """
-
-    def __init__(
-        self,
-        inner: AppendHandle,
-        rng: np.random.Generator,
-        torn_write_probability: float = 0.0,
-        bit_flip_probability: float = 0.0,
-    ):
-        for name, p in (
-            ("torn_write_probability", torn_write_probability),
-            ("bit_flip_probability", bit_flip_probability),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise TraceStoreError(f"{name} must be in [0, 1], got {p}")
-        self._inner = inner
-        self._rng = rng
-        self._p_torn = float(torn_write_probability)
-        self._p_flip = float(bit_flip_probability)
-        self._crashed = False
-
-    def write(self, data: bytes) -> int:
-        """Append with seeded chances of silent bit flip or torn write."""
-        if self._crashed:
-            raise TornWriteError(0)
-        if data and self._p_flip > 0 and self._rng.random() < self._p_flip:
-            offset = int(self._rng.integers(0, len(data)))
-            bit = int(self._rng.integers(0, 8))
-            data = flip_bit(data, offset, bit)
-        if data and self._p_torn > 0 and self._rng.random() < self._p_torn:
-            self._crashed = True
-            keep = int(self._rng.integers(0, len(data)))
-            persisted = self._inner.write(data[:keep]) if keep else 0
-            self._inner.flush()
-            raise TornWriteError(persisted)
-        return self._inner.write(data)
-
-    def flush(self) -> None:
-        """Flush the inner handle; fails if a torn write already fired."""
-        if self._crashed:
-            raise TornWriteError(0)
-        self._inner.flush()
-
-    def close(self) -> None:
-        """Close the inner handle."""
-        self._inner.close()
-
-
-class FaultyBackend:
-    """Backend wrapper injecting storage faults on append and read paths.
-
-    Write-side faults are delegated to :class:`FaultyFile` per opened
-    handle.  Read-side faults model a damaged medium: seeded bit flips
-    in returned content and short reads (premature EOF).  The underlying
-    stored bytes are never modified by read faults — re-reading after
-    the fault budget is exhausted returns pristine data, like retrying
-    a flaky bus.
-
-    Args:
-        inner: The real backend.
-        rng: Seeded generator driving all fault decisions.
-        torn_write_probability: Per-``write`` tear chance.
-        bit_flip_probability: Per-``write`` silent-corruption chance.
-        read_flip_probability: Per-``read_bytes`` chance of one flipped
-            bit in the returned copy.
-        short_read_probability: Per-``read_bytes`` chance the returned
-            copy is cut at a uniform random length.
-    """
-
-    def __init__(
-        self,
-        inner: StorageBackend,
-        rng: np.random.Generator,
-        torn_write_probability: float = 0.0,
-        bit_flip_probability: float = 0.0,
-        read_flip_probability: float = 0.0,
-        short_read_probability: float = 0.0,
-    ):
-        for name, p in (
-            ("read_flip_probability", read_flip_probability),
-            ("short_read_probability", short_read_probability),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise TraceStoreError(f"{name} must be in [0, 1], got {p}")
-        self._inner = inner
-        self._rng = rng
-        self._p_torn = float(torn_write_probability)
-        self._p_flip = float(bit_flip_probability)
-        self._p_read_flip = float(read_flip_probability)
-        self._p_short = float(short_read_probability)
-
-    def open_append(self, name: str) -> AppendHandle:
-        """Open for append through a :class:`FaultyFile` wrapper."""
-        return FaultyFile(
-            self._inner.open_append(name),
-            self._rng,
-            torn_write_probability=self._p_torn,
-            bit_flip_probability=self._p_flip,
-        )
-
-    def read_bytes(self, name: str) -> bytes:
-        """Read with seeded chances of a flipped bit or a short read."""
-        data = self._inner.read_bytes(name)
-        if data and self._p_read_flip > 0 and self._rng.random() < self._p_read_flip:
-            offset = int(self._rng.integers(0, len(data)))
-            bit = int(self._rng.integers(0, 8))
-            data = flip_bit(data, offset, bit)
-        if data and self._p_short > 0 and self._rng.random() < self._p_short:
-            data = truncate_at(data, int(self._rng.integers(0, len(data))))
-        return data
-
-    def replace_bytes(self, name: str, data: bytes) -> None:
-        """Pass through — index replaces are atomic by contract."""
-        self._inner.replace_bytes(name, data)
-
-    def exists(self, name: str) -> bool:
-        """Pass through."""
-        return self._inner.exists(name)
-
-    def list_names(self) -> list[str]:
-        """Pass through (already sorted by the inner backend)."""
-        return self._inner.list_names()

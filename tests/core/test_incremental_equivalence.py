@@ -26,7 +26,7 @@ from scipy.ndimage import median_filter
 from repro import capture_trace, laboratory_scenario
 from repro.core.calibration import CalibrationConfig, calibrate
 from repro.core.dwt_stage import DWTConfig, decompose
-from repro.core.environment import v_statistic
+from repro.core.environment import EnvironmentConfig, v_statistic
 from repro.core.phase_difference import phase_difference, wrapped_pair_matrix
 from repro.core.pipeline import PhaseBeat, pair_difference_matrix
 from repro.core.streaming import StreamingConfig, StreamingMonitor
@@ -85,7 +85,7 @@ class TestEngineMatchesFromScratch:
         # exceeds the pre-window surplus), so the buffer still holds every
         # packet and a from-scratch pass over it is directly comparable.
         assert len(monitor._buffer) == short_lab_trace.n_packets
-        calibration = monitor._pipeline.config.calibration
+        calibration = CalibrationConfig()
         # The engine advances at emit time, so it covers the buffer up to
         # the last emitted window; packets pushed after that final hop are
         # buffered but not yet calibrated.
@@ -408,7 +408,7 @@ class TestSubwindowVMemo:
             assert np.float64(v).view(np.uint64) == np.float64(v_plain).view(
                 np.uint64
             )
-            window = int(round(self.config.environment.window_s * rate))
+            window = int(round(EnvironmentConfig().window_s * rate))
             for key, value in v_memo.items():
                 start = key - first_row
                 assert 0 <= start <= diff.shape[0] - window

@@ -87,7 +87,7 @@ class TestEstimator:
         byte for byte."""
         trace = request.getfixturevalue(fixture)
         cfg = CsiRatioConfig()
-        ratio = csi_ratio_series(trace, cfg.antenna_pair)
+        ratio = csi_ratio_series(trace)
         factor = int(round(trace.sample_rate_hz / cfg.target_rate_hz))
         noise = max(3, int(round(cfg.noise_window_s * trace.sample_rate_hz)))
         trend = max(5, int(round(cfg.trend_window_s * trace.sample_rate_hz)))

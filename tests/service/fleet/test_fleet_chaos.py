@@ -195,3 +195,20 @@ class TestEndToEnd:
         # Recordings ride in the JSON report, so sanitize byte-compares them.
         payload = report.to_jsonable()
         assert set(payload["recordings"]) == set(report.recordings)
+
+    def test_recorder_crash_is_in_the_event_log(self):
+        report = run_fleet_chaos(
+            FLEET_SCENARIOS["record-crash-resume"],
+            n_sessions=4,
+            duration_s=24.0,
+            seed=0,
+            trace_pool_size=2,
+        )
+        crashes = [e for e in report.events if e.kind == "recorder-crash"]
+        # One event per crashed session: three at 5 s, then two at 9 s.
+        ids = report.faulted_ids
+        assert [(e.subject, e.detail) for e in crashes] == [
+            (sid, {"torn_tail_bytes": 96}) for sid in ids[:3]
+        ] + [(sid, {"torn_tail_bytes": 17}) for sid in ids[:2]]
+        assert [e.time_s >= 9.0 for e in crashes] == [False] * 3 + [True] * 2
+        assert all(e.time_s >= 5.0 for e in crashes)

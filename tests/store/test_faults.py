@@ -1,34 +1,11 @@
-"""Unit tests for seeded storage fault injection."""
+"""Unit tests for torn-write storage fault injection."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import TornWriteError, TraceStoreError
-from repro.store import FaultyBackend, FaultyFile, MemoryBackend, TornWriteFile
-from repro.store.faults import flip_bit, truncate_at
-
-
-class TestPrimitives:
-    def test_flip_bit_flips_exactly_one_bit(self):
-        data = b"\x00\x00\x00"
-        flipped = flip_bit(data, 1, 3)
-        assert flipped == b"\x00\x08\x00"
-        # Involution: flipping twice restores the original.
-        assert flip_bit(flipped, 1, 3) == data
-
-    def test_flip_bit_range_checks(self):
-        with pytest.raises(TraceStoreError, match="outside buffer"):
-            flip_bit(b"ab", 2, 0)
-        with pytest.raises(TraceStoreError, match="bit index"):
-            flip_bit(b"ab", 0, 8)
-
-    def test_truncate_at(self):
-        assert truncate_at(b"abcdef", 2) == b"ab"
-        assert truncate_at(b"abcdef", 0) == b""
-        assert truncate_at(b"abcdef", -3) == b""
-        assert truncate_at(b"abcdef", 99) == b"abcdef"
+from repro.store import MemoryBackend, TornWriteFile
 
 
 class TestTornWriteFile:
@@ -66,84 +43,3 @@ class TestTornWriteFile:
     def test_negative_budget_rejected(self):
         with pytest.raises(TraceStoreError, match=">= 0"):
             TornWriteFile(MemoryBackend().open_append("a"), -1)
-
-
-class TestFaultyFile:
-    def test_seeded_faults_are_reproducible(self):
-        def run(seed: int) -> bytes:
-            backend = MemoryBackend()
-            faulty = FaultyFile(
-                backend.open_append("a"),
-                np.random.default_rng(seed),
-                torn_write_probability=0.2,
-                bit_flip_probability=0.3,
-            )
-            for k in range(50):
-                try:
-                    faulty.write(bytes([k]) * 7)
-                except TornWriteError:
-                    break
-            return backend.read_bytes("a")
-
-        assert run(7) == run(7)
-
-    def test_zero_probabilities_are_transparent(self):
-        backend = MemoryBackend()
-        faulty = FaultyFile(
-            backend.open_append("a"), np.random.default_rng(0)
-        )
-        faulty.write(b"clean")
-        faulty.flush()
-        faulty.close()
-        assert backend.read_bytes("a") == b"clean"
-
-    def test_probability_validation(self):
-        with pytest.raises(TraceStoreError, match="torn_write_probability"):
-            FaultyFile(
-                MemoryBackend().open_append("a"),
-                np.random.default_rng(0),
-                torn_write_probability=1.5,
-            )
-
-
-class TestFaultyBackend:
-    def test_read_faults_never_modify_stored_bytes(self):
-        inner = MemoryBackend()
-        handle = inner.open_append("a")
-        handle.write(b"pristine-stored-content")
-        handle.close()
-        faulty = FaultyBackend(
-            inner,
-            np.random.default_rng(1),
-            read_flip_probability=1.0,
-            short_read_probability=1.0,
-        )
-        corrupted = faulty.read_bytes("a")
-        assert corrupted != b"pristine-stored-content"
-        assert inner.read_bytes("a") == b"pristine-stored-content"
-
-    def test_write_path_wraps_with_faulty_file(self):
-        faulty = FaultyBackend(
-            MemoryBackend(),
-            np.random.default_rng(0),
-            torn_write_probability=1.0,
-        )
-        handle = faulty.open_append("a")
-        with pytest.raises(TornWriteError):
-            handle.write(b"doomed-write")
-
-    def test_pass_throughs(self):
-        inner = MemoryBackend()
-        faulty = FaultyBackend(inner, np.random.default_rng(0))
-        faulty.replace_bytes("idx", b"data")
-        assert faulty.exists("idx")
-        assert faulty.list_names() == ["idx"]
-        assert faulty.read_bytes("idx") == b"data"
-
-    def test_probability_validation(self):
-        with pytest.raises(TraceStoreError, match="short_read_probability"):
-            FaultyBackend(
-                MemoryBackend(),
-                np.random.default_rng(0),
-                short_read_probability=-0.1,
-            )

@@ -266,26 +266,6 @@ class TestPL004FloatEquality:
         assert found == []
 
 
-class TestPL005MutableDefaults:
-    def test_fires_on_list_default(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "def f(items=[]):\n    return items\n", select=("PL005",)
-        )
-        assert codes(found) == ["PL005"]
-
-    def test_fires_on_dict_default(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "def f(table={}):\n    return table\n", select=("PL005",)
-        )
-        assert codes(found) == ["PL005"]
-
-    def test_silent_on_none_default(self, tmp_path):
-        found = lint_snippet(
-            tmp_path, "def f(items=None):\n    return items\n", select=("PL005",)
-        )
-        assert found == []
-
-
 class TestPL006PublicApi:
     def test_fires_on_missing_annotations(self, tmp_path):
         found = lint_snippet(
@@ -445,7 +425,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in (
-            "PL001", "PL002", "PL003", "PL004", "PL005", "PL006", "PL007",
+            "PL001", "PL002", "PL003", "PL004", "PL006", "PL007",
             "PL008", "PL009", "PL010", "PL011",
         ):
             assert code in out

@@ -4,7 +4,7 @@ An AST-based linter that encodes the array-pipeline invariants the Python
 type system cannot see.  It runs in two passes: per-file rules
 (``PL001`` … ``PL007``) judge one module at a time — seeded randomness,
 ``NDArray`` typing in public signatures, unit-suffixed frequency/rate
-names, no float equality, no mutable defaults, a fully annotated +
+names, no float equality, a fully annotated +
 documented public API, no blind exception handlers — and cross-module
 determinism rules (``PL008`` … ``PL011``) run dataflow over a project
 symbol table and call graph: unordered iteration feeding ordered sinks,

@@ -23,7 +23,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Domain-aware static analysis for the PhaseBeat reproduction: "
             "seeded randomness, NDArray typing, unit-suffixed names, no "
-            "float equality, no mutable defaults, complete public API, and "
+            "float equality, complete public API, and "
             "cross-module determinism dataflow (unordered iteration, RNG "
             "flow, shared state, float reduction order)."
         ),
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run (e.g. PL001,PL005)",
+        help="comma-separated rule codes to run (e.g. PL001,PL004)",
     )
     parser.add_argument(
         "--baseline",

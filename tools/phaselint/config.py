@@ -33,7 +33,7 @@ class LintConfig:
         rule_paths: Per-rule path prefixes; a rule listed here only runs on
             files under one of its prefixes.  Rules not listed run on every
             linted file.  This is how API-shape rules (PL002/PL003/PL006)
-            stay scoped to ``src`` while hygiene rules (PL001/PL005) patrol
+            stay scoped to ``src`` while the hygiene rule PL001 patrols
             tests and benchmarks too.
         allow_unseeded: fnmatch patterns naming the entry points where
             PL001 permits wall-clock time and unseeded generators (CLIs,

@@ -11,7 +11,6 @@ from .pl001_randomness import UnseededRandomnessRule
 from .pl002_ndarray import BareNdarrayRule
 from .pl003_units import UnitSuffixRule
 from .pl004_floateq import FloatEqualityRule
-from .pl005_mutable_defaults import MutableDefaultRule
 from .pl006_public_api import PublicApiRule
 from .pl007_exceptions import BroadExceptRule
 from .pl008_unordered_iteration import UnorderedIterationRule
@@ -24,7 +23,6 @@ ALL_RULES: tuple[Rule, ...] = (
     BareNdarrayRule(),
     UnitSuffixRule(),
     FloatEqualityRule(),
-    MutableDefaultRule(),
     PublicApiRule(),
     BroadExceptRule(),
 )
@@ -46,7 +44,6 @@ __all__ = [
     "BareNdarrayRule",
     "UnitSuffixRule",
     "FloatEqualityRule",
-    "MutableDefaultRule",
     "PublicApiRule",
     "BroadExceptRule",
     "UnorderedIterationRule",
