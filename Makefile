@@ -3,7 +3,7 @@
 # pipeline.
 PYTHON ?= python
 
-.PHONY: test lint phaselint sanitize typecheck check
+.PHONY: test lint phaselint sanitize typecheck perfbench check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -19,10 +19,18 @@ sanitize:
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode solo --scenario learned-degradation-burst --seed 2
 	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode fleet --scenario record-crash-resume
 
+# The perf job's perfbench steps: the harness's own tests plus a one-second
+# smoke run of each workload (digest and correctness checks, no timing gate).
+perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --workload fleet-record-20hz --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload fleet-400hz --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload solo-lossy --seed 0 --seconds 1 --trace 0
+
 lint: phaselint
 	ruff check src/ tests/ benchmarks/ examples/
 
 typecheck:
 	mypy
 
-check: lint typecheck test
+check: lint typecheck test perfbench

@@ -20,7 +20,6 @@ from .heart import HEART_SEARCH_BAND_HZ, FFTHeartEstimator
 from .phase_difference import phase_difference, raw_phase
 from .pipeline import PhaseBeat, PhaseBeatConfig, prepare_calibrated_matrix
 from .results import PhaseBeatResult, PipelineDiagnostics, VitalSignEstimate
-from .session import SessionReport, analyze_session
 from .streaming import StreamingConfig, StreamingEstimate, StreamingMonitor
 from .waveform import BreathingWaveformStats, analyze_waveform, breath_intervals
 from .subcarrier_selection import (
@@ -53,13 +52,11 @@ __all__ = [
     "PipelineDiagnostics",
     "SelectionConfig",
     "SelectionResult",
-    "SessionReport",
     "StreamingConfig",
     "StreamingEstimate",
     "StreamingMonitor",
     "VitalSignEstimate",
     "amplitude_quality_mask",
-    "analyze_session",
     "analyze_waveform",
     "breath_intervals",
     "breathing_envelope",

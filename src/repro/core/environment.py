@@ -181,11 +181,3 @@ class EnvironmentDetector:
         centers, v = windowed_v(phase_diff, sample_rate_hz, self.config)
         return centers, v, classify_windows(v, self.config)
 
-    def stationary_fraction(
-        self, phase_diff: FloatArray, sample_rate_hz: float
-    ) -> float:
-        """Fraction of windows classified stationary."""
-        _, _, states = self.segment_report(phase_diff, sample_rate_hz)
-        return float(
-            np.mean([state is ActivityState.SITTING for state in states])
-        )

@@ -48,7 +48,7 @@ from ..errors import (
     SignalTooShortError,
     TraceFormatError,
 )
-from ..contracts import ComplexArray, IntArray
+from ..contracts import ComplexArray, FloatArray, IntArray
 from ..dsp.streaming_kernels import (
     RowStore,
     StreamingCalibrator,
@@ -59,20 +59,41 @@ from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..physio.motion import ActivityState
 from .calibration import CalibrationConfig
-from .pipeline import PhaseBeat, PhaseBeatConfig, _antenna_pairs
+from .pipeline import PhaseBeat, _antenna_pairs
 from .phase_difference import wrapped_pair_matrix
 from .results import PhaseBeatResult
 from .subcarrier_selection import amplitude_mask_from_mean
 
-__all__ = ["StreamingConfig", "StreamingEstimate", "StreamingMonitor"]
+__all__ = [
+    "ESTIMATE_HEART",
+    "MAX_GAP_S",
+    "MAX_LOSS_FRACTION",
+    "N_PERSONS",
+    "StreamingConfig",
+    "StreamingEstimate",
+    "StreamingMonitor",
+]
 
 # Checkpoint payload layout version; bumped whenever the monitor's internal
-# state gains/loses fields so stale checkpoints fail loudly on restore.
-_CHECKPOINT_VERSION = 2
+# state or configuration gains/loses fields so stale checkpoints fail loudly
+# on restore.
+_CHECKPOINT_VERSION = 3
 
 # A window with fewer packets than this cannot support calibration + DWT
 # regardless of its nominal span; it is rejected as degraded input.
 _MIN_WINDOW_PACKETS = 16
+
+# Largest inter-packet gap tolerated inside a window; a window containing a
+# longer dropout is rejected "data-gap".
+MAX_GAP_S = 0.5
+
+# Largest tolerable packet loss (effective vs nominal rate) per window;
+# above it the window is rejected "degraded-input".
+MAX_LOSS_FRACTION = 0.25
+
+# The service path resolves one subject per window and no heart rate.
+N_PERSONS = 1
+ESTIMATE_HEART = False
 
 # Per-step timing-anomaly threshold of the incremental path: an interval
 # deviating from nominal by more than this fraction disqualifies the stream
@@ -90,43 +111,20 @@ class StreamingConfig:
     Attributes:
         window_s: Analysis window length (seconds of packets kept).
         hop_s: How often a new estimate is emitted.
-        n_persons: Subjects to resolve per window.
-        estimate_heart: Also estimate heart rate per window.
-        max_gap_s: Largest inter-packet gap tolerated inside a window;
-            windows containing a longer dropout are rejected ``"data-gap"``.
-        max_loss_fraction: Maximum tolerable packet loss (effective vs
-            nominal rate) per window; above it the window is rejected
-            ``"degraded-input"``.
         holdover_s: Staleness budget — how long a rejected window may
             re-emit the last good estimate (flagged ``held_over``) before
             the monitor reports no estimate at all.  Zero disables holdover.
-        incremental: Run clean (uniformly-timed) windows through the
-            incremental trailing-calibration engine instead of recomputing
-            the whole window from scratch each hop.  Windows that fail the
-            timing checks transparently fall back to the batch pipeline,
-            so fault handling is unchanged; see ``docs/performance.md``.
     """
 
     window_s: float = 30.0
     hop_s: float = 5.0
-    n_persons: int = 1
-    estimate_heart: bool = False
-    max_gap_s: float = 0.5
-    max_loss_fraction: float = 0.25
     holdover_s: float = 30.0
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.window_s <= 0 or self.hop_s <= 0:
             raise ConfigurationError("window and hop must be positive")
         if self.hop_s > self.window_s:
             raise ConfigurationError("hop must not exceed the window")
-        if self.n_persons < 1:
-            raise ConfigurationError("n_persons must be >= 1")
-        if self.max_gap_s <= 0:
-            raise ConfigurationError("max_gap_s must be positive")
-        if not 0.0 <= self.max_loss_fraction < 1.0:
-            raise ConfigurationError("max_loss_fraction must be in [0, 1)")
         if self.holdover_s < 0:
             raise ConfigurationError("holdover_s must be >= 0")
 
@@ -170,10 +168,16 @@ class StreamingEstimate:
 class StreamingMonitor:
     """Push-based sliding-window monitor.
 
+    Every window is served by the trailing calibration engine when its
+    timing is clean and uniform, and by the batch pipeline otherwise.  The
+    buffer keeps the analysis window (from ``_win_start``) plus the
+    pre-window context an engine rebuilt from the buffer alone needs.
+
     Args:
-        sample_rate_hz: Nominal packet rate of the incoming stream.
+        sample_rate_hz: Nominal packet rate of the incoming stream; at
+            least 0.7 Hz, below which the calibration windows cannot be
+            built as trailing kernels.
         config: Streaming parameters.
-        pipeline_config: Parameters for the underlying pipeline.
         instrumentation: Optional :class:`repro.obs.Instrumentation`,
             shared with the wrapped pipeline; records window latency,
             quality-gate rejections, holdovers, and per-packet drop
@@ -191,7 +195,6 @@ class StreamingMonitor:
         self,
         sample_rate_hz: float,
         config: StreamingConfig | None = None,
-        pipeline_config: PhaseBeatConfig | None = None,
         instrumentation: Instrumentation | None = None,
     ):
         if sample_rate_hz <= 0:
@@ -201,7 +204,7 @@ class StreamingMonitor:
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        self._pipeline = PhaseBeat(pipeline_config, instrumentation=self._obs)
+        self._pipeline = PhaseBeat(instrumentation=self._obs)
         # One nominal packet interval: the slack that makes "span >= window"
         # and "hop elapsed" robust to the last packet landing one tick short
         # of the exact boundary (a stream sampled at t = k/rate reaches
@@ -215,31 +218,26 @@ class StreamingMonitor:
         self._last_emit_time: float | None = None
         self._last_good_time: float | None = None
         self._last_good_result: PhaseBeatResult | None = None
-        # Incremental-mode state.  The trailing engine's caches stay in
-        # lockstep with the packet buffer (row i of each ↔ buffer[i]); the
-        # buffer additionally retains enough pre-window context that an
-        # engine rebuilt from it alone reproduces the running engine's
-        # values bitwise inside the analysis window (see
+        # Trailing-engine state.  The engine's caches stay in lockstep with
+        # the packet buffer (row i of each ↔ buffer[i]); the buffer
+        # additionally retains enough pre-window context that an engine
+        # rebuilt from it alone reproduces the running engine's values
+        # bitwise inside the analysis window (see
         # StreamingCalibrator.rebuild_context_samples).
         calibration = CalibrationConfig()
-        self._incremental = bool(self.config.incremental)
         self._decimation = calibration.decimation_factor(self.sample_rate_hz)
-        try:
-            trend_w = trailing_window_samples(
-                calibration.trend_window_s, self.sample_rate_hz
+        trend_w = trailing_window_samples(
+            calibration.trend_window_s, self.sample_rate_hz
+        )
+        noise_w = trailing_window_samples(
+            calibration.noise_window_s, self.sample_rate_hz
+        )
+        if noise_w >= trend_w:
+            raise ConfigurationError(
+                f"at {self.sample_rate_hz} Hz the calibration's denoise "
+                "window is not shorter than its trend window; the monitor "
+                "needs at least 0.7 Hz"
             )
-            noise_w = trailing_window_samples(
-                calibration.noise_window_s, self.sample_rate_hz
-            )
-            if noise_w >= trend_w:
-                raise ConfigurationError(
-                    "denoise window must be shorter than the trend window"
-                )
-        except ConfigurationError:
-            # The calibration windows cannot be expressed as trailing
-            # kernels at this rate; run every window through the batch path.
-            self._incremental = False
-            trend_w = noise_w = 1
         self._context_rows = 2 * (trend_w - 1) + 2 * (noise_w - 1)
         self._engine: StreamingCalibrator | None = None
         self._amps: RowStore | None = None
@@ -330,7 +328,7 @@ class StreamingMonitor:
                 self._count_drop("backward-timestamp")
                 return None
 
-        if self._incremental and self._last_time is not None:
+        if self._last_time is not None:
             step = (timestamp_s - self._last_time) * self.sample_rate_hz
             if abs(step - 1.0) > _UNIFORM_TOL:
                 # Timing anomaly: the trailing engine (which treats rows as
@@ -341,27 +339,7 @@ class StreamingMonitor:
         self._buffer.append(csi_packet)
         self._times.append(timestamp_s)
         self._last_time = timestamp_s
-        # Time-based window: evict until the buffer spans at most window_s,
-        # so a lossy stream still analyzes a true window_s seconds.  The
-        # incremental mode retains pre-window context for the trailing
-        # engine instead (evicted in _evict_retained at emit time) and only
-        # advances the window-start pointer here — the pointed-to packet set
-        # is identical to the evicting loop's by construction.
-        if self._incremental:
-            while (
-                self._win_start < len(self._times) - 1
-                and self._times[-1] - self._times[self._win_start]
-                > self.config.window_s + self._eps
-            ):
-                self._win_start += 1
-        else:
-            while (
-                len(self._times) > 1
-                and self._times[-1] - self._times[0]
-                > self.config.window_s + self._eps
-            ):
-                self._buffer.popleft()
-                self._times.popleft()
+        self._advance_window_start()
 
         span = self._times[-1] - self._times[self._win_start]
         if span < self.config.window_s - self._eps:
@@ -544,24 +522,33 @@ class StreamingMonitor:
             self._restored_cycles = (
                 None if cycles is None else np.asarray(cycles, dtype=np.int64)
             )
-            # Replay the window-start pointer: with monotone buffered times
-            # the per-push advance is equivalent to this scan.
             self._win_start = 0
-            if self._incremental and len(times) > 1:
-                # Same float expression as the per-push advance, so boundary
-                # packets resolve identically to the uninterrupted run.
-                while (
-                    self._win_start < len(times) - 1
-                    and times[-1] - times[self._win_start]
-                    > self.config.window_s + self._eps
-                ):
-                    self._win_start += 1
+            self._advance_window_start()
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint: {exc}"
             ) from exc
+
+    def _advance_window_start(self) -> None:
+        """Move ``_win_start`` to the first packet of the analysis window.
+
+        Time-based window: it starts at the oldest buffered packet within
+        ``window_s`` (plus one nominal interval) of the newest, so a lossy
+        stream still analyzes a true ``window_s`` seconds.  Packets before
+        it stay buffered as the engine's rebuild context until
+        :meth:`_evict_retained` trims them.  Called after every push and on
+        restore, so a restored monitor resolves boundary packets exactly
+        as the uninterrupted run did.
+        """
+        times = self._times
+        while (
+            self._win_start < len(times) - 1
+            and times[-1] - times[self._win_start]
+            > self.config.window_s + self._eps
+        ):
+            self._win_start += 1
 
     def _count_drop(self, reason: str) -> None:
         """Mirror one dropped-packet tally into the metrics registry."""
@@ -622,10 +609,10 @@ class StreamingMonitor:
 
     def _emit(self) -> StreamingEstimate:
         with self._obs.stage("window_emit", component="monitor"):
-            if self._incremental:
-                estimate = self._emit_incremental()
-            else:
-                estimate = self._emit_window()
+            try:
+                estimate = self._serve_window()
+            finally:
+                self._evict_retained()
         self._obs.gauge_set(
             "monitor_buffer_depth_packets",
             len(self._buffer),
@@ -633,16 +620,14 @@ class StreamingMonitor:
         )
         return estimate
 
-    def _emit_incremental(self) -> StreamingEstimate:
-        """Dispatch one window to the trailing engine or the batch fallback.
+    def _serve_window(self) -> StreamingEstimate:
+        """Dispatch one window to the trailing engine or the batch path.
 
         The engine serves only windows with clean, uniform timing (the same
         per-step tolerance the batch pipeline uses to decide reclocking —
         and no anomaly anywhere in the retained context, since the engine
         treats buffered rows as uniform samples).  Everything else takes
-        the exact batch path of the non-incremental monitor.  Either way
-        the buffer is trimmed afterwards to the analysis window plus the
-        engine's rebuild context.
+        :meth:`_emit_window`, the batch pipeline over the same window.
         """
         times = np.asarray(self._times)
         t_end = float(times[-1])
@@ -653,37 +638,32 @@ class StreamingMonitor:
             self._anomaly_time = None
         window_times = times[self._win_start :]
         quality = assess_timestamps(window_times, self.sample_rate_hz)
-        try:
-            gates_ok = (
-                quality.max_gap_s <= self.config.max_gap_s
-                and window_times.size >= _MIN_WINDOW_PACKETS
-                and quality.loss_fraction <= self.config.max_loss_fraction
+        gates_ok = (
+            quality.max_gap_s <= MAX_GAP_S
+            and window_times.size >= _MIN_WINDOW_PACKETS
+            and quality.loss_fraction <= MAX_LOSS_FRACTION
+        )
+        if gates_ok and self._anomaly_time is None and quality.is_uniform:
+            self._obs.count(
+                "monitor_incremental_windows_total",
+                help_text="Windows served by the incremental engine.",
             )
-            if gates_ok and self._anomaly_time is None and quality.is_uniform:
-                self._obs.count(
-                    "monitor_incremental_windows_total",
-                    help_text="Windows served by the incremental engine.",
-                )
-                return self._emit_from_engine(t_end, quality)
-            if gates_ok:
-                self._obs.count(
-                    "monitor_fallback_windows_total",
-                    help_text="Clean-gate windows that required the batch "
-                    "path (degraded timing in the window or its context).",
-                )
-            return self._emit_window()
-        finally:
-            self._evict_retained()
+            return self._emit_from_engine(t_end, quality)
+        if gates_ok:
+            self._obs.count(
+                "monitor_fallback_windows_total",
+                help_text="Clean-gate windows that required the batch "
+                "path (degraded timing in the window or its context).",
+            )
+        return self._emit_window(window_times, quality)
 
     def _emit_from_engine(
         self, t_end: float, quality: TraceQualityReport
     ) -> StreamingEstimate:
-        cfg = self.config
-        pipeline_cfg = self._pipeline.config
         n_sub = self._packet_shape[1]
         if self._pairs is None:
             self._pairs = _antenna_pairs(
-                self._packet_shape[0], pipeline_cfg.use_pair_diversity
+                self._packet_shape[0], self._pipeline.config.use_pair_diversity
             )
         with self._obs.stage("incremental_advance", component="monitor"):
             engine = self._engine
@@ -706,10 +686,7 @@ class StreamingMonitor:
                 v_memo=self._v_memo,
                 first_row=row0,
             )
-            if (
-                pipeline_cfg.enforce_stationarity
-                and state is not ActivityState.SITTING
-            ):
+            if state is not ActivityState.SITTING:
                 self._obs.count(
                     "pipeline_not_stationary_total",
                     help_text="Traces rejected by environment detection.",
@@ -731,8 +708,8 @@ class StreamingMonitor:
                     n_subcarriers=n_sub,
                     v_statistic_value=v,
                     environment_state=state,
-                    n_persons=cfg.n_persons,
-                    estimate_heart=cfg.estimate_heart,
+                    n_persons=N_PERSONS,
+                    estimate_heart=ESTIMATE_HEART,
                     reclocked=False,
                     input_loss_fraction=quality.loss_fraction,
                 )
@@ -803,15 +780,16 @@ class StreamingMonitor:
             # carries it any more.
             self._restored_cycles = None
 
-    def _emit_window(self) -> StreamingEstimate:
-        times = np.asarray(self._times)[self._win_start :]
+    def _emit_window(
+        self, times: FloatArray, quality: TraceQualityReport
+    ) -> StreamingEstimate:
+        """Gate the window, then run the batch pipeline over it."""
         t_end = float(times[-1])
-        quality = assess_timestamps(times, self.sample_rate_hz)
-        if quality.max_gap_s > self.config.max_gap_s:
+        if quality.max_gap_s > MAX_GAP_S:
             return self._reject(t_end, "data-gap", quality)
         if (
             times.size < _MIN_WINDOW_PACKETS
-            or quality.loss_fraction > self.config.max_loss_fraction
+            or quality.loss_fraction > MAX_LOSS_FRACTION
         ):
             return self._reject(t_end, "degraded-input", quality)
 
@@ -825,8 +803,8 @@ class StreamingMonitor:
         try:
             result = self._pipeline.process(
                 window,
-                n_persons=self.config.n_persons,
-                estimate_heart=self.config.estimate_heart,
+                n_persons=N_PERSONS,
+                estimate_heart=ESTIMATE_HEART,
             )
         except NotStationaryError:
             return self._reject(t_end, "not-stationary", quality)

@@ -1,4 +1,4 @@
-"""repro.obs — metrics, stage tracing, and profiling for the pipeline.
+"""repro.obs — metrics and stage timing for the pipeline.
 
 The subsystem has four small parts:
 
@@ -9,8 +9,8 @@ The subsystem has four small parts:
 * :mod:`~repro.obs.registry` — :class:`MetricsRegistry` holding counters,
   gauges, and fixed-bucket histograms, every name carrying a PL003 unit
   suffix.
-* :mod:`~repro.obs.tracing` — :class:`Tracer`/:class:`Span` nested stage
-  traces and the :class:`StageTimer` block timer.
+* :mod:`~repro.obs.instrument` — the :class:`Instrumentation` facade
+  components record through, and the :class:`StageTimer` block timer.
 * :mod:`~repro.obs.export` — canonical-JSON snapshots (byte-identical
   under fixed seed + simulated clock), Prometheus text format, table
   rendering, and snapshot diffing.
@@ -28,7 +28,7 @@ from .export import (
     render_prometheus,
     render_table,
 )
-from .instrument import NULL_INSTRUMENTATION, Instrumentation
+from .instrument import NULL_INSTRUMENTATION, Instrumentation, StageTimer
 from .naming import (
     METRIC_UNIT_SUFFIXES,
     validate_label_name,
@@ -42,7 +42,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
 )
-from .tracing import Span, StageTimer, Tracer
 
 __all__ = [
     "Clock",
@@ -55,9 +54,7 @@ __all__ = [
     "METRIC_UNIT_SUFFIXES",
     "MetricsRegistry",
     "NULL_INSTRUMENTATION",
-    "Span",
     "StageTimer",
-    "Tracer",
     "WallClock",
     "canonical_json",
     "diff_snapshots",

@@ -7,12 +7,12 @@ recording call a cheap early-return, so un-instrumented hot paths pay one
 attribute check and nothing else (the <5 % overhead gate in
 ``benchmarks/test_obs_overhead.py`` measures the *enabled* case).
 
-One :class:`Instrumentation` bundles the three collaborators:
+One :class:`Instrumentation` bundles the two collaborators:
 
 * a :class:`~repro.obs.clock.Clock` (wall or simulated) all timers read,
-* a :class:`~repro.obs.registry.MetricsRegistry` all metrics land in,
-* optionally a :class:`~repro.obs.tracing.Tracer` when per-span stage
-  traces are wanted on top of the histogram aggregates.
+* a :class:`~repro.obs.registry.MetricsRegistry` all metrics land in.
+
+:class:`StageTimer` is the block timer behind :meth:`Instrumentation.stage`.
 
 Usage from a component::
 
@@ -26,22 +26,52 @@ Usage from a component::
 from __future__ import annotations
 
 from contextlib import nullcontext
+from types import TracebackType
 from typing import ContextManager, Mapping
 
 from .clock import Clock, WallClock
 from .registry import (
     DEFAULT_DURATION_BUCKETS_S,
+    Histogram,
     MetricsRegistry,
 )
-from .tracing import StageTimer, Tracer
 
-__all__ = ["Instrumentation", "NULL_INSTRUMENTATION"]
+__all__ = ["Instrumentation", "NULL_INSTRUMENTATION", "StageTimer"]
 
 _NULL_CONTEXT: ContextManager[None] = nullcontext()
 
 
+class StageTimer:
+    """Times one block on a clock, optionally into a histogram.
+
+    Reusable but not reentrant: each ``with`` use times one interval.
+    """
+
+    def __init__(self, clock: Clock, histogram: Histogram | None = None):
+        self._clock = clock
+        self._histogram = histogram
+        self._start_s = 0.0
+        self.last_duration_s = 0.0
+
+    def __enter__(self) -> "StageTimer":
+        """Start timing."""
+        self._start_s = self._clock.now_s
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        """Stop timing and record the elapsed seconds into the histogram."""
+        self.last_duration_s = self._clock.now_s - self._start_s
+        if self._histogram is not None:
+            self._histogram.observe(self.last_duration_s)
+
+
 class Instrumentation:
-    """Bundle of clock + registry (+ optional tracer) with no-op mode.
+    """Bundle of clock + registry with no-op mode.
 
     With ``enabled=False`` every method is a do-nothing early return and
     ``stage`` hands back a shared null context manager — this is what the
@@ -52,13 +82,11 @@ class Instrumentation:
         self,
         clock: Clock | None = None,
         registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         enabled: bool = True,
     ):
         self.enabled = enabled
         self.clock: Clock = clock if clock is not None else WallClock()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer
 
     def __repr__(self) -> str:
         return (
@@ -74,8 +102,7 @@ class Instrumentation:
         """Context manager timing one named stage of a component.
 
         Records into the ``{component}_stage_duration_s`` histogram with a
-        ``stage`` label, and opens a ``component.stage`` span when a
-        tracer is attached.
+        ``stage`` label.
         """
         if not self.enabled:
             return _NULL_CONTEXT
@@ -85,12 +112,7 @@ class Instrumentation:
             labels={"stage": stage},
             bucket_bounds=DEFAULT_DURATION_BUCKETS_S,
         )
-        return StageTimer(
-            f"{component}.{stage}",
-            self.clock,
-            histogram=histogram,
-            tracer=self.tracer,
-        )
+        return StageTimer(self.clock, histogram)
 
     def count(
         self,

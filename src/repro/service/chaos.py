@@ -98,11 +98,16 @@ class TimedFault:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{_TIMED_FAULT_KINDS}"
             )
+        if self.at_s < 0:
+            raise ConfigurationError("fault at_s must be >= 0")
         if self.kind == "degrade":
             if self.duration_s <= 0:
                 raise ConfigurationError("degrade fault needs duration_s > 0")
             if not 0.0 < self.loss_fraction < 1.0:
                 raise ConfigurationError("loss_fraction must be in (0, 1)")
+        # A source kind is checked by building its SourceFault now, so a
+        # malformed schedule fails at load, not after the reference run.
+        self.to_source_fault()
 
     @property
     def end_s(self) -> float:
@@ -521,7 +526,7 @@ def run_chaos(
         sample_rate_hz: Packet rate of the capture.
         seed: Master seed (scene, capture, impairments, service jitter).
         streaming_config: Monitor parameters; a chaos-friendly default
-            (15 s window, 5 s hop, 0.5 s gap tolerance) when omitted.
+            (15 s window, 5 s hop, 30 s holdover) when omitted.
         supervisor_config: Supervision parameters; defaults when omitted.
         registry: Optional metrics registry the *faulted* run records into
             (timed on its simulated clock, so snapshots are deterministic).
@@ -538,7 +543,7 @@ def run_chaos(
         )
     if streaming_config is None:
         streaming_config = StreamingConfig(
-            window_s=15.0, hop_s=5.0, max_gap_s=0.5, holdover_s=30.0
+            window_s=15.0, hop_s=5.0, holdover_s=30.0
         )
     if supervisor_config is None:
         supervisor_config = SupervisorConfig()

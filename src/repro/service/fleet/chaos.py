@@ -478,9 +478,11 @@ class _FleetRecorders:
 
     One :class:`~repro.store.tap.RecordingTap` per targeted session,
     recording into a per-session :class:`~repro.store.backend.MemoryBackend`.
-    The backend outlives any individual tap, so when a shard crash makes
-    the gateway rebuild a session's upstream, the fresh tap resumes the
-    same store in the next segment instead of clobbering it.
+    The gateway calls a session's upstream factory once, at admission, so
+    each session keeps one tap for its whole run; a ``recorder-crash``
+    fault crashes that tap and resumes it in place
+    (:meth:`~repro.store.tap.RecordingTap.crash_and_resume`), and the
+    recording continues in the same store's next segment.
     """
 
     def __init__(self, session_ids: list[str], sample_rate_hz: float):
@@ -678,7 +680,7 @@ def run_fleet_chaos(
         fleet_config = FleetConfig()
     if streaming_config is None:
         streaming_config = StreamingConfig(
-            window_s=8.0, hop_s=4.0, max_gap_s=0.5, holdover_s=20.0
+            window_s=8.0, hop_s=4.0, holdover_s=20.0
         )
     if supervisor_config is None:
         supervisor_config = SupervisorConfig(checkpoint_interval_s=5.0)

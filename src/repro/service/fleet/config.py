@@ -1,11 +1,11 @@
 """Fleet gateway configuration.
 
 One frozen dataclass holds every knob of the fleet layer — admission
-ceilings, queue geometry, the watermarks and escalation delay of the
-pressure ladder, the shed budget, and the scheduling cadence — validated
-eagerly so a bad fleet deployment fails at construction, not twenty minutes
-into a run.  The ladder's fixed steps (recovery delay, shed delay, hop
-stretches, degraded fallback floor) are the module constants below.
+ceilings, queue geometry, the watermarks of the pressure ladder, the shed
+budget, and the scheduling cadence — validated eagerly so a bad fleet
+deployment fails at construction, not twenty minutes into a run.  The
+ladder's fixed steps (escalation, recovery and shed delays, hop stretches,
+degraded fallback floor) are the module constants below.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from ...errors import ConfigurationError
 
 __all__ = [
     "FleetConfig",
+    "THROTTLE_AFTER_ROUNDS",
     "RECOVER_AFTER_ROUNDS",
     "SHED_AFTER_ROUNDS",
     "THROTTLE_HOP_STRETCH",
@@ -23,6 +24,9 @@ __all__ = [
     "DEGRADE_FALLBACK_LEVEL",
 ]
 
+# Consecutive over-watermark rounds before the pressure ladder steps up one
+# level.
+THROTTLE_AFTER_ROUNDS = 2
 # Consecutive under-watermark rounds before the pressure ladder steps back
 # down one level.
 RECOVER_AFTER_ROUNDS = 2
@@ -56,8 +60,6 @@ class FleetConfig:
             accrues over-pressure rounds.
         low_watermark_packets: Queue depth at or below which a session
             accrues recovery rounds.
-        throttle_after_rounds: Consecutive over-watermark rounds before
-            the pressure ladder steps up one level.
         max_shed_sessions: Hard budget of sessions the gateway may shed
             over a run — the invariant the chaos report enforces.
         round_interval_s: Simulated time one scheduling round represents;
@@ -74,7 +76,6 @@ class FleetConfig:
     queue_capacity_packets: int = 256
     high_watermark_packets: int = 160
     low_watermark_packets: int = 48
-    throttle_after_rounds: int = 2
     max_shed_sessions: int = 16
     round_interval_s: float = 0.5
     ingest_budget_packets: int = 64
@@ -101,8 +102,6 @@ class FleetConfig:
                 f"high={self.high_watermark_packets}, "
                 f"capacity={self.queue_capacity_packets}"
             )
-        if self.throttle_after_rounds < 1:
-            raise ConfigurationError("throttle_after_rounds must be >= 1")
         if self.max_shed_sessions < 0:
             raise ConfigurationError("max_shed_sessions must be >= 0")
         if self.round_interval_s <= 0:

@@ -64,6 +64,7 @@ from .config import (
     DEGRADE_HOP_STRETCH,
     RECOVER_AFTER_ROUNDS,
     SHED_AFTER_ROUNDS,
+    THROTTLE_AFTER_ROUNDS,
     THROTTLE_HOP_STRETCH,
     FleetConfig,
 )
@@ -608,7 +609,7 @@ class FleetGateway:
             session.rounds_over_high = 0
             session.rounds_under_low = 0
         if (
-            session.rounds_over_high >= self.config.throttle_after_rounds
+            session.rounds_over_high >= THROTTLE_AFTER_ROUNDS
             and session.pressure_level < 2
         ):
             self._escalate_pressure(session)

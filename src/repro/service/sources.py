@@ -354,7 +354,7 @@ class ResilientSource:
         self._rng = np.random.default_rng(seed)
         self.breaker = CircuitBreaker(
             clock,
-            breaker if breaker is not None else BreakerConfig(),
+            breaker,
             on_transition=self._on_breaker_transition,
             instrumentation=self._obs,
         )

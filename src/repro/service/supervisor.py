@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 from ..baselines.amplitude import AmplitudeMethod
@@ -58,10 +58,10 @@ from ..obs import (
     NULL_INSTRUMENTATION,
     Instrumentation,
 )
-from .breaker import BreakerConfig, BreakerState
+from .breaker import BreakerState
 from .clock import SimulatedClock
 from .events import EventLog
-from .sources import PacketSource, ResilientSource, RetryConfig
+from .sources import PacketSource, ResilientSource
 
 __all__ = [
     "SubjectHealth",
@@ -69,6 +69,9 @@ __all__ = [
     "LEARNED_FALLBACK_METHODS",
     "RECOVERY_TOLERANCE_BPM",
     "RECOVERY_FRESH_WINDOWS",
+    "WATCHDOG_TIMEOUT_S",
+    "MAX_MONITOR_RESTARTS",
+    "FALLBACK_AFTER_WINDOWS",
     "BreathingEstimator",
     "SupervisorConfig",
     "ServiceEstimate",
@@ -99,6 +102,16 @@ LEARNED_FALLBACK_METHODS: tuple[str, ...] = (
 RECOVERY_TOLERANCE_BPM = 1.5
 RECOVERY_FRESH_WINDOWS = 2
 
+# Silence (no packet delivered, simulated seconds) before the watchdog
+# declares a stall and force-restarts the source.
+WATCHDOG_TIMEOUT_S = 3.0
+# Monitor restarts tolerated before the subject is escalated to
+# SubjectHealth.FAILED.
+MAX_MONITOR_RESTARTS = 3
+# Consecutive quality-gated windows ("data-gap" / "degraded-input") before
+# stepping one rung down the estimator ladder.
+FALLBACK_AFTER_WINDOWS = 3
+
 
 class BreathingEstimator(Protocol):
     """Anything servable on a ladder rung: window trace in, bpm out."""
@@ -122,39 +135,13 @@ class SupervisorConfig:
 
     Attributes:
         checkpoint_interval_s: How often the monitor is checkpointed.
-        watchdog_timeout_s: Silence (no packet delivered) before the
-            watchdog declares a stall and force-restarts the source.
-        max_monitor_restarts: Monitor restarts tolerated before the
-            subject is escalated to :attr:`SubjectHealth.FAILED`.
-        fallback_after_windows: Consecutive quality-gated windows
-            (``"data-gap"`` / ``"degraded-input"``) before stepping one
-            rung down the estimator ladder.
-        deadline_s: Per-read deadline handed to the subject's
-            :class:`~repro.service.sources.ResilientSource`.
-        retry: Bounded-backoff retry parameters for transient source
-            errors.
-        breaker: Per-source circuit-breaker parameters.
     """
 
     checkpoint_interval_s: float = 10.0
-    watchdog_timeout_s: float = 3.0
-    max_monitor_restarts: int = 3
-    fallback_after_windows: int = 3
-    deadline_s: float = 1.0
-    retry: RetryConfig = field(default_factory=RetryConfig)
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval_s <= 0:
             raise ConfigurationError("checkpoint_interval_s must be positive")
-        if self.watchdog_timeout_s <= 0:
-            raise ConfigurationError("watchdog_timeout_s must be positive")
-        if self.max_monitor_restarts < 0:
-            raise ConfigurationError("max_monitor_restarts must be >= 0")
-        if self.fallback_after_windows < 1:
-            raise ConfigurationError("fallback_after_windows must be >= 1")
-        if self.deadline_s <= 0:
-            raise ConfigurationError("deadline_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -324,9 +311,6 @@ class MonitorSupervisor:
             self.clock,
             subject=name,
             events=self.events,
-            deadline_s=self.config.deadline_s,
-            retry=self.config.retry,
-            breaker=self.config.breaker,
             seed=self._seed,
             instrumentation=self._obs,
         )
@@ -543,7 +527,7 @@ class MonitorSupervisor:
 
     def _check_watchdog(self) -> None:
         silence_s = self.clock.now_s - self._last_progress_s
-        if silence_s <= self.config.watchdog_timeout_s:
+        if silence_s <= WATCHDOG_TIMEOUT_S:
             return
         if self._source.exhausted:
             return  # end of data, not a stall
@@ -589,7 +573,7 @@ class MonitorSupervisor:
             labels={"subject": self._name},
             help_text="Monitor rebuilds after a crash.",
         )
-        if self._monitor_restarts > self.config.max_monitor_restarts:
+        if self._monitor_restarts > MAX_MONITOR_RESTARTS:
             self._failed = True
             self.events.record(
                 self.clock.now_s,
@@ -743,7 +727,7 @@ class MonitorSupervisor:
 
     def _maybe_escalate(self, reason: str | None) -> None:
         if (
-            self._consecutive_gated < self.config.fallback_after_windows
+            self._consecutive_gated < FALLBACK_AFTER_WINDOWS
             or self._fallback_level >= len(self._ladder) - 1
         ):
             return

@@ -144,13 +144,6 @@ class TestDetectorOnSimulatedStates(object):
         assert dominant_state(17.0, 28.0) == "no_person"
         assert dominant_state(42.0, 58.0) == "walking"
 
-    def test_stationary_fraction(self, fig3_trace):
-        detector = EnvironmentDetector()
-        diff = phase_difference(fig3_trace)
-        fraction = detector.stationary_fraction(diff, 400.0)
-        # Roughly the first quarter of the minute is usable.
-        assert 0.1 < fraction < 0.6
-
     def test_is_stationary_on_pure_sitting(self, lab_trace):
         detector = EnvironmentDetector()
         assert detector.is_stationary(phase_difference(lab_trace))

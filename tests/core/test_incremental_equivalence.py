@@ -7,9 +7,10 @@ The incremental monitor's contract has three layers, each pinned here:
   buffered packets, and a monitor whose engine is dropped (and therefore
   rebuilt from the buffer) before every window emits bit-identical
   estimates to one whose engine ran uninterrupted;
-* **degraded windows == the batch monitor** — on impaired traces (loss,
-  gaps, jitter) the incremental monitor transparently takes the exact
-  batch path, so its estimate stream equals ``incremental=False`` bitwise;
+* **degraded windows == the batch pipeline** — on impaired traces (loss,
+  gaps, jitter) the engine serves no window, and every window the monitor
+  emits carries exactly what :meth:`PhaseBeat.process` makes of that
+  window;
 * **batched stages == per-series loops** — the vectorized pipeline stages
   (multi-pair extraction, batched calibration, batched DWT) match their
   per-series reference loops within the 1e-9 equivalence budget.
@@ -40,6 +41,7 @@ from repro.dsp.streaming_kernels import (
     trailing_calibrate,
 )
 from repro.dsp.stats import MAD_TO_SIGMA
+from repro.errors import EstimationError, NotStationaryError, SignalTooShortError
 from repro.dsp.wavelet import coefficient_band, reconstruct_band, wavedec
 from repro.obs import Instrumentation
 from repro.rf.impairments import (
@@ -50,7 +52,6 @@ from repro.rf.impairments import (
 )
 
 CONFIG = StreamingConfig(window_s=8.0, hop_s=0.5)
-BATCH_CONFIG = StreamingConfig(window_s=8.0, hop_s=0.5, incremental=False)
 
 PAIRS = [(0, 1), (0, 2)]
 
@@ -182,7 +183,32 @@ class TestEngineMatchesFromScratch:
         assert fresh > 0
 
 
+def push_with_windows(monitor, trace):
+    """Push ``trace``; return ``(estimate, window trace)`` per emission."""
+    out = []
+    for k in range(trace.n_packets):
+        estimate = monitor.push_packet(trace.csi[k], float(trace.timestamps_s[k]))
+        if estimate is not None:
+            out.append((estimate, monitor.window_trace()))
+    return out
+
+
+def batch_rates(window):
+    """What the batch pipeline makes of one window: its breathing rates,
+    or the monitor's rejection reason for its exception."""
+    try:
+        result = PhaseBeat().process(window, n_persons=1, estimate_heart=False)
+    except NotStationaryError:
+        return "not-stationary"
+    except (EstimationError, SignalTooShortError):
+        return "estimation-failed"
+    return result.breathing_rates_bpm
+
+
 class TestImpairedWindowsMatchBatchMonitor:
+    """Windows the engine cannot serve take the monitor's batch path,
+    which is :meth:`PhaseBeat.process` over the emitted window."""
+
     @pytest.mark.parametrize(
         "impairment",
         [
@@ -197,39 +223,44 @@ class TestImpairedWindowsMatchBatchMonitor:
     ):
         impaired = apply_impairments(short_lab_trace, [impairment], seed=0)
         obs = Instrumentation()
-        incremental = StreamingMonitor(
+        monitor = StreamingMonitor(
             impaired.sample_rate_hz, CONFIG, instrumentation=obs
         )
-        batch = StreamingMonitor(impaired.sample_rate_hz, BATCH_CONFIG)
-        inc_estimates = incremental.push_trace(impaired)
-        batch_estimates = batch.push_trace(impaired)
-        assert inc_estimates, "impaired trace produced no windows"
+        emitted = push_with_windows(monitor, impaired)
+        assert emitted, "impaired trace produced no windows"
         # Every one of these impairments breaks per-step timing inside the
         # retained context, so the engine must never serve a window ...
         assert counter_value(obs, "monitor_incremental_windows_total") == 0
-        # ... and the batch fallback must make the two modes coincide.
-        assert_estimates_bitwise_equal(inc_estimates, batch_estimates)
+        # ... and each window the quality gates pass carries exactly the
+        # batch pipeline's verdict on that window.
+        analyzed = [
+            (estimate, window)
+            for estimate, window in emitted
+            if estimate.rejected_reason not in ("data-gap", "degraded-input")
+        ]
+        assert any(estimate.fresh for estimate, _ in analyzed)
+        for estimate, window in analyzed:
+            expected = batch_rates(window)
+            if estimate.fresh:
+                assert estimate.result.breathing_rates_bpm == expected
+            else:
+                assert estimate.rejected_reason == expected
 
     def test_clean_and_impaired_accuracy_parity(self, lab_trace, lab_person):
-        # Both modes, clean 30 s trace: every fresh estimate lands within
-        # the paper-level tolerance of the simulated ground truth.
+        # Engine and batch pipeline, clean 30 s trace: every fresh estimate
+        # lands within the paper-level tolerance of the simulated ground
+        # truth.
         truth_bpm = lab_person.breathing.frequency_hz * 60.0
         config = StreamingConfig(window_s=20.0, hop_s=5.0)
-        batch_config = StreamingConfig(
-            window_s=20.0, hop_s=5.0, incremental=False
-        )
-        inc = StreamingMonitor(lab_trace.sample_rate_hz, config)
-        bat = StreamingMonitor(lab_trace.sample_rate_hz, batch_config)
-        inc_estimates = inc.push_trace(lab_trace)
-        bat_estimates = bat.push_trace(lab_trace)
-        assert [e.time_s for e in inc_estimates] == [
-            e.time_s for e in bat_estimates
-        ]
-        assert all(e.fresh for e in inc_estimates)
-        for estimate in inc_estimates + bat_estimates:
+        monitor = StreamingMonitor(lab_trace.sample_rate_hz, config)
+        emitted = push_with_windows(monitor, lab_trace)
+        assert emitted
+        for estimate, window in emitted:
+            assert estimate.fresh
             assert estimate.result.breathing_rates_bpm[0] == pytest.approx(
                 truth_bpm, abs=1.0
             )
+            assert batch_rates(window)[0] == pytest.approx(truth_bpm, abs=1.0)
 
 
 class TestBatchedStagesMatchLoops:

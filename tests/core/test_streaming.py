@@ -14,7 +14,7 @@ class TestStreamingConfig:
         with pytest.raises(ConfigurationError):
             StreamingConfig(window_s=10.0, hop_s=20.0)
         with pytest.raises(ConfigurationError):
-            StreamingConfig(n_persons=0)
+            StreamingConfig(holdover_s=-1.0)
 
 
 class TestStreamingMonitor:
@@ -79,38 +79,9 @@ class TestStreamingMonitor:
         with pytest.raises(ConfigurationError):
             StreamingMonitor(0.0)
 
-
-class TestMultiPersonStreaming:
-    def test_two_person_windows(self):
-        from repro import Person, SinusoidalBreathing, capture_trace
-        from repro.rf.scene import laboratory_scenario
-
-        persons = [
-            Person(
-                position=(0.8, 5.5, 1.0),
-                breathing=SinusoidalBreathing(
-                    frequency_hz=0.20, amplitude_m=3e-3
-                ),
-                heartbeat=None,
-            ),
-            Person(
-                position=(3.8, 5.8, 1.0),
-                breathing=SinusoidalBreathing(
-                    frequency_hz=0.32, amplitude_m=3e-3, phase=1.0
-                ),
-                heartbeat=None,
-            ),
-        ]
-        scenario = laboratory_scenario(persons, clutter_seed=31)
-        trace = capture_trace(scenario, duration_s=70.0, seed=31)
-        monitor = StreamingMonitor(
-            400.0,
-            StreamingConfig(window_s=40.0, hop_s=15.0, n_persons=2),
-        )
-        estimates = [e for e in monitor.push_trace(trace) if e.ok]
-        assert estimates
-        for estimate in estimates:
-            rates = estimate.result.breathing_rates_bpm
-            assert len(rates) == 2
-            assert rates[0] == pytest.approx(12.0, abs=1.0)
-            assert rates[1] == pytest.approx(19.2, abs=1.0)
+    def test_rate_without_trailing_windows_rejected(self):
+        # Below 0.7 Hz the 5 s trend and 0.125 s denoise windows both clamp
+        # to 3 samples, so the trailing engine cannot be built.
+        with pytest.raises(ConfigurationError, match="0.7 Hz"):
+            StreamingMonitor(0.5)
+        StreamingMonitor(0.7)

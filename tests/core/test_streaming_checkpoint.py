@@ -8,6 +8,7 @@ buffer, same counters, same emissions.  These tests pin that down.
 import numpy as np
 import pytest
 
+from repro import capture_trace, laboratory_scenario
 from repro.core.streaming import StreamingConfig, StreamingMonitor
 from repro.errors import CheckpointError
 
@@ -25,25 +26,40 @@ def push_range(monitor, trace, start, stop):
     return out
 
 
+@pytest.fixture(params=["200hz", "20hz"])
+def resume_case(request, short_lab_trace, lab_person):
+    """A trace and the packet index to checkpoint it at."""
+    if request.param == "200hz":
+        return short_lab_trace, short_lab_trace.n_packets // 2
+    # At 20 Hz the decimation factor is 1, so the retained buffer is
+    # trimmed row by row; by 24 s of a 30 s capture that has started.
+    scenario = laboratory_scenario([lab_person], clutter_seed=2)
+    trace = capture_trace(scenario, duration_s=30.0, sample_rate_hz=20.0, seed=2)
+    return trace, 480
+
+
 class TestCheckpointRoundTrip:
-    def test_restored_run_is_bit_identical(self, short_lab_trace):
-        trace = short_lab_trace
-        half = trace.n_packets // 2
+    def test_restored_run_is_bit_identical(self, resume_case):
+        trace, cut = resume_case
 
         # Reference: one uninterrupted monitor over the whole trace.
         reference = StreamingMonitor(trace.sample_rate_hz, CONFIG)
         ref_estimates = push_range(reference, trace, 0, trace.n_packets)
-        assert ref_estimates, "reference run produced no estimates"
+        assert any(e.fresh for e in ref_estimates), (
+            "reference run produced no fresh estimates"
+        )
 
-        # Interrupted: first half, checkpoint, restore into a fresh
-        # monitor, second half.
+        # Interrupted: first part, checkpoint, restore into a fresh
+        # monitor, the rest.
         first = StreamingMonitor(trace.sample_rate_hz, CONFIG)
-        estimates_a = push_range(first, trace, 0, half)
+        estimates_a = push_range(first, trace, 0, cut)
         state = first.checkpoint()
+        if trace.sample_rate_hz == 20.0:
+            assert len(state["buffer"]) < cut, "checkpoint before eviction"
 
         second = StreamingMonitor(trace.sample_rate_hz, CONFIG)
         second.restore(state)
-        estimates_b = push_range(second, trace, half, trace.n_packets)
+        estimates_b = push_range(second, trace, cut, trace.n_packets)
 
         resumed = estimates_a + estimates_b
         assert len(resumed) == len(ref_estimates)

@@ -70,12 +70,10 @@ class TestPacketValidation:
 class TestTimeBasedWindowing:
     def test_lossy_stream_still_spans_full_window(self, rng):
         # Half the packets missing: a count-based window would cover 2×
-        # window_s of wall time; the time-based one must not.
+        # window_s of wall time; the time-based one must not.  Such windows
+        # fail the loss gate, but rejections still report their quality.
         monitor = StreamingMonitor(
-            100.0,
-            StreamingConfig(
-                window_s=4.0, hop_s=1.0, max_loss_fraction=0.9, max_gap_s=1.0
-            ),
+            100.0, StreamingConfig(window_s=4.0, hop_s=1.0)
         )
         keep = rng.random(1000) > 0.5
         emitted = []
@@ -95,7 +93,7 @@ class TestTimeBasedWindowing:
 class TestQualityGates:
     def test_data_gap_rejection(self, rng):
         monitor = StreamingMonitor(
-            100.0, StreamingConfig(window_s=2.0, hop_s=1.0, max_gap_s=0.5)
+            100.0, StreamingConfig(window_s=2.0, hop_s=1.0)
         )
         outputs = []
         for k in range(400):
@@ -112,9 +110,7 @@ class TestQualityGates:
     def test_degraded_input_rejection_on_heavy_loss(self, rng):
         monitor = StreamingMonitor(
             100.0,
-            StreamingConfig(
-                window_s=2.0, hop_s=1.0, max_gap_s=0.5, max_loss_fraction=0.25
-            ),
+            StreamingConfig(window_s=2.0, hop_s=1.0),
         )
         outputs = []
         for k in range(0, 600, 3):  # two of three packets lost, no long gap
@@ -127,9 +123,7 @@ class TestQualityGates:
     def test_degraded_input_rejection_on_too_few_packets(self, rng):
         monitor = StreamingMonitor(
             2.0,
-            StreamingConfig(
-                window_s=5.0, hop_s=5.0, max_gap_s=1.0, max_loss_fraction=0.9
-            ),
+            StreamingConfig(window_s=5.0, hop_s=5.0),
         )
         outputs = []
         for k in range(12):  # 0.5 s spacing: spans the window with 11 gaps

@@ -6,7 +6,6 @@ from repro.obs import (
     NULL_INSTRUMENTATION,
     Instrumentation,
     MetricsRegistry,
-    Tracer,
 )
 from repro.service.clock import SimulatedClock
 
@@ -30,16 +29,6 @@ class TestInstrumentation:
             clock.advance(1.0)
         names = [series.name for series in obs.registry]
         assert names == ["dsp_stage_duration_s"]
-
-    def test_stage_opens_tracer_span_when_attached(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock)
-        obs = Instrumentation(clock=clock, tracer=tracer)
-        with obs.stage("calibration"):
-            clock.advance(0.5)
-        (span,) = tracer.spans
-        assert span.name == "pipeline.calibration"
-        assert span.duration_s == pytest.approx(0.5)
 
     def test_count_gauge_observe_land_in_registry(self):
         obs = Instrumentation(clock=SimulatedClock())

@@ -1,83 +1,9 @@
-"""Tracer/Span/StageTimer semantics on a simulated clock."""
+"""StageTimer semantics on a simulated clock."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, Span, StageTimer, Tracer
+from repro.obs import MetricsRegistry, StageTimer
 from repro.service.clock import SimulatedClock
-
-
-class TestTracer:
-    def test_span_records_interval_on_clock(self):
-        clock = SimulatedClock(100.0)
-        tracer = Tracer(clock)
-        with tracer.span("dwt"):
-            clock.advance(0.25)
-        (span,) = tracer.spans
-        assert span.name == "dwt"
-        assert span.start_s == pytest.approx(100.0)
-        assert span.end_s == pytest.approx(100.25)
-        assert span.duration_s == pytest.approx(0.25)
-
-    def test_nested_spans_carry_depth(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                clock.advance(1.0)
-        outer, inner = tracer.spans
-        assert outer.depth == 0
-        assert inner.depth == 1
-
-    def test_open_span_has_zero_duration(self):
-        span = Span(name="x", start_s=1.0)
-        assert span.end_s is None
-        assert span.duration_s == 0.0
-
-    def test_exception_still_closes_span(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock)
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
-                clock.advance(2.0)
-                raise RuntimeError("stage failed")
-        (span,) = tracer.spans
-        assert span.end_s == pytest.approx(2.0)
-
-    def test_retention_cap_counts_drops(self):
-        tracer = Tracer(SimulatedClock(), max_spans=2)
-        for _ in range(5):
-            with tracer.span("s"):
-                pass
-        assert len(tracer.spans) == 2
-        assert tracer.n_dropped_total == 3
-
-    def test_clear_resets_spans_and_drop_count(self):
-        tracer = Tracer(SimulatedClock(), max_spans=1)
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        tracer.clear()
-        assert tracer.spans == ()
-        assert tracer.n_dropped_total == 0
-
-    def test_to_jsonable_round_trips_fields(self):
-        clock = SimulatedClock(5.0)
-        tracer = Tracer(clock)
-        with tracer.span("stage"):
-            clock.advance(0.5)
-        (record,) = tracer.to_jsonable()
-        assert record == {
-            "name": "stage",
-            "start_s": 5.0,
-            "end_s": 5.5,
-            "duration_s": 0.5,
-            "depth": 0,
-        }
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            Tracer(SimulatedClock(), max_spans=0)
 
 
 class TestStageTimer:
@@ -86,28 +12,19 @@ class TestStageTimer:
         hist = MetricsRegistry().histogram(
             "stage_duration_s", bucket_bounds=(0.1, 1.0)
         )
-        timer = StageTimer("pipeline.dwt", clock, histogram=hist)
+        timer = StageTimer(clock, histogram=hist)
         with timer:
             clock.advance(0.5)
         assert timer.last_duration_s == pytest.approx(0.5)
         assert hist.count == 1
         assert hist.sum == pytest.approx(0.5)
 
-    def test_feeds_tracer_span(self):
-        clock = SimulatedClock()
-        tracer = Tracer(clock)
-        with StageTimer("monitor.window_emit", clock, tracer=tracer):
-            clock.advance(0.1)
-        (span,) = tracer.spans
-        assert span.name == "monitor.window_emit"
-        assert span.duration_s == pytest.approx(0.1)
-
     def test_reusable_across_with_blocks(self):
         clock = SimulatedClock()
         hist = MetricsRegistry().histogram(
             "stage_duration_s", bucket_bounds=(1.0,)
         )
-        timer = StageTimer("stage", clock, histogram=hist)
+        timer = StageTimer(clock, histogram=hist)
         with timer:
             clock.advance(0.2)
         with timer:
@@ -117,7 +34,7 @@ class TestStageTimer:
 
     def test_no_sinks_still_times(self):
         clock = SimulatedClock()
-        timer = StageTimer("stage", clock)
+        timer = StageTimer(clock)
         with timer:
             clock.advance(4.0)
         assert timer.last_duration_s == pytest.approx(4.0)

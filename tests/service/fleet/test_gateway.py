@@ -11,19 +11,14 @@ from repro.service.sources import TracePacketSource
 from repro.service.supervisor import SupervisorConfig
 from tests.service.test_supervisor import _CorruptingSource
 
-_STREAMING = StreamingConfig(
-    window_s=8.0, hop_s=4.0, max_gap_s=0.5, holdover_s=20.0
-)
+_STREAMING = StreamingConfig(window_s=8.0, hop_s=4.0, holdover_s=20.0)
 
 
-def _gateway(trace, *, config=None, seed=0, max_monitor_restarts=3):
+def _gateway(trace, *, config=None, seed=0):
     gateway = FleetGateway(
         clock=SimulatedClock(float(trace.timestamps_s[0])),
         config=config if config is not None else FleetConfig(),
-        supervisor_config=SupervisorConfig(
-            checkpoint_interval_s=5.0,
-            max_monitor_restarts=max_monitor_restarts,
-        ),
+        supervisor_config=SupervisorConfig(checkpoint_interval_s=5.0),
         streaming_config=_STREAMING,
         seed=seed,
     )
@@ -107,7 +102,7 @@ class TestScheduling:
         # truncated CSI row, so each one crashes the session's restarted
         # monitor until its restart budget runs out.
         corrupt = set(range(300, fleet_trace.n_packets, 100))
-        fleet = _gateway(fleet_trace, max_monitor_restarts=1)
+        fleet = _gateway(fleet_trace)
         fleet.admit(
             "sick",
             lambda clock: _CorruptingSource(fleet_trace, clock, corrupt),
@@ -116,7 +111,7 @@ class TestScheduling:
         _admit(fleet, fleet_trace, "well")
         fleet.run(max_duration_s=60.0)
 
-        solo = _gateway(fleet_trace, max_monitor_restarts=1)
+        solo = _gateway(fleet_trace)
         _admit(solo, fleet_trace, "alone")
         solo.run(max_duration_s=60.0)
 
@@ -146,7 +141,6 @@ class TestBackpressure:
             queue_capacity_packets=32,
             high_watermark_packets=16,
             low_watermark_packets=4,
-            throttle_after_rounds=1,
             ingest_budget_packets=32,
             drain_budget_packets=32,
             # Shed budget 0: the ladder may throttle and degrade but

@@ -30,6 +30,36 @@ class TestTimedFault:
             TimedFault(kind="degrade", at_s=1.0, duration_s=2.0,
                        loss_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "stall", "at_s": 30.0},
+            {"kind": "transient-errors", "at_s": 30.0},
+            {"kind": "hang", "at_s": 30.0},
+            {"kind": "transient-errors", "at_s": 30.0, "duration_s": 2.0,
+             "probability": 0.0},
+            {"kind": "crash", "at_s": -1.0},
+            {"kind": "monitor-crash", "at_s": -1.0},
+            {"kind": "degrade", "at_s": -1.0, "duration_s": 2.0},
+        ],
+        ids=[
+            "stall-without-duration",
+            "errors-without-duration",
+            "hang-without-hang-s",
+            "zero-probability",
+            "negative-crash",
+            "negative-monitor-crash",
+            "negative-degrade",
+        ],
+    )
+    def test_malformed_fault_rejected_at_load(self, entry, tmp_path):
+        with pytest.raises(ConfigurationError):
+            TimedFault.from_dict(entry)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"name": "bad", "faults": [entry]}))
+        with pytest.raises(ConfigurationError):
+            load_scenario(str(path))
+
     def test_source_fault_mapping(self):
         crash = TimedFault(kind="crash", at_s=3.0)
         assert crash.to_source_fault() == SourceFault(kind="crash", at_s=3.0)
@@ -135,7 +165,7 @@ class TestRunChaos:
             sample_rate_hz=100.0,
             seed=0,
             streaming_config=StreamingConfig(
-                window_s=10.0, hop_s=2.5, max_gap_s=0.5, holdover_s=20.0
+                window_s=10.0, hop_s=2.5, holdover_s=20.0
             ),
         )
         assert report.violations() == []
@@ -153,9 +183,7 @@ class TestRunChaos:
             duration_s=40.0,
             sample_rate_hz=100.0,
             seed=0,
-            streaming_config=StreamingConfig(
-                window_s=10.0, hop_s=2.5, max_gap_s=0.5
-            ),
+            streaming_config=StreamingConfig(window_s=10.0, hop_s=2.5),
         )
         assert report.violations() == []
         # The faulted pass IS the fault-free pass here; only the window

@@ -26,7 +26,7 @@ from repro.service import (
 from repro.service.chaos import SHIPPED_SCENARIOS, run_chaos
 from repro.service.supervisor import LEARNED_FALLBACK_METHODS
 
-STREAMING = StreamingConfig(window_s=10.0, hop_s=2.5, max_gap_s=0.5)
+STREAMING = StreamingConfig(window_s=10.0, hop_s=2.5)
 
 
 class StubLearned:
@@ -46,30 +46,42 @@ class StubLearned:
         return self.value
 
 
-def make_supervisor(clock, learned=None, **overrides):
+def make_supervisor(clock, learned=None):
     return MonitorSupervisor(
         clock=clock,
-        config=SupervisorConfig(
-            checkpoint_interval_s=5.0, watchdog_timeout_s=1.5, **overrides
-        ),
+        config=SupervisorConfig(checkpoint_interval_s=5.0),
         streaming_config=STREAMING,
         seed=0,
         learned_estimator=learned,
     )
 
 
-def gappy(trace, start_s=12.0, stop_s=16.0):
-    """Drop a mid-trace span so consecutive windows are gated data-gap."""
-    t = trace.timestamps_s
-    keep = ~((t >= start_s) & (t < stop_s))
+def without(trace, drop):
+    """The trace minus the packets where ``drop`` is True."""
+    keep = ~drop
     return CSITrace(
         csi=trace.csi[keep],
-        timestamps_s=t[keep],
+        timestamps_s=trace.timestamps_s[keep],
         sample_rate_hz=trace.sample_rate_hz,
         subcarrier_indices=trace.subcarrier_indices,
         meta={},
         strict=False,
     )
+
+
+def gappy(trace, start_s=12.0, stop_s=16.0):
+    """Drop a mid-trace span so consecutive windows are gated data-gap."""
+    t = trace.timestamps_s
+    return without(trace, (t >= start_s) & (t < stop_s))
+
+
+def periodic_gaps(trace, start_s=12.0, stop_s=24.0, every_s=2.0, drop_s=0.6):
+    """Drop ``drop_s`` of every ``every_s`` between ``start_s`` and
+    ``stop_s``: each window overlapping the span is gated data-gap, enough
+    consecutive windows for two escalations at FALLBACK_AFTER_WINDOWS."""
+    t = trace.timestamps_s
+    span = (t >= start_s) & (t < stop_s)
+    return without(trace, span & ((t - start_s) % every_s < drop_s))
 
 
 def run_with(trace, clock, supervisor, name="alice"):
@@ -100,9 +112,7 @@ class TestEscalationServesLearned:
     def test_first_escalation_lands_on_the_learned_rung(self, service_trace):
         clock = SimulatedClock()
         stub = StubLearned(value=15.0)
-        supervisor = make_supervisor(
-            clock, learned=stub, fallback_after_windows=1
-        )
+        supervisor = make_supervisor(clock, learned=stub)
         estimates = run_with(gappy(service_trace), clock, supervisor)
 
         escalated = supervisor.events.select(kind="fallback-escalated")
@@ -133,10 +143,8 @@ class TestRungDegradation:
     ):
         clock = SimulatedClock()
         stub = StubLearned(error=error)
-        supervisor = make_supervisor(
-            clock, learned=stub, fallback_after_windows=1
-        )
-        estimates = run_with(gappy(service_trace), clock, supervisor)
+        supervisor = make_supervisor(clock, learned=stub)
+        estimates = run_with(periodic_gaps(service_trace), clock, supervisor)
 
         assert stub.calls > 0, "learned rung was never consulted"
         # The failing rung must not emit under the learned label: while it

@@ -16,16 +16,14 @@ from repro.service import (
     TracePacketSource,
 )
 
-STREAMING = StreamingConfig(window_s=10.0, hop_s=2.5, max_gap_s=0.5)
+STREAMING = StreamingConfig(window_s=10.0, hop_s=2.5)
 
 
-def make_supervisor(clock=None, **overrides):
+def make_supervisor(clock=None):
     clock = clock if clock is not None else SimulatedClock()
     return MonitorSupervisor(
         clock=clock,
-        config=SupervisorConfig(
-            checkpoint_interval_s=5.0, watchdog_timeout_s=1.5, **overrides
-        ),
+        config=SupervisorConfig(checkpoint_interval_s=5.0),
         streaming_config=STREAMING,
         seed=0,
     )
@@ -167,7 +165,7 @@ class TestWatchdogAndRestarts:
 
     def test_repeated_monitor_crashes_fail_the_subject(self, service_trace):
         clock = SimulatedClock()
-        supervisor = make_supervisor(clock, max_monitor_restarts=2)
+        supervisor = make_supervisor(clock)
         # A recurring corrupt packet: each one crashes the (restarted)
         # monitor again until the restart budget runs out.
         recurring = set(range(1200, service_trace.n_packets, 400))
@@ -202,7 +200,7 @@ class TestFallbackLadder:
             strict=False,
         )
         clock = SimulatedClock()
-        supervisor = make_supervisor(clock, fallback_after_windows=1)
+        supervisor = make_supervisor(clock)
         supervisor.add_subject(
             "alice",
             lambda t0: TracePacketSource(gappy, clock, start_at_s=t0),
