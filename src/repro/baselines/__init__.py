@@ -1,12 +1,10 @@
 """Comparison methods the paper evaluates against."""
 
-from .amplitude import AmplitudeMethod, AmplitudeMethodConfig
-from .rss import RSSMethod, RSSMethodConfig, rss_series_db
+from .amplitude import AmplitudeMethod
+from .rss import RSSMethod, rss_series_db
 
 __all__ = [
     "AmplitudeMethod",
-    "AmplitudeMethodConfig",
     "RSSMethod",
-    "RSSMethodConfig",
     "rss_series_db",
 ]

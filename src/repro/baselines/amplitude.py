@@ -17,71 +17,39 @@ PhaseBeat's 90%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.breathing import PeakBreathingEstimator
 from ..core.calibration import calibrate
 from ..core.dwt_stage import decompose
-from ..core.heart import FFTHeartEstimator
 from ..core.subcarrier_selection import select_subcarrier
 from ..errors import ConfigurationError
 from ..io_.trace import CSITrace
 
-__all__ = ["AmplitudeMethodConfig", "AmplitudeMethod"]
+__all__ = ["ANTENNA", "AmplitudeMethod"]
 
-
-@dataclass(frozen=True)
-class AmplitudeMethodConfig:
-    """Parameters of the amplitude baseline.
-
-    Calibration, selection, the DWT and the estimators use PhaseBeat's
-    stage defaults.
-
-    Attributes:
-        antenna: Receive chain whose |CSI| is used.
-    """
-
-    antenna: int = 0
-
-    def __post_init__(self) -> None:
-        if self.antenna < 0:
-            raise ConfigurationError(f"antenna must be >= 0, got {self.antenna}")
+# Receive chain whose |CSI| is used.
+ANTENNA = 0
 
 
 class AmplitudeMethod:
-    """Amplitude-based vital-sign estimation (the Fig. 11 benchmark)."""
+    """Amplitude-based breathing estimation (the Fig. 11 benchmark).
 
-    def __init__(self, config: AmplitudeMethodConfig | None = None):
-        self.config = config if config is not None else AmplitudeMethodConfig()
+    Calibration, selection, the DWT and the estimator use PhaseBeat's stage
+    defaults.
+    """
 
     def estimate_breathing_bpm(self, trace: CSITrace) -> float:
         """Single-person breathing rate from CSI amplitude."""
-        bands, _ = self._band_split(trace)
-        return PeakBreathingEstimator().estimate_bpm(
-            bands.breathing, bands.sample_rate_hz
-        )
-
-    def estimate_heart_bpm(self, trace: CSITrace) -> float:
-        """Heart rate from the amplitude DWT detail band.
-
-        Best effort: the original work monitors sleeping subjects.
-        """
-        bands, _ = self._band_split(trace)
-        return FFTHeartEstimator().estimate_bpm(
-            bands.heart, bands.sample_rate_hz
-        )
-
-    def _band_split(self, trace: CSITrace):
-        cfg = self.config
-        if cfg.antenna >= trace.n_rx:
+        if ANTENNA >= trace.n_rx:
             raise ConfigurationError(
-                f"antenna {cfg.antenna} out of range for {trace.n_rx} chains"
+                f"antenna {ANTENNA} out of range for {trace.n_rx} chains"
             )
-        amplitude = np.abs(trace.csi[:, cfg.antenna, :])
+        amplitude = np.abs(trace.csi[:, ANTENNA, :])
         calibrated = calibrate(amplitude, trace.sample_rate_hz)
         selection = select_subcarrier(calibrated.series)
         series = calibrated.series[:, selection.selected]
         bands = decompose(series, calibrated.sample_rate_hz)
-        return bands, selection
+        return PeakBreathingEstimator().estimate_bpm(
+            bands.breathing, bands.sample_rate_hz
+        )

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any
 
 import numpy as np
 
@@ -249,18 +250,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
-        help="simulated duration per run (default: 90 solo / 24 fleet)",
+        help="simulated duration per run (default: the runner's, see repro.sanitize)",
     )
     sanitize.add_argument(
         "--sample-rate", type=float, default=None, metavar="HZ",
-        help="CSI sample rate (default: 100 solo / 50 fleet)",
+        help="CSI sample rate (default: the runner's)",
     )
     sanitize.add_argument(
-        "--sessions", type=int, default=12, metavar="N",
-        help="fleet size in --mode fleet (default: 12)",
+        "--sessions", type=int, default=None, metavar="N",
+        help="fleet size in --mode fleet (default: the runner's)",
     )
     sanitize.add_argument(
-        "--seed", type=int, default=0, help="scenario seed for both runs"
+        "--seed", type=int, default=None,
+        help="scenario seed for both runs (default: the runner's)",
     )
     sanitize.add_argument(
         "--json", action="store_true",
@@ -765,25 +767,24 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     from .sanitize import sanitize_fleet, sanitize_solo
 
+    # Only the flags the user gave are passed: every default lives in the
+    # runner's signature.
+    kwargs: dict[str, Any] = {
+        name: value
+        for name, value in (
+            ("scenario", args.scenario),
+            ("duration_s", args.duration),
+            ("sample_rate_hz", args.sample_rate),
+            ("seed", args.seed),
+        )
+        if value is not None
+    }
     if args.mode == "fleet":
-        report = sanitize_fleet(
-            args.scenario or "shard-crash",
-            n_sessions=args.sessions,
-            duration_s=args.duration if args.duration is not None else 24.0,
-            sample_rate_hz=(
-                args.sample_rate if args.sample_rate is not None else 50.0
-            ),
-            seed=args.seed,
-        )
+        if args.sessions is not None:
+            kwargs["n_sessions"] = args.sessions
+        report = sanitize_fleet(**kwargs)
     else:
-        report = sanitize_solo(
-            args.scenario or "source-crash",
-            duration_s=args.duration if args.duration is not None else 90.0,
-            sample_rate_hz=(
-                args.sample_rate if args.sample_rate is not None else 100.0
-            ),
-            seed=args.seed,
-        )
+        report = sanitize_solo(**kwargs)
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

@@ -1,17 +1,15 @@
 """The paper's contribution: the PhaseBeat processing pipeline."""
 
-from .apnea import ApneaConfig, ApneaEvent, breathing_envelope, detect_apnea
+from .apnea import ApneaEvent, breathing_envelope, detect_apnea
 from .breathing import (
     BREATHING_SEARCH_BAND_HZ,
     FFTBreathingEstimator,
     MusicBreathingEstimator,
     PeakBreathingEstimator,
 )
-from .calibration import CalibratedData, CalibrationConfig, calibrate
+from .calibration import CalibratedData, calibrate
 from .dwt_stage import DWTBands, DWTConfig, decompose
 from .environment import (
-    EnvironmentConfig,
-    EnvironmentDetector,
     classify_windows,
     v_statistic,
     windowed_v,
@@ -23,7 +21,6 @@ from .results import PhaseBeatResult, PipelineDiagnostics, VitalSignEstimate
 from .streaming import StreamingConfig, StreamingEstimate, StreamingMonitor
 from .waveform import BreathingWaveformStats, analyze_waveform, breath_intervals
 from .subcarrier_selection import (
-    SelectionConfig,
     SelectionResult,
     amplitude_quality_mask,
     select_subcarrier,
@@ -31,16 +28,12 @@ from .subcarrier_selection import (
 )
 
 __all__ = [
-    "ApneaConfig",
     "ApneaEvent",
     "BREATHING_SEARCH_BAND_HZ",
     "BreathingWaveformStats",
     "CalibratedData",
-    "CalibrationConfig",
     "DWTBands",
     "DWTConfig",
-    "EnvironmentConfig",
-    "EnvironmentDetector",
     "FFTBreathingEstimator",
     "FFTHeartEstimator",
     "HEART_SEARCH_BAND_HZ",
@@ -50,7 +43,6 @@ __all__ = [
     "PhaseBeatConfig",
     "PhaseBeatResult",
     "PipelineDiagnostics",
-    "SelectionConfig",
     "SelectionResult",
     "StreamingConfig",
     "StreamingEstimate",

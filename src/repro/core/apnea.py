@@ -25,34 +25,26 @@ from ..contracts import FloatArray
 from ..dsp.hampel import rolling_median
 from ..errors import ConfigurationError, SignalTooShortError
 
-__all__ = ["ApneaConfig", "ApneaEvent", "breathing_envelope", "detect_apnea"]
+__all__ = [
+    "DROP_FRACTION",
+    "MERGE_GAP_S",
+    "MIN_DURATION_S",
+    "ApneaEvent",
+    "breathing_envelope",
+    "detect_apnea",
+]
 
 
-@dataclass(frozen=True)
-class ApneaConfig:
-    """Apnea-detection parameters.
-
-    Attributes:
-        min_duration_s: Minimum cessation length to score an event (adult
-            clinical scoring uses 10 s).
-        drop_fraction: The envelope must fall below this fraction of its
-            reference (median) level to count as cessation — clinical
-            criteria use a ≥90% airflow reduction, i.e. 0.1–0.3 here.
-        merge_gap_s: Cessation intervals separated by less than this merge
-            into one event (brief envelope flickers don't split an apnea).
-    """
-
-    min_duration_s: float = 10.0
-    drop_fraction: float = 0.3
-    merge_gap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.min_duration_s <= 0:
-            raise ConfigurationError("min_duration_s must be positive")
-        if not 0.0 < self.drop_fraction < 1.0:
-            raise ConfigurationError("drop_fraction must be in (0, 1)")
-        if self.merge_gap_s < 0:
-            raise ConfigurationError("merge_gap_s must be >= 0")
+# Minimum cessation length to score an event (adult clinical scoring uses
+# 10 s).
+MIN_DURATION_S = 10.0
+# The envelope must fall below this fraction of its reference (median)
+# level to count as cessation; clinical criteria use a >= 90% airflow
+# reduction, i.e. 0.1-0.3 here.
+DROP_FRACTION = 0.3
+# Cessation intervals separated by less than this merge into one event
+# (brief envelope flickers don't split an apnea).
+MERGE_GAP_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -95,9 +87,7 @@ def breathing_envelope(
 
 
 def detect_apnea(
-    signal: FloatArray,
-    sample_rate_hz: float,
-    config: ApneaConfig | None = None,
+    signal: FloatArray, sample_rate_hz: float
 ) -> list[ApneaEvent]:
     """Detect breathing-cessation events in a breathing-band signal.
 
@@ -105,18 +95,16 @@ def detect_apnea(
         signal: The DWT breathing-band reconstruction (or any series whose
             amplitude tracks chest motion).
         sample_rate_hz: Its sample rate.
-        config: Detection parameters.
 
     Returns:
-        Events longer than ``min_duration_s``, time-ordered.
+        Events longer than :data:`MIN_DURATION_S`, time-ordered.
 
     Raises:
         SignalTooShortError: If the signal is shorter than one minimum
             event (nothing could ever be detected).
     """
-    config = config if config is not None else ApneaConfig()
     signal = np.asarray(signal, dtype=float)
-    min_samples = int(round(config.min_duration_s * sample_rate_hz))
+    min_samples = int(round(MIN_DURATION_S * sample_rate_hz))
     if signal.size < min_samples:
         raise SignalTooShortError(min_samples, signal.size, "apnea input")
 
@@ -128,7 +116,7 @@ def detect_apnea(
     reference = float(np.median(envelope))
     if reference <= 0:
         return []
-    below = envelope < config.drop_fraction * reference
+    below = envelope < DROP_FRACTION * reference
 
     events: list[tuple[int, int]] = []
     start = None
@@ -142,7 +130,7 @@ def detect_apnea(
         events.append((start, below.size))
 
     # Merge events separated by a short gap.
-    merge_gap = int(round(config.merge_gap_s * sample_rate_hz))
+    merge_gap = int(round(MERGE_GAP_S * sample_rate_hz))
     merged: list[tuple[int, int]] = []
     for lo, hi in events:
         if merged and lo - merged[-1][1] <= merge_gap:

@@ -17,8 +17,6 @@ simulated lab scenario to play the same role as the paper's (0.25, 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..contracts import FloatArray, check_arrays
@@ -27,39 +25,22 @@ from ..errors import ConfigurationError
 from ..physio.motion import ActivityState
 
 __all__ = [
-    "EnvironmentConfig",
+    "STATIONARY_BAND",
+    "V_HOP_S",
+    "V_WINDOW_S",
     "v_statistic",
     "windowed_v",
     "classify_v",
     "classify_windows",
-    "EnvironmentDetector",
 ]
 
 
-@dataclass(frozen=True)
-class EnvironmentConfig:
-    """Environment-detection parameters.
-
-    Attributes:
-        window_s: Sliding-window length in seconds (MAD is computed per
-            window).
-        hop_s: Window hop in seconds.
-        stationary_band: (low, high) V thresholds: below low → empty room /
-            no signal, inside → stationary person, above high → large motion.
-    """
-
-    window_s: float = 2.0
-    hop_s: float = 1.0
-    stationary_band: tuple[float, float] = (0.05, 1.0)
-
-    def __post_init__(self) -> None:
-        if self.window_s <= 0 or self.hop_s <= 0:
-            raise ConfigurationError("window and hop must be positive")
-        lo, hi = self.stationary_band
-        if not 0 <= lo < hi:
-            raise ConfigurationError(
-                f"stationary band must satisfy 0 <= lo < hi, got {self.stationary_band}"
-            )
+# Sliding-window geometry of the windowed V check (MAD per window).
+V_WINDOW_S = 2.0
+V_HOP_S = 1.0
+# (low, high) V thresholds: below low -> empty room / no signal, inside ->
+# stationary person, above high -> large motion.
+STATIONARY_BAND = (0.05, 1.0)
 
 
 @check_arrays(phase_diff="n_packets|n_packets,n_subcarriers")
@@ -88,17 +69,15 @@ def v_statistic(phase_diff: FloatArray) -> float:
 def windowed_v(
     phase_diff: FloatArray,
     sample_rate_hz: float,
-    config: EnvironmentConfig,
     *,
     memo: dict[int, float] | None = None,
     first_row: int = 0,
 ) -> tuple[FloatArray, FloatArray]:
-    """V statistic over hopping windows.
+    """V statistic over :data:`V_WINDOW_S` windows hopped by :data:`V_HOP_S`.
 
     Args:
         phase_diff: Unwrapped phase differences of the segment.
         sample_rate_hz: Their sample rate.
-        config: Window geometry.
         memo: V of earlier sub-windows, keyed by absolute start row.  A
             caller whose rows never change under a given absolute index
             (the streaming engine's) passes the same dict every window;
@@ -111,8 +90,8 @@ def windowed_v(
     phase_diff = np.atleast_2d(np.asarray(phase_diff, dtype=float))
     if sample_rate_hz <= 0:
         raise ConfigurationError(f"sample rate must be positive, got {sample_rate_hz}")
-    window = max(2, int(round(config.window_s * sample_rate_hz)))
-    hop = max(1, int(round(config.hop_s * sample_rate_hz)))
+    window = max(2, int(round(V_WINDOW_S * sample_rate_hz)))
+    hop = max(1, int(round(V_HOP_S * sample_rate_hz)))
     n = phase_diff.shape[0]
     if n < window:
         raise ConfigurationError(
@@ -134,8 +113,8 @@ def windowed_v(
     return np.asarray(centers), np.asarray(values)
 
 
-def classify_v(v: float, config: EnvironmentConfig) -> ActivityState:
-    """Map one V value to an activity state.
+def classify_v(v: float) -> ActivityState:
+    """Map one V value to an activity state against :data:`STATIONARY_BAND`.
 
     Below the band → :attr:`ActivityState.NO_PERSON` (no modulation at
     all); inside, edges included → :attr:`ActivityState.SITTING`
@@ -144,7 +123,7 @@ def classify_v(v: float, config: EnvironmentConfig) -> ActivityState:
     does not need to).  A NaN V (a NaN sample in the segment) is no
     evidence of a person and maps to NO_PERSON, never to SITTING.
     """
-    lo, hi = config.stationary_band
+    lo, hi = STATIONARY_BAND
     if not v >= lo:
         return ActivityState.NO_PERSON
     if v > hi:
@@ -152,32 +131,13 @@ def classify_v(v: float, config: EnvironmentConfig) -> ActivityState:
     return ActivityState.SITTING
 
 
-def classify_windows(v: FloatArray, config: EnvironmentConfig) -> np.ndarray:  # phaselint: disable=PL002 -- object array of ActivityState
+def classify_windows(v: FloatArray) -> np.ndarray:  # phaselint: disable=PL002 -- object array of ActivityState
     """Map V values to activity states with :func:`classify_v`."""
     v = np.asarray(v, dtype=float)
     # Element-wise assignment keeps the enum objects intact (bulk fills of a
     # str-enum decay to plain strings under numpy's scalar coercion).
     out = np.empty(v.shape, dtype=object)
     for i, value in np.ndenumerate(v):
-        out[i] = classify_v(value, config)
+        out[i] = classify_v(value)
     return out
-
-
-class EnvironmentDetector:
-    """Stateful facade: is this segment usable for vital-sign estimation?"""
-
-    def __init__(self, config: EnvironmentConfig | None = None):
-        self.config = config if config is not None else EnvironmentConfig()
-
-    def is_stationary(self, phase_diff: FloatArray) -> bool:
-        """Whole-segment decision: V of the full segment inside the band."""
-        state = classify_v(v_statistic(phase_diff), self.config)
-        return state is ActivityState.SITTING
-
-    def segment_report(
-        self, phase_diff: FloatArray, sample_rate_hz: float
-    ) -> tuple[FloatArray, FloatArray, np.ndarray]:  # phaselint: disable=PL002 -- states are an object array
-        """Windowed analysis: ``(centers_s, v, states)``."""
-        centers, v = windowed_v(phase_diff, sample_rate_hz, self.config)
-        return centers, v, classify_windows(v, self.config)
 

@@ -41,7 +41,8 @@ from .breathing import (
 from .calibration import calibrate
 from .dwt_stage import decompose
 from .environment import (
-    EnvironmentConfig,
+    STATIONARY_BAND,
+    V_WINDOW_S,
     classify_v,
     v_statistic,
     windowed_v,
@@ -58,10 +59,8 @@ __all__ = [
     "prepare_calibrated_matrix",
 ]
 
-# The paper defaults of the stages the pipeline calls as objects;
-# calibration, selection and the DWT fall back to their own defaults when
-# called without a config.
-_ENVIRONMENT = EnvironmentConfig()
+# The paper defaults of the estimators the pipeline calls as objects;
+# the DWT falls back to its own defaults when called without a config.
 _PEAK = PeakBreathingEstimator()
 _FFT = FFTBreathingEstimator()
 _MUSIC = MusicBreathingEstimator()
@@ -289,7 +288,7 @@ class PhaseBeat:
         """Environment detection on an unwrapped phase-difference matrix.
 
         Computes the segment V statistic and classifies it against the
-        configured stationary band; a borderline SITTING verdict is
+        stationary band; a borderline SITTING verdict is
         re-checked with sliding windows so a motion burst occupying only
         part of the segment (whole-segment V inside the band, estimate
         corrupted anyway) is still flagged as WALKING.
@@ -307,19 +306,15 @@ class PhaseBeat:
             when escalated) and the activity classification.
         """
         v = v_statistic(diff)
-        state = classify_v(v, _ENVIRONMENT)
+        state = classify_v(v)
         if state is not ActivityState.SITTING:
             return v, state
-        window = int(round(_ENVIRONMENT.window_s * sample_rate_hz))
+        window = int(round(V_WINDOW_S * sample_rate_hz))
         if diff.shape[0] >= 2 * window:
             _, windowed = windowed_v(
-                diff,
-                sample_rate_hz,
-                _ENVIRONMENT,
-                memo=v_memo,
-                first_row=first_row,
+                diff, sample_rate_hz, memo=v_memo, first_row=first_row
             )
-            if windowed.max() > _ENVIRONMENT.stationary_band[1]:
+            if windowed.max() > STATIONARY_BAND[1]:
                 return float(windowed.max()), ActivityState.WALKING
         return v, ActivityState.SITTING
 

@@ -49,6 +49,8 @@ from ..errors import (
     TraceFormatError,
 )
 from ..contracts import ComplexArray, FloatArray, IntArray
+from ..dsp.hampel import NOISE_WINDOW_S, TREND_WINDOW_S
+from ..dsp.resample import decimation_factor
 from ..dsp.streaming_kernels import (
     RowStore,
     StreamingCalibrator,
@@ -58,7 +60,6 @@ from ..io_.quality import TraceQualityReport, assess_timestamps
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..physio.motion import ActivityState
-from .calibration import CalibrationConfig
 from .pipeline import PhaseBeat, _antenna_pairs
 from .phase_difference import wrapped_pair_matrix
 from .results import PhaseBeatResult
@@ -224,14 +225,9 @@ class StreamingMonitor:
         # rebuilt from it alone reproduces the running engine's values
         # bitwise inside the analysis window (see
         # StreamingCalibrator.rebuild_context_samples).
-        calibration = CalibrationConfig()
-        self._decimation = calibration.decimation_factor(self.sample_rate_hz)
-        trend_w = trailing_window_samples(
-            calibration.trend_window_s, self.sample_rate_hz
-        )
-        noise_w = trailing_window_samples(
-            calibration.noise_window_s, self.sample_rate_hz
-        )
+        self._decimation = decimation_factor(self.sample_rate_hz)
+        trend_w = trailing_window_samples(TREND_WINDOW_S, self.sample_rate_hz)
+        noise_w = trailing_window_samples(NOISE_WINDOW_S, self.sample_rate_hz)
         if noise_w >= trend_w:
             raise ConfigurationError(
                 f"at {self.sample_rate_hz} Hz the calibration's denoise "
@@ -730,13 +726,9 @@ class StreamingMonitor:
         makes checkpoints restore-safe: the restored monitor rebuilds here
         and lands on the exact caches of the engine it replaces.
         """
-        calibration = CalibrationConfig()
         engine = StreamingCalibrator(
             self.sample_rate_hz,
             len(self._pairs) * n_subcarriers,
-            trend_window_s=calibration.trend_window_s,
-            noise_window_s=calibration.noise_window_s,
-            hampel_threshold=calibration.hampel_threshold,
             decimation_factor=self._decimation,
             initial_cycles=self._restored_cycles,
         )

@@ -25,13 +25,17 @@ if TYPE_CHECKING:
     from ..io_.trace import CSITrace
 
 __all__ = [
-    "SelectionConfig",
+    "K_CANDIDATES",
     "SelectionResult",
     "amplitude_mask_from_mean",
     "amplitude_quality_mask",
     "select_subcarrier",
     "subcarrier_sensitivities",
 ]
+
+# Number of top-MAD candidates the selected subcarrier is the median of
+# (the paper's k).
+K_CANDIDATES = 3
 
 
 def amplitude_mask_from_mean(
@@ -94,21 +98,6 @@ def amplitude_quality_mask(
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    """Subcarrier-selection parameters.
-
-    Attributes:
-        k: Number of top-MAD candidates (paper default 3).
-    """
-
-    k: int = 3
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Outcome of subcarrier selection.
 
@@ -139,7 +128,6 @@ def subcarrier_sensitivities(series: FloatArray) -> FloatArray:
 
 def select_subcarrier(
     series: FloatArray,
-    config: SelectionConfig | None = None,
     *,
     mask: BoolArray | None = None,
 ) -> SelectionResult:
@@ -147,7 +135,6 @@ def select_subcarrier(
 
     Args:
         series: ``(n_samples, n_subcarriers)`` calibrated phase differences.
-        config: Selection parameters.
         mask: Optional boolean eligibility per subcarrier.  The pipeline
             masks out deep-faded subcarriers whose phase difference is
             unwrap-unstable (their random-walk drift inflates the MAD with
@@ -157,11 +144,11 @@ def select_subcarrier(
 
     Returns:
         :class:`SelectionResult`; ``selected`` is the candidate whose MAD is
-        the median of the k candidate MADs (for even k, the lower median, so
-        the choice is always an actual candidate).  Indices refer to the
-        original column numbering.
+        the median of the :data:`K_CANDIDATES` candidate MADs (of all
+        eligible ones when fewer are eligible; for an even count, the lower
+        median, so the choice is always an actual candidate).  Indices refer
+        to the original column numbering.
     """
-    config = config if config is not None else SelectionConfig()
     sensitivities = subcarrier_sensitivities(series)
     n_subcarriers = sensitivities.size
     if mask is not None:
@@ -176,7 +163,7 @@ def select_subcarrier(
     eligible = (
         np.arange(n_subcarriers) if mask is None else np.flatnonzero(mask)
     )
-    k = min(config.k, eligible.size)
+    k = min(K_CANDIDATES, eligible.size)
     # Top-k eligible indices, MAD descending.
     order = eligible[np.argsort(sensitivities[eligible])[::-1]]
     candidates = tuple(int(i) for i in order[:k])

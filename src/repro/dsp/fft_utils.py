@@ -54,11 +54,6 @@ class RfftPlan:
         """Number of one-sided spectrum bins (``n_fft // 2 + 1``)."""
         return self.freqs_hz.size
 
-    @property
-    def bin_width_hz(self) -> float:
-        """Frequency resolution of the grid."""
-        return self.sample_rate_hz / self.n_fft
-
 
 @lru_cache(maxsize=128)
 def rfft_plan(n_fft: int, sample_rate_hz: float) -> RfftPlan:

@@ -29,7 +29,23 @@ from ..contracts import FloatArray
 from ..errors import ConfigurationError
 from .stats import MAD_TO_SIGMA
 
-__all__ = ["rolling_median", "hampel_filter"]
+__all__ = [
+    "HAMPEL_THRESHOLD",
+    "NOISE_WINDOW_S",
+    "TREND_WINDOW_S",
+    "rolling_median",
+    "hampel_filter",
+]
+
+# The paper's calibration windows and threshold (Section III-B2), in
+# seconds so captures at other rates are calibrated consistently: 2000 and
+# 50 samples at 400 Hz.  The batch calibration stage, the streaming engine
+# and the CSI-ratio rung all read these.
+TREND_WINDOW_S = 5.0
+NOISE_WINDOW_S = 0.125
+# Small enough that the filter degenerates to a rolling median, which is the
+# intent.
+HAMPEL_THRESHOLD = 0.01
 
 
 def _validate_window(x: FloatArray, window: int) -> FloatArray:

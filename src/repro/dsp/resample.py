@@ -26,7 +26,17 @@ from ..contracts import BoolArray, FloatArray
 from ..errors import ConfigurationError, DataGapError, SignalTooShortError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 
-__all__ = ["ReclockedSeries", "decimate", "downsampled_rate", "reclock"]
+__all__ = [
+    "TARGET_RATE_HZ",
+    "ReclockedSeries",
+    "decimate",
+    "decimation_factor",
+    "downsampled_rate",
+    "reclock",
+]
+
+# The paper's processing rate after calibration (400 Hz / 20).
+TARGET_RATE_HZ = 20.0
 
 # Histogram bounds for gap fractions (dimensionless, 0..1).
 _FRACTION_BUCKETS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0)
@@ -224,6 +234,19 @@ def _reclock(
         gap_mask=gap_mask,
         n_dropped=n_dropped,
     )
+
+
+def decimation_factor(input_rate_hz: float) -> int:
+    """Integer factor that brings ``input_rate_hz`` down to about 20 Hz.
+
+    ``round(input_rate / TARGET_RATE_HZ)``, floored at 1 so low-rate
+    captures pass through unchanged.
+    """
+    if input_rate_hz <= 0:
+        raise ConfigurationError(
+            f"input rate must be positive, got {input_rate_hz}"
+        )
+    return max(1, int(round(input_rate_hz / TARGET_RATE_HZ)))
 
 
 def downsampled_rate(sample_rate_hz: float, factor: int) -> float:

@@ -21,7 +21,7 @@ from ..contracts import FloatArray
 from ..core.breathing import FFTBreathingEstimator, MusicBreathingEstimator
 from ..core.calibration import calibrate
 from ..core.dwt_stage import decompose
-from ..core.environment import EnvironmentConfig, classify_windows, windowed_v
+from ..core.environment import STATIONARY_BAND, classify_windows, windowed_v
 from ..core.phase_difference import phase_difference, raw_phase
 from ..core.pipeline import PhaseBeat, PhaseBeatConfig
 from ..core.subcarrier_selection import select_subcarrier
@@ -121,9 +121,8 @@ def fig03_environment_detection(seed: int = 1) -> dict:
     )
     trace = capture_trace(scenario, duration_s=60.0, seed=seed)
     diff = phase_difference(trace)
-    config = EnvironmentConfig()
-    centers, v = windowed_v(diff, trace.sample_rate_hz, config)
-    states = classify_windows(v, config)
+    centers, v = windowed_v(diff, trace.sample_rate_hz)
+    states = classify_windows(v)
 
     segment_v = {}
     for event in script.events:
@@ -135,7 +134,7 @@ def fig03_environment_detection(seed: int = 1) -> dict:
         "v": v,
         "states": [s.value for s in states],
         "segment_mean_v": segment_v,
-        "stationary_band": config.stationary_band,
+        "stationary_band": STATIONARY_BAND,
     }
 
 
@@ -457,7 +456,9 @@ def fig13_sampling_rate(
                 acc_h.append(0.0)
             else:
                 acc_h.append(accuracy(result.heart_rate_bpm, person.heart_rate_bpm))
-            freqs, mag = magnitude_spectrum(result.heart_signal, 20.0)
+            freqs, mag = magnitude_spectrum(
+                result.heart_signal, result.diagnostics.calibrated_rate_hz
+            )
             in_band = band_mask(freqs, (0.8, 2.0))
             tone = mag[np.argmin(np.abs(freqs - person.heartbeat.frequency_hz))]
             snrs.append(float(tone / max(np.median(mag[in_band]), 1e-12)))

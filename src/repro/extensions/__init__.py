@@ -8,16 +8,14 @@
   null-point robustness from the complex-plane principal axis.
 """
 
-from .csi_ratio import CsiRatioConfig, CsiRatioEstimator, csi_ratio_series
+from .csi_ratio import CsiRatioEstimator, csi_ratio_series
 from .tensor import CPDecomposition, cp_als, khatri_rao, unfold
-from .tensorbeat import TensorBeatConfig, TensorBeatEstimator, hankel_tensor
+from .tensorbeat import TensorBeatEstimator, hankel_tensor
 
 __all__ = [
     "CPDecomposition",
-    "CsiRatioConfig",
     "CsiRatioEstimator",
     "csi_ratio_series",
-    "TensorBeatConfig",
     "TensorBeatEstimator",
     "cp_als",
     "hankel_tensor",

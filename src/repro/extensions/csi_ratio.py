@@ -22,18 +22,21 @@ comparison point for the ablation suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.breathing import BREATHING_SEARCH_BAND_HZ, PeakBreathingEstimator
-from ..dsp.hampel import hampel_filter
-from ..dsp.resample import decimate, downsampled_rate
+from ..core.breathing import PeakBreathingEstimator
+from ..dsp.hampel import (
+    HAMPEL_THRESHOLD,
+    NOISE_WINDOW_S,
+    TREND_WINDOW_S,
+    hampel_filter,
+)
+from ..dsp.resample import decimate, decimation_factor, downsampled_rate
 from ..contracts import ComplexArray, FloatArray
 from ..errors import ConfigurationError, EstimationError
 from ..io_.trace import CSITrace
 
-__all__ = ["CsiRatioConfig", "CsiRatioEstimator", "csi_ratio_series"]
+__all__ = ["CsiRatioEstimator", "csi_ratio_series"]
 
 
 def csi_ratio_series(
@@ -84,38 +87,12 @@ def _principal_component_series(ratio: ComplexArray) -> FloatArray:
     return points @ principal
 
 
-@dataclass(frozen=True)
-class CsiRatioConfig:
-    """CSI-ratio estimator parameters.
-
-    The ratio is formed over chains (0, 1).
-
-    Attributes:
-        trend_window_s: Hampel detrend window (as in the paper pipeline).
-        noise_window_s: Hampel denoise window.
-        target_rate_hz: Processing rate after decimation.
-        band_hz: Breathing search band.
-    """
-
-    trend_window_s: float = 5.0
-    noise_window_s: float = 0.125
-    target_rate_hz: float = 20.0
-    band_hz: tuple[float, float] = BREATHING_SEARCH_BAND_HZ
-
-    def __post_init__(self) -> None:
-        if self.trend_window_s <= self.noise_window_s:
-            raise ConfigurationError(
-                "trend window must exceed the noise window"
-            )
-        if self.target_rate_hz <= 0:
-            raise ConfigurationError("target rate must be positive")
-
-
 class CsiRatioEstimator:
-    """Breathing estimation from the complex CSI ratio's principal axis."""
+    """Breathing estimation from the complex CSI ratio's principal axis.
 
-    def __init__(self, config: CsiRatioConfig | None = None):
-        self.config = config if config is not None else CsiRatioConfig()
+    The ratio is formed over chains (0, 1) and calibrated with the paper
+    pipeline's Hampel windows, threshold and processing rate.
+    """
 
     def breathing_series(self, trace: CSITrace) -> tuple[FloatArray, float]:
         """The calibrated principal-axis series and its sample rate.
@@ -127,22 +104,25 @@ class CsiRatioEstimator:
         principal axis explains the most variance (strongest coherent arc)
         is selected.
         """
-        cfg = self.config
         ratio = csi_ratio_series(trace)
-        factor = max(1, int(round(trace.sample_rate_hz / cfg.target_rate_hz)))
+        factor = decimation_factor(trace.sample_rate_hz)
         rate = downsampled_rate(trace.sample_rate_hz, factor)
 
         best_series = None
         best_energy = -np.inf
-        noise_window = max(3, int(round(cfg.noise_window_s * trace.sample_rate_hz)))
-        trend_window = max(5, int(round(cfg.trend_window_s * trace.sample_rate_hz)))
+        noise_window = max(3, int(round(NOISE_WINDOW_S * trace.sample_rate_hz)))
+        trend_window = max(5, int(round(TREND_WINDOW_S * trace.sample_rate_hz)))
         n_sub = ratio.shape[1]
         # Real parts in columns [0, n_sub), imaginary parts after them;
         # the complex components are smoothed before decimation.
         smooth = hampel_filter(
-            np.concatenate([ratio.real, ratio.imag], axis=1), noise_window, 0.01
+            np.concatenate([ratio.real, ratio.imag], axis=1),
+            noise_window,
+            HAMPEL_THRESHOLD,
         )
-        detrended_parts = smooth - hampel_filter(smooth, trend_window, 0.01)
+        detrended_parts = smooth - hampel_filter(
+            smooth, trend_window, HAMPEL_THRESHOLD
+        )
         for column in range(n_sub):
             detrended = decimate(
                 detrended_parts[:, [column, n_sub + column]], factor, axis=0

@@ -16,16 +16,35 @@ from its phase slope, which is exact for a clean exponential factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.signal import hilbert
 
 from ..contracts import FloatArray
+from ..core.breathing import BREATHING_SEARCH_BAND_HZ
 from ..errors import ConfigurationError, EstimationError
 from .tensor import cp_als
 
-__all__ = ["TensorBeatConfig", "TensorBeatEstimator", "hankel_tensor"]
+__all__ = [
+    "DECIMATION",
+    "EXTRA_RANK",
+    "N_ITERATIONS",
+    "N_RESTARTS",
+    "TensorBeatEstimator",
+    "hankel_tensor",
+]
+
+# Post-analytic decimation (the same aperture-stretching trick as the
+# root-MUSIC estimator).
+DECIMATION = 10
+# Components fitted beyond ``n_persons``.  Zero: the Hankel tensor of K
+# exponentials has CP rank exactly K, and surplus components make ALS split
+# tones into mixtures instead of isolating them.
+EXTRA_RANK = 0
+# CP-ALS sweep limit.
+N_ITERATIONS = 300
+# Random ALS restarts; the factorization with the best fit wins (ALS is
+# non-convex and close breathing rates create shallow local minima).
+N_RESTARTS = 3
 
 
 def hankel_tensor(
@@ -59,51 +78,13 @@ def hankel_tensor(
     return out
 
 
-@dataclass(frozen=True)
-class TensorBeatConfig:
-    """TensorBeat estimator parameters.
-
-    Attributes:
-        band_hz: Admissible breathing band.
-        hankel_window: Hankel window L; ``None`` → half the series (a
-            balanced Hankel matrix maximizes the rank-resolving aperture).
-        decimation: Post-analytic decimation (same aperture-stretching trick
-            as the root-MUSIC estimator).
-        extra_rank: Components fitted beyond ``n_persons``.  Zero by
-            default: the Hankel tensor of K exponentials has CP rank
-            exactly K, and surplus components make ALS split tones into
-            mixtures instead of isolating them.  Raise only for data with
-            strong harmonics that need somewhere to go.
-        n_iterations: CP-ALS sweep limit.
-        n_restarts: Random ALS restarts; the factorization with the best
-            fit wins (ALS is non-convex and close breathing rates create
-            shallow local minima).
-    """
-
-    band_hz: tuple[float, float] = (0.1, 0.7)
-    hankel_window: int | None = None
-    decimation: int = 10
-    extra_rank: int = 0
-    n_iterations: int = 300
-    n_restarts: int = 3
-
-    def __post_init__(self) -> None:
-        lo, hi = self.band_hz
-        if lo < 0 or hi <= lo:
-            raise ConfigurationError(f"band must satisfy 0 <= lo < hi, got {self.band_hz}")
-        if self.decimation < 1:
-            raise ConfigurationError("decimation must be >= 1")
-        if self.extra_rank < 0:
-            raise ConfigurationError("extra_rank must be >= 0")
-        if self.n_restarts < 1:
-            raise ConfigurationError("n_restarts must be >= 1")
-
-
 class TensorBeatEstimator:
-    """Multi-person breathing rates via Hankel-tensor CP decomposition."""
+    """Multi-person breathing rates via Hankel-tensor CP decomposition.
 
-    def __init__(self, config: TensorBeatConfig | None = None):
-        self.config = config if config is not None else TensorBeatConfig()
+    Rates are searched in :data:`~repro.core.breathing.BREATHING_SEARCH_BAND_HZ`;
+    the Hankel window is half the decimated series (a balanced Hankel
+    matrix maximizes the rank-resolving aperture).
+    """
 
     def estimate_bpm(
         self,
@@ -125,7 +106,6 @@ class TensorBeatEstimator:
         Raises:
             EstimationError: If no in-band components were found.
         """
-        cfg = self.config
         if n_persons < 1:
             raise ConfigurationError(f"n_persons must be >= 1, got {n_persons}")
         series = np.asarray(series, dtype=float)
@@ -133,28 +113,29 @@ class TensorBeatEstimator:
             series = series[:, None]
 
         data = series - series.mean(axis=0, keepdims=True)
-        analytic = hilbert(data, axis=0)[:: cfg.decimation]
-        rate = sample_rate_hz / cfg.decimation
+        analytic = hilbert(data, axis=0)[::DECIMATION]
+        rate = sample_rate_hz / DECIMATION
         n = analytic.shape[0]
-        window = cfg.hankel_window or max(n_persons + cfg.extra_rank + 2, n // 2)
+        window = max(n_persons + EXTRA_RANK + 2, n // 2)
         if window >= n:
             raise ConfigurationError(
                 f"series too short ({n} samples) for Hankel window {window}"
             )
 
         tensor = hankel_tensor(analytic, window)
-        rank = n_persons + cfg.extra_rank
+        rank = n_persons + EXTRA_RANK
         decomposition = None
-        for restart in range(cfg.n_restarts):
+        for restart in range(N_RESTARTS):
             candidate = cp_als(
                 tensor,
                 rank,
-                n_iterations=cfg.n_iterations,
+                n_iterations=N_ITERATIONS,
                 seed=seed + 1000 * restart,
             )
             if decomposition is None or candidate.fit > decomposition.fit:
                 decomposition = candidate
 
+        lo_hz, hi_hz = BREATHING_SEARCH_BAND_HZ
         candidates = []
         for r in range(decomposition.rank):
             # Both temporal modes (window and shift) of a Vandermonde
@@ -167,7 +148,7 @@ class TensorBeatEstimator:
                 decomposition.factors[1][:, r], rate
             )
             frequency = 0.5 * (f_window + f_shift)
-            if cfg.band_hz[0] <= frequency <= cfg.band_hz[1]:
+            if lo_hz <= frequency <= hi_hz:
                 candidates.append((decomposition.weights[r], frequency))
         if not candidates:
             raise EstimationError(

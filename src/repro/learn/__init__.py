@@ -20,7 +20,7 @@ Layout:
 """
 
 from .estimator import LearnedEstimator
-from .features import FEATURE_NAMES, FeatureConfig, matrix_features, window_features
+from .features import FEATURE_NAMES, matrix_features, window_features
 from .models import LogisticClassifier, RidgeRegressor, TinyMLP
 from .persist import (
     MODEL_SCHEMA_VERSION,
@@ -41,7 +41,6 @@ from .train import (
 
 __all__ = [
     "FEATURE_NAMES",
-    "FeatureConfig",
     "matrix_features",
     "window_features",
     "RidgeRegressor",

@@ -24,10 +24,11 @@ from collections import OrderedDict
 import numpy as np
 
 from ..contracts import FloatArray
+from ..core.breathing import BREATHING_SEARCH_BAND_HZ
 from ..errors import EstimationError, ReproError
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
-from .features import FeatureConfig, window_features
+from .features import window_features
 from .persist import LearnedBundle
 
 __all__ = ["LearnedEstimator"]
@@ -40,8 +41,6 @@ class LearnedEstimator:
 
     Args:
         bundle: The trained model family.
-        config: Feature-extraction parameters (must match what the bundle
-            was trained with for sensible output).
         use_mlp: Serve the MLP rate head instead of the ridge head.
         instrumentation: Optional :class:`repro.obs.Instrumentation`;
             inference timings and cache counters land there.
@@ -53,13 +52,11 @@ class LearnedEstimator:
         self,
         bundle: LearnedBundle,
         *,
-        config: FeatureConfig | None = None,
         use_mlp: bool = False,
         instrumentation: Instrumentation | None = None,
     ):
         bundle.check_catalogue()
         self.bundle = bundle
-        self.config = config if config is not None else FeatureConfig()
         self.use_mlp = bool(use_mlp)
         self._obs = (
             instrumentation
@@ -100,7 +97,7 @@ class LearnedEstimator:
             "learn_feature_cache_misses_count",
             help_text="Window feature vectors computed fresh.",
         )
-        vector = window_features(trace, self.config)
+        vector = window_features(trace)
         self._feature_cache[key] = vector
         while len(self._feature_cache) > _FEATURE_CACHE_ENTRIES:
             self._feature_cache.popitem(last=False)
@@ -135,7 +132,7 @@ class LearnedEstimator:
             rate_bpm = self.bundle.predict_rate_bpm(
                 vector, use_mlp=self.use_mlp
             )
-            lo_hz, hi_hz = self.config.breathing_band_hz
+            lo_hz, hi_hz = BREATHING_SEARCH_BAND_HZ
             rate_bpm = float(np.clip(rate_bpm, lo_hz * 60.0, hi_hz * 60.0))
         self._obs.count(
             "learn_inferences_total",

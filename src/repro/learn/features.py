@@ -22,11 +22,10 @@ feature matrix is byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..contracts import BoolArray, FloatArray, check_matrix, check_trace
+from ..core.breathing import BREATHING_SEARCH_BAND_HZ
 from ..core.pipeline import prepare_calibrated_matrix
 from ..dsp.fft_utils import band_mask, magnitude_spectrum
 from ..errors import ConfigurationError, EstimationError
@@ -34,7 +33,9 @@ from ..io_.trace import CSITrace
 
 __all__ = [
     "FEATURE_NAMES",
-    "FeatureConfig",
+    "MIN_ELIGIBLE_FRACTION",
+    "MIN_SAMPLES",
+    "QUIET_THRESHOLD_FRACTION",
     "matrix_features",
     "window_features",
 ]
@@ -68,46 +69,15 @@ FEATURE_NAMES: tuple[str, ...] = (
 _NFFT_MIN = 1024
 # Sliding-RMS window of the breathing envelope.
 _ENVELOPE_WINDOW_S = 4.0
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Feature-extraction parameters.
-
-    Attributes:
-        breathing_band_hz: Search band for the breathing fundamental.
-        min_samples: Minimum calibrated samples per window; shorter
-            windows raise :class:`~repro.errors.EstimationError` so the
-            serving rung degrades instead of guessing.
-        min_eligible_fraction: Minimum fraction of quality-eligible
-            subcarrier columns; below it the window counts as too
-            degraded to featurize.
-        quiet_threshold_fraction: Envelope fraction of its median below
-            which a sample counts as "quiet" (apnea cue).
-    """
-
-    breathing_band_hz: tuple[float, float] = (0.1, 0.7)
-    min_samples: int = 64
-    min_eligible_fraction: float = 0.05
-    quiet_threshold_fraction: float = 0.3
-
-    def __post_init__(self) -> None:
-        lo, hi = self.breathing_band_hz
-        if not 0 < lo < hi:
-            raise ConfigurationError(
-                f"breathing_band_hz must satisfy 0 < lo < hi, got "
-                f"{self.breathing_band_hz}"
-            )
-        if self.min_samples < 8:
-            raise ConfigurationError("min_samples must be >= 8")
-        if not 0.0 <= self.min_eligible_fraction <= 1.0:
-            raise ConfigurationError(
-                "min_eligible_fraction must be in [0, 1]"
-            )
-        if not 0.0 < self.quiet_threshold_fraction < 1.0:
-            raise ConfigurationError(
-                "quiet_threshold_fraction must be in (0, 1)"
-            )
+# Minimum calibrated samples per window; shorter windows raise
+# EstimationError so the serving rung degrades instead of guessing.
+MIN_SAMPLES = 64
+# Minimum fraction of quality-eligible subcarrier columns; below it the
+# window counts as too degraded to featurize.
+MIN_ELIGIBLE_FRACTION = 0.05
+# Envelope fraction of its median below which a sample counts as "quiet"
+# (apnea cue).
+QUIET_THRESHOLD_FRACTION = 0.3
 
 
 def _nfft_for(n_samples: int) -> int:
@@ -183,7 +153,6 @@ def matrix_features(
     sample_rate_hz: float,
     *,
     quality: BoolArray | None = None,
-    config: FeatureConfig | None = None,
 ) -> FloatArray:
     """Featurize one calibrated ``[n_samples x n_columns]`` window.
 
@@ -193,7 +162,6 @@ def matrix_features(
         sample_rate_hz: Post-calibration sample rate.
         quality: Optional per-column eligibility mask (ineligible columns
             are excluded from every statistic).
-        config: Feature parameters.
 
     Returns:
         A 1-D float vector aligned with :data:`FEATURE_NAMES`.
@@ -202,12 +170,11 @@ def matrix_features(
         EstimationError: When the window is too short or too degraded to
             featurize (the serving rung treats this as "no estimate").
     """
-    cfg = config if config is not None else FeatureConfig()
     n_samples, n_columns = matrix.shape
-    if n_samples < cfg.min_samples:
+    if n_samples < MIN_SAMPLES:
         raise EstimationError(
             f"window too short for learned features: {n_samples} samples "
-            f"< {cfg.min_samples}"
+            f"< {MIN_SAMPLES}"
         )
     if sample_rate_hz <= 0:
         raise ConfigurationError(
@@ -225,7 +192,7 @@ def matrix_features(
     eligible &= np.all(np.isfinite(matrix), axis=0)
     eligible &= matrix.std(axis=0) > 0
     eligible_fraction = float(eligible.mean())
-    if eligible_fraction < cfg.min_eligible_fraction or not eligible.any():
+    if eligible_fraction < MIN_ELIGIBLE_FRACTION or not eligible.any():
         raise EstimationError(
             f"window quality too low for learned features: only "
             f"{eligible_fraction:.0%} of columns eligible"
@@ -234,10 +201,10 @@ def matrix_features(
     columns = matrix[:, eligible]
     nfft = _nfft_for(n_samples)
     freqs, mags = magnitude_spectrum(columns, sample_rate_hz, nfft=nfft)
-    in_band = band_mask(freqs, cfg.breathing_band_hz)
+    in_band = band_mask(freqs, BREATHING_SEARCH_BAND_HZ)
     if not in_band.any():
         raise EstimationError(
-            f"no FFT bins inside the breathing band {cfg.breathing_band_hz}"
+            f"no FFT bins inside the breathing band {BREATHING_SEARCH_BAND_HZ}"
         )
     band_indices = np.flatnonzero(in_band)
     band_freqs = freqs[band_indices]
@@ -266,7 +233,7 @@ def matrix_features(
     # energy, the subharmonic is the better fundamental candidate.
     octave_peak_hz = pooled_peak_hz
     half_hz = 0.5 * pooled_peak_hz
-    if half_hz >= cfg.breathing_band_hz[0]:
+    if half_hz >= BREATHING_SEARCH_BAND_HZ[0]:
         half_magnitude = float(np.interp(half_hz, freqs, pooled_full))
         if half_magnitude >= 0.25 * peak_magnitude:
             octave_peak_hz = half_hz
@@ -293,7 +260,7 @@ def matrix_features(
 
     pooled_series = columns @ weights
     autocorr_peak_hz = _autocorr_peak_hz(
-        pooled_series, sample_rate_hz, cfg.breathing_band_hz
+        pooled_series, sample_rate_hz, BREATHING_SEARCH_BAND_HZ
     )
 
     spectral_power = pooled_full[1:]  # exclude DC
@@ -317,7 +284,7 @@ def matrix_features(
     envelope_min_ratio = float(
         np.percentile(envelope, 5.0) / max(envelope_median, 1e-12)
     )
-    quiet = envelope < cfg.quiet_threshold_fraction * envelope_median
+    quiet = envelope < QUIET_THRESHOLD_FRACTION * envelope_median
     envelope_low_fraction = float(quiet.mean())
     quiet_run_s = _longest_true_run(quiet) / float(sample_rate_hz)
 
@@ -351,9 +318,7 @@ def matrix_features(
 
 
 @check_trace()
-def window_features(
-    trace: CSITrace, config: FeatureConfig | None = None
-) -> FloatArray:
+def window_features(trace: CSITrace) -> FloatArray:
     """Featurize one CSI trace window end to end.
 
     Runs the shared classical front half
@@ -363,11 +328,9 @@ def window_features(
 
     Args:
         trace: The CSI window.
-        config: Feature parameters.
 
     Returns:
         A 1-D float vector aligned with :data:`FEATURE_NAMES`.
     """
-    cfg = config if config is not None else FeatureConfig()
     matrix, quality, rate_hz = prepare_calibrated_matrix(trace)
-    return matrix_features(matrix, rate_hz, quality=quality, config=cfg)
+    return matrix_features(matrix, rate_hz, quality=quality)

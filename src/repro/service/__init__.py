@@ -15,7 +15,7 @@ deterministic and bit-replayable.
 See ``docs/service.md`` for the fault-domain map and state machines.
 """
 
-from .breaker import BreakerConfig, BreakerState, CircuitBreaker
+from .breaker import BreakerState, CircuitBreaker
 from .chaos import (
     SHIPPED_SCENARIOS,
     ChaosReport,
@@ -32,7 +32,6 @@ from .sources import (
     Packet,
     PacketSource,
     ResilientSource,
-    RetryConfig,
     SourceFault,
     TracePacketSource,
 )
@@ -49,14 +48,12 @@ __all__ = [
     "EventLog",
     "ServiceEvent",
     "BreakerState",
-    "BreakerConfig",
     "CircuitBreaker",
     "Packet",
     "PacketSource",
     "TracePacketSource",
     "SourceFault",
     "FlakySourceAdapter",
-    "RetryConfig",
     "ResilientSource",
     "SubjectHealth",
     "FALLBACK_METHODS",

@@ -13,14 +13,19 @@ stays dead is probed at a gentle, bounded rate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import ConfigurationError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from .clock import SimulatedClock
 
-__all__ = ["BreakerState", "BreakerConfig", "CircuitBreaker"]
+__all__ = [
+    "FAILURE_THRESHOLD",
+    "MAX_RESET_TIMEOUT_S",
+    "RESET_BACKOFF_FACTOR",
+    "RESET_TIMEOUT_S",
+    "BreakerState",
+    "CircuitBreaker",
+]
 
 
 class BreakerState(enum.Enum):
@@ -31,33 +36,14 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half-open"
 
 
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker parameters.
-
-    Attributes:
-        failure_threshold: Consecutive failures that trip the breaker.
-        reset_timeout_s: Cooldown before the first half-open probe.
-        backoff_factor: Cooldown multiplier after each failed probe.
-        max_reset_timeout_s: Cooldown ceiling.
-    """
-
-    failure_threshold: int = 3
-    reset_timeout_s: float = 5.0
-    backoff_factor: float = 2.0
-    max_reset_timeout_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ConfigurationError("failure_threshold must be >= 1")
-        if self.reset_timeout_s <= 0:
-            raise ConfigurationError("reset_timeout_s must be positive")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if self.max_reset_timeout_s < self.reset_timeout_s:
-            raise ConfigurationError(
-                "max_reset_timeout_s must be >= reset_timeout_s"
-            )
+# Consecutive failures that trip the breaker.
+FAILURE_THRESHOLD = 3
+# Cooldown before the first half-open probe.
+RESET_TIMEOUT_S = 5.0
+# Cooldown multiplier after each failed probe.
+RESET_BACKOFF_FACTOR = 2.0
+# Cooldown ceiling.
+MAX_RESET_TIMEOUT_S = 60.0
 
 
 class CircuitBreaker:
@@ -65,7 +51,6 @@ class CircuitBreaker:
 
     Args:
         clock: The service clock cooldowns are measured on.
-        config: Breaker parameters.
         on_transition: Optional callback ``(old_state, new_state)`` invoked
             on every state change (the supervisor wires this to the event
             log).
@@ -77,12 +62,10 @@ class CircuitBreaker:
     def __init__(
         self,
         clock: SimulatedClock,
-        config: BreakerConfig | None = None,
         on_transition: Callable[[BreakerState, BreakerState], None] | None = None,
         instrumentation: Instrumentation | None = None,
     ):
         self._clock = clock
-        self.config = config if config is not None else BreakerConfig()
         self._on_transition = on_transition
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
@@ -90,18 +73,13 @@ class CircuitBreaker:
         self._state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._opened_at_s: float | None = None
-        self._current_timeout_s = self.config.reset_timeout_s
+        self._current_timeout_s = RESET_TIMEOUT_S
 
     @property
     def state(self) -> BreakerState:
         """Current breaker state (OPEN may lazily become HALF_OPEN on
         :meth:`allow_call` once the cooldown elapses)."""
         return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        """Failures since the last success."""
-        return self._consecutive_failures
 
     def retry_after_s(self) -> float:
         """Simulated seconds until the next probe is allowed (0 if callable
@@ -131,7 +109,7 @@ class CircuitBreaker:
     def record_success(self) -> None:
         """A call completed: reset the failure streak, close the breaker."""
         self._consecutive_failures = 0
-        self._current_timeout_s = self.config.reset_timeout_s
+        self._current_timeout_s = RESET_TIMEOUT_S
         if self._state is not BreakerState.CLOSED:
             self._transition(BreakerState.CLOSED)
         self._opened_at_s = None
@@ -142,13 +120,13 @@ class CircuitBreaker:
         if self._state is BreakerState.HALF_OPEN:
             # Failed probe: re-open with a longer cooldown, bounded.
             self._current_timeout_s = min(
-                self._current_timeout_s * self.config.backoff_factor,
-                self.config.max_reset_timeout_s,
+                self._current_timeout_s * RESET_BACKOFF_FACTOR,
+                MAX_RESET_TIMEOUT_S,
             )
             self._open()
         elif (
             self._state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.config.failure_threshold
+            and self._consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._open()
 

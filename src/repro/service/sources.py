@@ -35,7 +35,7 @@ from ..errors import (
 )
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
-from .breaker import BreakerConfig, BreakerState, CircuitBreaker
+from .breaker import BreakerState, CircuitBreaker
 from .clock import SimulatedClock
 from .events import EventLog
 
@@ -45,14 +45,26 @@ __all__ = [
     "TracePacketSource",
     "SourceFault",
     "FlakySourceAdapter",
-    "RetryConfig",
     "BACKOFF_BASE_S",
+    "BACKOFF_FACTOR",
+    "DEADLINE_S",
+    "JITTER_FRACTION",
+    "MAX_RETRIES",
     "ResilientSource",
 ]
 
+# Budget for one supervised read (simulated time); a slower read is
+# discarded and reported as SourceTimeoutError.
+DEADLINE_S = 1.0
+# Additional attempts after the first transient failure.
+MAX_RETRIES = 3
 # Delay before the first retry of a transient source failure; later
-# retries multiply it by ``RetryConfig.backoff_factor`` per attempt.
+# retries multiply it by BACKOFF_FACTOR per attempt.
 BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+# Uniform +/- fraction applied to each delay (seeded), so many sources
+# retrying together do not synchronize.
+JITTER_FRACTION = 0.1
 
 _FAULT_KINDS = ("crash", "stall", "hang", "transient-errors")
 
@@ -275,30 +287,6 @@ class FlakySourceAdapter:
         return None
 
 
-@dataclass(frozen=True)
-class RetryConfig:
-    """Bounded-retry parameters for transient source failures.
-
-    Attributes:
-        max_retries: Additional attempts after the first failure.
-        backoff_factor: Multiplier per subsequent retry.
-        jitter_fraction: Uniform ±fraction applied to each delay (seeded),
-            so many sources retrying together do not synchronize.
-    """
-
-    max_retries: int = 3
-    backoff_factor: float = 2.0
-    jitter_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ConfigurationError("jitter_fraction must be in [0, 1)")
-
-
 class ResilientSource:
     """Deadline + retry + circuit breaker + rebuild around a flaky source.
 
@@ -313,10 +301,6 @@ class ResilientSource:
         clock: The shared service clock.
         subject: Name used in recorded events.
         events: Event log breaker transitions and restarts are recorded to.
-        deadline_s: Budget for one read (simulated time); a slower read is
-            discarded and reported as :class:`~repro.errors.SourceTimeoutError`.
-        retry: Bounded-backoff parameters for transient errors.
-        breaker: Circuit-breaker parameters.
         seed: Seed for backoff jitter.
         instrumentation: Optional :class:`repro.obs.Instrumentation`;
             mirrors the ``counters`` tallies into ``source_*_total``
@@ -334,14 +318,9 @@ class ResilientSource:
         *,
         subject: str = "",
         events: EventLog | None = None,
-        deadline_s: float = 1.0,
-        retry: RetryConfig | None = None,
-        breaker: BreakerConfig | None = None,
         seed: int = 0,
         instrumentation: Instrumentation | None = None,
     ):
-        if deadline_s <= 0:
-            raise ConfigurationError("deadline_s must be positive")
         self._factory = source_factory
         self._clock = clock
         self._subject = subject
@@ -349,12 +328,9 @@ class ResilientSource:
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        self.deadline_s = float(deadline_s)
-        self.retry = retry if retry is not None else RetryConfig()
         self._rng = np.random.default_rng(seed)
         self.breaker = CircuitBreaker(
             clock,
-            breaker,
             on_transition=self._on_breaker_transition,
             instrumentation=self._obs,
         )
@@ -395,8 +371,8 @@ class ResilientSource:
         )
 
     def _backoff_delay_s(self, attempt: int) -> float:
-        base = BACKOFF_BASE_S * self.retry.backoff_factor**attempt
-        jitter = 1.0 + self.retry.jitter_fraction * float(
+        base = BACKOFF_BASE_S * BACKOFF_FACTOR**attempt
+        jitter = 1.0 + JITTER_FRACTION * float(
             self._rng.uniform(-1.0, 1.0)
         )
         return base * jitter
@@ -453,7 +429,7 @@ class ResilientSource:
                     "Transient read errors (including retried ones).",
                 )
                 self.breaker.record_failure()
-                if attempt < self.retry.max_retries:
+                if attempt < MAX_RETRIES:
                     self._clock.advance(self._backoff_delay_s(attempt))
                     attempt += 1
                     continue
@@ -477,19 +453,19 @@ class ResilientSource:
                 labels={"subject": self._subject},
                 help_text="Simulated seconds one supervised read took.",
             )
-            if elapsed > self.deadline_s:
+            if elapsed > DEADLINE_S:
                 self.counters["timeouts"] += 1
                 self._count(
                     "source_timeouts_total", "Reads that blew their deadline."
                 )
                 self.breaker.record_failure()
-                timeout = SourceTimeoutError(elapsed, self.deadline_s)
+                timeout = SourceTimeoutError(elapsed, DEADLINE_S)
                 self._events.record(
                     self._clock.now_s,
                     self._subject,
                     "source-timeout",
                     elapsed_s=elapsed,
-                    deadline_s=self.deadline_s,
+                    deadline_s=DEADLINE_S,
                 )
                 raise timeout
             self.breaker.record_success()

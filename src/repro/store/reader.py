@@ -33,7 +33,7 @@ enumerated from the backend and every byte re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -508,17 +508,6 @@ class TraceReader:
             (scan.header for scan in scans if scan.header is not None), None
         )
         return packets, header, report
-
-    def iter_packets(self) -> Iterator[tuple[float, ComplexArray]]:
-        """Iterate recovered packets lazily, one segment at a time."""
-        carry_header: SegmentHeader | None = None
-        for name in self.segment_names():
-            scan = scan_segment(
-                self._backend.read_bytes(name), name, header=carry_header
-            )
-            if scan.header is not None:
-                carry_header = scan.header
-            yield from scan.packets
 
     def read_trace(self, *, strict: bool = False) -> tuple[CSITrace, SalvageReport]:
         """Assemble every recovered record into one :class:`CSITrace`.

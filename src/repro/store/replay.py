@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..contracts import ComplexArray
 from ..errors import TraceStoreError
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..service.clock import SimulatedClock
@@ -138,21 +137,3 @@ class ReplayPacketSource:
             help_text="Recorded packets delivered by replay sources.",
         )
         return Packet(csi=csi, timestamp_s=timestamp_s)
-
-    def rewind(self, *, start_at_s: float | None = None) -> None:
-        """Reset delivery to the start (or to ``start_at_s``).
-
-        The clock is *not* moved backward — it cannot be; rewinding is
-        for replaying the same store into a fresh clock/session.
-        """
-        if start_at_s is None:
-            self._index = 0
-            return
-        timestamps = np.asarray([p[0] for p in self._packets], dtype=float)
-        self._index = int(
-            np.searchsorted(timestamps, float(start_at_s), side="left")
-        )
-
-    def csi_matrix(self) -> ComplexArray:
-        """All recovered CSI stacked ``(n_packets, n_rx, n_subcarriers)``."""
-        return np.stack([csi for _, csi in self._packets])

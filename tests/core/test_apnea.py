@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.apnea import (
-    ApneaConfig,
+    DROP_FRACTION,
     ApneaEvent,
     breathing_envelope,
     detect_apnea,
@@ -75,31 +75,22 @@ class TestDetectApnea:
         assert detect_apnea(x, fs) == []
 
     def test_partial_obstruction_depth(self):
+        # 20% residual motion is still below the 30% cessation threshold.
         x = breathing_with_pauses(((40.0, 15.0),), residual=0.2)
-        events = detect_apnea(
-            x, 20.0, ApneaConfig(drop_fraction=0.5)
-        )
+        events = detect_apnea(x, 20.0)
         assert len(events) == 1
-        assert 0.1 < events[0].depth < 0.5
+        assert 0.1 < events[0].depth < DROP_FRACTION
 
     def test_merge_gap_joins_flickers(self):
         # Two 6 s pauses separated by 1 s merge into one ≥10 s event.
         x = breathing_with_pauses(((40.0, 6.0), (47.0, 6.0)))
-        events = detect_apnea(x, 20.0, ApneaConfig(merge_gap_s=3.0))
+        events = detect_apnea(x, 20.0)
         assert len(events) == 1
         assert events[0].duration_s > 10.0
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(SignalTooShortError):
             detect_apnea(np.zeros(50), 20.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ApneaConfig(min_duration_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ApneaConfig(drop_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            ApneaConfig(merge_gap_s=-1.0)
 
     def test_event_dataclass(self):
         event = ApneaEvent(start_s=10.0, end_s=25.0, depth=0.05)

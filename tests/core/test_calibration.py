@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.calibration import CalibrationConfig, calibrate
+from repro.core.calibration import calibrate
 from repro.core.phase_difference import phase_difference
 from repro.dsp.fft_utils import magnitude_spectrum
+from repro.dsp.resample import decimation_factor
 from repro.errors import ConfigurationError
 
 
@@ -69,20 +70,13 @@ class TestCalibrate:
 
 class TestConfig:
     def test_decimation_factor(self):
-        config = CalibrationConfig(target_rate_hz=20.0)
-        assert config.decimation_factor(400.0) == 20
-        assert config.decimation_factor(600.0) == 30
-        assert config.decimation_factor(20.0) == 1
-        assert config.decimation_factor(10.0) == 1  # floored at 1
+        assert decimation_factor(400.0) == 20
+        assert decimation_factor(600.0) == 30
+        assert decimation_factor(20.0) == 1
+        assert decimation_factor(10.0) == 1  # floored at 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            CalibrationConfig(trend_window_s=0.0)
+            decimation_factor(0.0)
         with pytest.raises(ConfigurationError):
-            CalibrationConfig(noise_window_s=10.0, trend_window_s=5.0)
-        with pytest.raises(ConfigurationError):
-            CalibrationConfig(hampel_threshold=-1.0)
-        with pytest.raises(ConfigurationError):
-            CalibrationConfig(target_rate_hz=0.0)
-        with pytest.raises(ConfigurationError):
-            CalibrationConfig().decimation_factor(0.0)
+            calibrate(synthetic_phase_diff(n=100), 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.subcarrier_selection import (
-    SelectionConfig,
+    K_CANDIDATES,
     select_subcarrier,
     subcarrier_sensitivities,
 )
@@ -35,7 +35,8 @@ class TestSelection:
     def test_median_of_top3(self):
         # MADs: top-3 are columns 4 (0.9), 2 (0.8), 0 (0.7); median → col 2.
         series = series_with_mads([0.7, 0.1, 0.8, 0.2, 0.9])
-        result = select_subcarrier(series, SelectionConfig(k=3))
+        assert K_CANDIDATES == 3
+        result = select_subcarrier(series)
         assert result.candidates == (4, 2, 0)
         assert result.selected == 2
 
@@ -51,25 +52,30 @@ class TestSelection:
         assert result.selected == 18
 
     def test_k1_takes_max(self):
+        # One eligible column: it is the only candidate.
         series = series_with_mads([0.2, 0.9, 0.4])
-        result = select_subcarrier(series, SelectionConfig(k=1))
+        mask = np.array([False, True, False])
+        result = select_subcarrier(series, mask=mask)
         assert result.selected == 1
 
     def test_even_k_lower_median(self):
+        # Two eligible columns: candidates (0, 1) MAD-descending; the lower
+        # median is column 1.
         series = series_with_mads([0.9, 0.8, 0.7, 0.6, 0.1])
-        result = select_subcarrier(series, SelectionConfig(k=4))
-        # Candidates (0,1,2,3) MAD-descending; lower median is index 2.
-        assert result.selected == 2
+        mask = np.array([True, True, False, False, False])
+        result = select_subcarrier(series, mask=mask)
+        assert result.candidates == (0, 1)
+        assert result.selected == 1
 
     def test_k_larger_than_columns_clipped(self):
         series = series_with_mads([0.5, 0.3])
-        result = select_subcarrier(series, SelectionConfig(k=10))
+        result = select_subcarrier(series)
         assert len(result.candidates) == 2
 
     def test_mask_excludes_columns(self):
         series = series_with_mads([0.9, 0.5, 0.4, 0.3])
         mask = np.array([False, True, True, True])
-        result = select_subcarrier(series, SelectionConfig(k=3), mask=mask)
+        result = select_subcarrier(series, mask=mask)
         assert 0 not in result.candidates
         assert result.selected == 2  # median of (1, 2, 3) by MAD order
 
@@ -84,10 +90,6 @@ class TestSelection:
         series = series_with_mads([0.9, 0.5, 0.4])
         with pytest.raises(ConfigurationError):
             select_subcarrier(series, mask=np.ones(5, dtype=bool))
-
-    def test_k_validation(self):
-        with pytest.raises(ConfigurationError):
-            SelectionConfig(k=0)
 
     def test_on_simulated_trace(self, lab_trace):
         from repro.core.calibration import calibrate

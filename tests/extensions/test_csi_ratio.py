@@ -5,10 +5,9 @@ import pytest
 
 from repro import Person, capture_trace, laboratory_scenario
 from repro.errors import ConfigurationError
-from repro.dsp.hampel import hampel_filter
-from repro.dsp.resample import decimate
+from repro.dsp.hampel import NOISE_WINDOW_S, TREND_WINDOW_S, hampel_filter
+from repro.dsp.resample import TARGET_RATE_HZ, decimate
 from repro.extensions.csi_ratio import (
-    CsiRatioConfig,
     CsiRatioEstimator,
     _principal_component_series,
     csi_ratio_series,
@@ -68,12 +67,6 @@ class TestEstimator:
         estimate = CsiRatioEstimator().estimate_breathing_bpm(trace)
         assert estimate == pytest.approx(person.breathing_rate_bpm, abs=1.0)
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            CsiRatioConfig(trend_window_s=0.1, noise_window_s=0.5)
-        with pytest.raises(ConfigurationError):
-            CsiRatioConfig(target_rate_hz=0.0)
-
     def test_breathing_series_rate(self, lab_trace):
         series, rate = CsiRatioEstimator().breathing_series(lab_trace)
         assert rate == pytest.approx(20.0)
@@ -86,11 +79,10 @@ class TestEstimator:
         """The two matrix Hampel calls equal four 1-D calls per subcarrier,
         byte for byte."""
         trace = request.getfixturevalue(fixture)
-        cfg = CsiRatioConfig()
         ratio = csi_ratio_series(trace)
-        factor = int(round(trace.sample_rate_hz / cfg.target_rate_hz))
-        noise = max(3, int(round(cfg.noise_window_s * trace.sample_rate_hz)))
-        trend = max(5, int(round(cfg.trend_window_s * trace.sample_rate_hz)))
+        factor = int(round(trace.sample_rate_hz / TARGET_RATE_HZ))
+        noise = max(3, int(round(NOISE_WINDOW_S * trace.sample_rate_hz)))
+        trend = max(5, int(round(TREND_WINDOW_S * trace.sample_rate_hz)))
         best, best_energy = None, -np.inf
         for column in range(ratio.shape[1]):
             real = hampel_filter(ratio[:, column].real, noise, 0.01)
@@ -108,5 +100,5 @@ class TestEstimator:
             if float(np.var(projected)) > best_energy:
                 best, best_energy = projected, float(np.var(projected))
 
-        series, _ = CsiRatioEstimator(cfg).breathing_series(trace)
+        series, _ = CsiRatioEstimator().breathing_series(trace)
         assert series.tobytes() == best.tobytes()

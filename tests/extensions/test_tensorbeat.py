@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.extensions.tensorbeat import (
-    TensorBeatConfig,
     TensorBeatEstimator,
     hankel_tensor,
 )
@@ -98,22 +97,12 @@ class TestTensorBeatEstimator:
         b = TensorBeatEstimator().estimate_bpm(m, 20.0, 2, seed=5)
         assert np.array_equal(a, b)
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            TensorBeatConfig(band_hz=(0.7, 0.1))
-        with pytest.raises(ConfigurationError):
-            TensorBeatConfig(decimation=0)
-        with pytest.raises(ConfigurationError):
-            TensorBeatConfig(extra_rank=-1)
-        with pytest.raises(ConfigurationError):
-            TensorBeatConfig(n_restarts=0)
-
     def test_n_persons_validation(self):
         with pytest.raises(ConfigurationError):
             TensorBeatEstimator().estimate_bpm(np.zeros((100, 3)), 20.0, 0)
 
     def test_too_short_series_rejected(self):
+        # 20 samples decimate to 2, shorter than the minimum 3-sample
+        # Hankel window.
         with pytest.raises(ConfigurationError):
-            TensorBeatEstimator(
-                TensorBeatConfig(hankel_window=50, decimation=1)
-            ).estimate_bpm(np.zeros((40, 3)), 20.0, 1)
+            TensorBeatEstimator().estimate_bpm(np.zeros((20, 3)), 20.0, 1)

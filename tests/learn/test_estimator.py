@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EstimationError
 from repro.io_.trace import CSITrace
-from repro.learn import LearnedEstimator, TrainingConfig, train
+from repro.core.breathing import BREATHING_SEARCH_BAND_HZ
+from repro.learn import LearnedEstimator
 from repro.obs import MetricsRegistry
 from repro.obs.instrument import Instrumentation
 
@@ -43,7 +46,7 @@ class TestServing:
         self, synthetic_bundle, short_lab_trace
     ):
         estimator = LearnedEstimator(synthetic_bundle)
-        lo_hz, hi_hz = estimator.config.breathing_band_hz
+        lo_hz, hi_hz = BREATHING_SEARCH_BAND_HZ
         estimate = estimator.estimate_breathing_bpm(short_lab_trace)
         assert lo_hz * 60.0 <= estimate <= hi_hz * 60.0
 
@@ -73,17 +76,11 @@ class TestRefusals:
         with pytest.raises(EstimationError):
             estimator.estimate_breathing_bpm(tiny_trace())
 
-    def test_apnea_probability_without_head(self, short_lab_trace):
-        bundle = train(
-            TrainingConfig(
-                mode="synthetic",
-                n_windows=16,
-                seed=8,
-                with_mlp=False,
-                apnea_fraction=0.0,  # no positives => no apnea head
-            )
-        )
-        assert bundle.apnea_model is None
+    def test_apnea_probability_without_head(
+        self, synthetic_bundle, short_lab_trace
+    ):
+        # A store-trained bundle has no apnea head (no apnea ground truth).
+        bundle = dataclasses.replace(synthetic_bundle, apnea_model=None)
         estimator = LearnedEstimator(bundle)
         with pytest.raises(ConfigurationError, match="no apnea"):
             estimator.apnea_probability(short_lab_trace)

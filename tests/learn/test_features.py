@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, EstimationError
-from repro.learn import FEATURE_NAMES, FeatureConfig, matrix_features, window_features
+from repro.learn import FEATURE_NAMES, matrix_features, window_features
+from repro.learn.features import MIN_ELIGIBLE_FRACTION
 
 RATE_HZ = 25.0
 
@@ -74,11 +75,13 @@ class TestMatrixFeatures:
             matrix_features(matrix, RATE_HZ, quality=quality)
 
     def test_constant_columns_are_ineligible(self):
-        matrix = make_breathing_matrix(n_columns=8)
-        matrix[:, :6] = 1.0  # flat columns carry no motion
-        config = FeatureConfig(min_eligible_fraction=0.5)
+        # Flat columns carry no motion: one moving column in 40 is below
+        # the eligible-fraction floor.
+        matrix = make_breathing_matrix(n_columns=40)
+        matrix[:, :39] = 1.0
+        assert 1 / 40 < MIN_ELIGIBLE_FRACTION
         with pytest.raises(EstimationError, match="quality too low"):
-            matrix_features(matrix, RATE_HZ, config=config)
+            matrix_features(matrix, RATE_HZ)
 
     def test_quality_mask_shape_checked(self):
         matrix = make_breathing_matrix(n_columns=8)
@@ -97,20 +100,6 @@ class TestMatrixFeatures:
         active = matrix_features(matrix, RATE_HZ)[quiet_index]
         apneic = matrix_features(paused, RATE_HZ)[quiet_index]
         assert apneic > active + 4.0
-
-
-class TestFeatureConfig:
-    def test_bad_band_rejected(self):
-        with pytest.raises(ConfigurationError, match="breathing_band_hz"):
-            FeatureConfig(breathing_band_hz=(0.5, 0.2))
-
-    def test_bad_minimums_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FeatureConfig(min_samples=2)
-        with pytest.raises(ConfigurationError):
-            FeatureConfig(min_eligible_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            FeatureConfig(quiet_threshold_fraction=0.0)
 
 
 class TestWindowFeatures:

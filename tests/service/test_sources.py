@@ -12,17 +12,16 @@ from repro.errors import (
     TransientSourceError,
 )
 from repro.service import (
-    BreakerConfig,
     EventLog,
     FlakySourceAdapter,
     Packet,
     PacketSource,
     ResilientSource,
-    RetryConfig,
     SimulatedClock,
     SourceFault,
     TracePacketSource,
 )
+from repro.service.sources import MAX_RETRIES
 
 
 @pytest.fixture()
@@ -165,7 +164,7 @@ class TestFlakySourceAdapter:
         assert errors > 0
 
 
-def _resilient(trace, clock, faults, **kwargs):
+def _resilient(trace, clock, faults):
     events = EventLog()
     def factory(start_at_s):
         keep = tuple(
@@ -180,7 +179,7 @@ def _resilient(trace, clock, faults, **kwargs):
             nominal_interval_s=1.0 / trace.sample_rate_hz,
         )
     source = ResilientSource(
-        factory, clock, subject="s", events=events, seed=5, **kwargs
+        factory, clock, subject="s", events=events, seed=5
     )
     return source, events
 
@@ -207,18 +206,12 @@ class TestResilientSource:
                 probability=1.0,
             ),
         )
-        source, _ = _resilient(
-            short_lab_trace,
-            clock,
-            faults,
-            retry=RetryConfig(max_retries=2),
-            breaker=BreakerConfig(failure_threshold=100),
-        )
+        source, _ = _resilient(short_lab_trace, clock, faults)
         with pytest.raises(SourceUnavailableError) as excinfo:
             source.next_packet()
-        assert excinfo.value.attempts == 3
+        assert excinfo.value.attempts == MAX_RETRIES + 1
         assert isinstance(excinfo.value.__cause__, TransientSourceError)
-        assert source.counters["transient_errors"] == 3
+        assert source.counters["transient_errors"] == MAX_RETRIES + 1
         # Backoff consumed simulated time.
         assert clock.now_s > 0.0
 
@@ -231,13 +224,8 @@ class TestResilientSource:
                 probability=1.0,
             ),
         )
-        source, events = _resilient(
-            short_lab_trace,
-            clock,
-            faults,
-            retry=RetryConfig(max_retries=1),
-            breaker=BreakerConfig(failure_threshold=2, reset_timeout_s=5.0),
-        )
+        # One read's failed attempts reach the breaker's threshold.
+        source, events = _resilient(short_lab_trace, clock, faults)
         with pytest.raises(SourceUnavailableError):
             source.next_packet()
         with pytest.raises(CircuitOpenError) as excinfo:
@@ -260,9 +248,7 @@ class TestResilientSource:
 
     def test_hang_past_deadline_is_a_timeout(self, short_lab_trace, clock):
         faults = (SourceFault(kind="hang", at_s=1.0, hang_s=3.0),)
-        source, events = _resilient(
-            short_lab_trace, clock, faults, deadline_s=1.0
-        )
+        source, events = _resilient(short_lab_trace, clock, faults)
         with pytest.raises(SourceTimeoutError) as excinfo:
             while True:
                 source.next_packet()
@@ -281,13 +267,7 @@ class TestResilientSource:
                     probability=1.0,
                 ),
             )
-            source, _ = _resilient(
-                short_lab_trace,
-                clock,
-                faults,
-                retry=RetryConfig(max_retries=3, jitter_fraction=0.5),
-                breaker=BreakerConfig(failure_threshold=100),
-            )
+            source, _ = _resilient(short_lab_trace, clock, faults)
             with pytest.raises(SourceUnavailableError):
                 source.next_packet()
             return clock.now_s

@@ -38,17 +38,6 @@ class TestCleanRead:
         assert report.n_bytes_skipped == 0
         assert report.issues == ()
 
-    def test_iter_packets_matches_read_packets(self):
-        backend = MemoryBackend()
-        write_store(backend, n_packets=12, rotate_bytes=4096)
-        reader = TraceReader(backend, "t")
-        eager, _, _ = reader.read_packets()
-        lazy = list(reader.iter_packets())
-        assert len(lazy) == len(eager)
-        for (ts_a, csi_a), (ts_b, csi_b) in zip(lazy, eager):
-            assert ts_a == ts_b
-            np.testing.assert_array_equal(csi_a, csi_b)
-
     def test_missing_store_raises(self):
         with pytest.raises(TraceStoreError, match="no segments"):
             TraceReader(MemoryBackend(), "ghost").scan()

@@ -12,7 +12,7 @@ from repro.service.sources import Packet
 from repro.store import MemoryBackend, ReplayPacketSource, RecordingTap, TraceReader
 from repro.store.tap import store_digest
 
-from .conftest import N_RX, N_SUB, RATE_HZ, make_packets, write_store
+from .conftest import RATE_HZ, make_packets, write_store
 
 
 class _ListSource:
@@ -63,16 +63,6 @@ class TestReplayPacketSource:
         first = source.next_packet()
         assert first.timestamp_s == pytest.approx(5 / RATE_HZ)
 
-    def test_rewind(self):
-        backend = MemoryBackend()
-        write_store(backend, n_packets=4)
-        source = ReplayPacketSource(backend, "t", SimulatedClock())
-        while not source.exhausted:
-            source.next_packet()
-        source.rewind()
-        assert not source.exhausted
-        assert source.next_packet().timestamp_s == 0.0
-
     def test_torn_store_replays_recoverable_prefix(self):
         backend = MemoryBackend()
         write_store(backend, n_packets=10)
@@ -89,12 +79,6 @@ class TestReplayPacketSource:
         with pytest.raises(TraceStoreError, match="no replayable") as excinfo:
             ReplayPacketSource(backend, "t", SimulatedClock())
         assert excinfo.value.report.n_records_recovered == 0
-
-    def test_csi_matrix_stacks_recovered_packets(self):
-        backend = MemoryBackend()
-        write_store(backend, n_packets=6)
-        source = ReplayPacketSource(backend, "t", SimulatedClock())
-        assert source.csi_matrix().shape == (6, N_RX, N_SUB)
 
 
 class TestRecordingTap:

@@ -494,3 +494,42 @@ class TestBacktestCommand:
             main(["backtest", "--help"])
         assert excinfo.value.code == 0
         assert "manifest.json" in capsys.readouterr().out
+
+
+class TestSanitizeCommand:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Replace both runners with recorders of their keyword arguments."""
+        import repro.sanitize
+
+        recorded = []
+
+        class CleanReport:
+            clean = True
+
+            def format_text(self):
+                return "clean"
+
+        def recorder(mode):
+            def run(**kwargs):
+                recorded.append((mode, kwargs))
+                return CleanReport()
+            return run
+
+        monkeypatch.setattr(repro.sanitize, "sanitize_solo", recorder("solo"))
+        monkeypatch.setattr(repro.sanitize, "sanitize_fleet", recorder("fleet"))
+        return recorded
+
+    def test_bare_fleet_run_passes_no_defaults(self, calls, capsys):
+        assert main(["sanitize", "--mode", "fleet"]) == 0
+        assert calls == [("fleet", {})]
+
+    def test_only_given_flags_are_passed(self, calls, capsys):
+        assert main(["sanitize", "--duration", "30"]) == 0
+        assert main(
+            ["sanitize", "--mode", "fleet", "--sessions", "4", "--seed", "2"]
+        ) == 0
+        assert calls == [
+            ("solo", {"duration_s": 30.0}),
+            ("fleet", {"seed": 2, "n_sessions": 4}),
+        ]
