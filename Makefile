@@ -1,12 +1,14 @@
 # Convenience entry points; CI runs the same commands (see
 # .github/workflows/ci.yml).  `make check` runs the test, lint, phaselint,
-# typecheck and sanitize jobs' commands and the perf job's perfbench steps.
-# It leaves out the bench gates of the chaos, fleet, store, learn and obs
-# jobs and the perf job's streaming throughput bench, so a green
+# typecheck and sanitize jobs' commands, the solo and fleet chaos
+# scenario benches of the chaos and fleet jobs, and the perf job's
+# perfbench steps.  It leaves out the chaos job's impairment sweep, the
+# fleet job's 1k-session gate, the bench gates of the store, learn and
+# obs jobs and the perf job's streaming throughput bench, so a green
 # `make check` does not yet mean a green pipeline.
 PYTHON ?= python
 
-.PHONY: test lint phaselint sanitize typecheck perfbench check
+.PHONY: test lint phaselint sanitize chaos typecheck perfbench check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -17,10 +19,15 @@ phaselint:
 # Run-twice byte-reproducibility check over the solo and fleet chaos
 # scenarios CI checks (see docs/static_analysis.md, "Determinism model").
 sanitize:
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode solo --scenario source-crash
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode fleet --scenario shard-crash
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode solo --scenario learned-degradation-burst --seed 2
-	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --mode fleet --scenario record-crash-resume
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --scenario source-crash
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --scenario shard-crash
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --scenario learned-degradation-burst --seed 2
+	PYTHONPATH=src $(PYTHON) -m repro.cli sanitize --scenario record-crash-resume
+
+# Every shipped chaos scenario through its driver, with the recovery and
+# event-signature checks (the chaos and fleet jobs' scenario benches).
+chaos:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_service_chaos.py benchmarks/test_fleet_chaos.py -q
 
 # The perf job's perfbench steps: the harness's own tests plus a one-second
 # smoke run of each workload (digest and correctness checks, no timing gate).
@@ -36,4 +43,4 @@ lint: phaselint
 typecheck:
 	mypy
 
-check: lint typecheck test sanitize perfbench
+check: lint typecheck test sanitize chaos perfbench

@@ -26,7 +26,7 @@ from conftest import banner
 
 from repro.eval.reporting import format_table
 from repro.obs import MetricsRegistry
-from repro.service.fleet import FleetScenario, run_fleet_chaos
+from repro.service.chaos import Scenario, run_fleet_chaos
 
 _N_SESSIONS = 1000
 _DURATION_S = 24.0
@@ -40,7 +40,7 @@ _BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def test_capability_fleet_1k_sessions():
-    scenario = FleetScenario(
+    scenario = Scenario(
         name="fault-free", faults=(), description="capability run"
     )
     registry = MetricsRegistry()

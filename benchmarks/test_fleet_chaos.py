@@ -24,11 +24,8 @@ import pytest
 from conftest import banner, run_once
 
 from repro.obs import MetricsRegistry
-from repro.service.fleet import (
-    FLEET_SCENARIOS,
-    FleetConfig,
-    run_fleet_chaos,
-)
+from repro.service.chaos import SCENARIOS, run_fleet_chaos
+from repro.service.fleet import FleetConfig
 
 # Event kinds that must appear in each scenario's fleet event log — a
 # regression that silently skips the fault path cannot pass on the
@@ -51,14 +48,19 @@ EXPECTED_KINDS = {
 }
 
 
+# The shipped scenarios run_fleet_chaos drives; the single-subject ones are
+# benchmarks/test_service_chaos.py's.
+FLEET = sorted(n for n, s in SCENARIOS.items() if s.is_fleet)
+
+
 def test_every_scenario_has_expected_kinds():
     """A new fleet scenario must name the events its fault path emits."""
-    assert EXPECTED_KINDS.keys() == FLEET_SCENARIOS.keys()
+    assert sorted(EXPECTED_KINDS) == FLEET
 
 
-@pytest.mark.parametrize("name", sorted(FLEET_SCENARIOS))
+@pytest.mark.parametrize("name", FLEET)
 def test_fleet_chaos(benchmark, name):
-    scenario = FLEET_SCENARIOS[name]
+    scenario = SCENARIOS[name]
     registry = MetricsRegistry()
     report = run_once(
         benchmark,
@@ -112,7 +114,7 @@ def test_fleet_shed_budget_is_a_hard_cap():
     """
     config = FleetConfig(max_shed_sessions=3)
     report = run_fleet_chaos(
-        FLEET_SCENARIOS["overload-shed"],
+        SCENARIOS["overload-shed"],
         n_sessions=12,
         seed=0,
         fleet_config=config,
@@ -146,7 +148,7 @@ def test_fleet_100_sessions_shard_crash_acceptance(benchmark):
     report = run_once(
         benchmark,
         run_fleet_chaos,
-        FLEET_SCENARIOS["shard-crash"],
+        SCENARIOS["shard-crash"],
         n_sessions=100,
         seed=0,
         registry=registry,
@@ -169,7 +171,7 @@ def test_fleet_runs_are_byte_reproducible():
     """Same seed, same scenario → identical event log and metrics."""
     reports = [
         run_fleet_chaos(
-            FLEET_SCENARIOS["shard-crash"],
+            SCENARIOS["shard-crash"],
             n_sessions=12,
             seed=42,
             registry=MetricsRegistry(),

@@ -4,7 +4,8 @@ Not a paper figure: PhaseBeat's evaluation assumes an uninterrupted
 capture process.  A deployed monitor also has to survive the *process*
 failing — the capture tool crashing, the NIC stalling, the driver
 throwing transient errors, the channel degrading — so this benchmark
-replays each shipped chaos scenario through the supervised service
+replays each shipped single-subject chaos scenario through the
+supervised service
 (``repro.service``) and checks the recovery contract:
 
 * the run ends healthy with the circuit breaker closed,
@@ -21,7 +22,7 @@ recovery machinery cannot pass on accuracy alone.
 import pytest
 from conftest import banner, run_once
 
-from repro.service import SHIPPED_SCENARIOS, run_chaos
+from repro.service import SCENARIOS, run_chaos
 
 TOLERANCE_BPM = 0.5
 
@@ -54,9 +55,14 @@ def _assert_ordered(kinds, expected):
         cursor = index
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_SCENARIOS))
+# The shipped scenarios run_chaos drives; the fleet ones are
+# benchmarks/test_fleet_chaos.py's.
+SOLO = sorted(n for n, s in SCENARIOS.items() if not s.is_fleet)
+
+
+@pytest.mark.parametrize("name", SOLO)
 def test_service_chaos(benchmark, name):
-    scenario = SHIPPED_SCENARIOS[name]
+    scenario = SCENARIOS[name]
     report = run_once(benchmark, run_chaos, scenario, seed=CHAOS_SEED)
 
     banner(f"Chaos — {name}")

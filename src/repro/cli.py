@@ -8,7 +8,7 @@ Twelve subcommands::
     repro-phasebeat experiment fig11 --trials 20
     repro-phasebeat monitor   --duration 90 --chaos-scenario faults.json
     repro-phasebeat fleet     --sessions 50 --scenario shard-crash
-    repro-phasebeat sanitize  --mode fleet --scenario shard-crash
+    repro-phasebeat sanitize  --scenario shard-crash
     repro-phasebeat metrics   render metrics.json --format prometheus
     repro-phasebeat record    --scenario lab --duration 20 --out store/
     repro-phasebeat replay    --store store/ --json report.json
@@ -26,8 +26,9 @@ JSON fault-schedule file), and prints the event log and health summary —
 snapshot (canonical JSON) and event log (JSONL); ``fleet`` runs a whole
 fleet of sessions through the gateway under a fleet chaos scenario and
 checks the isolation / recovery / bounded-shedding invariants;
-``sanitize`` runs a seeded scenario (solo or fleet) twice in-process and
-byte-diffs the event log, metrics snapshot, and estimates — the runtime
+``sanitize`` runs a seeded chaos scenario twice in-process, through the
+driver its fault kinds need, and byte-diffs the event log, metrics
+snapshot, and estimates — the runtime
 side of the phaselint determinism rules; ``metrics`` renders or diffs
 those snapshots offline.
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -67,6 +68,9 @@ from .rf.scene import (
     laboratory_scenario,
     through_wall_scenario,
 )
+
+if TYPE_CHECKING:
+    from .service import chaos
 
 __all__ = ["main", "build_parser"]
 
@@ -234,18 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sanitize.add_argument(
-        "--mode",
-        choices=("solo", "fleet"),
-        default="solo",
-        help="solo chaos scenario or whole-fleet scenario (default: solo)",
-    )
-    sanitize.add_argument(
         "--scenario",
         default=None,
-        metavar="NAME",
+        metavar="NAME_OR_PATH",
         help=(
-            "shipped scenario name (default: source-crash for solo, "
-            "shard-crash for fleet)"
+            "a shipped scenario name or a JSON fault-schedule file; fleet "
+            "fault kinds run the fleet driver (default: the runner's)"
         ),
     )
     sanitize.add_argument(
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument(
         "--sessions", type=int, default=None, metavar="N",
-        help="fleet size in --mode fleet (default: the runner's)",
+        help="fleet size for a fleet scenario (default: the runner's)",
     )
     sanitize.add_argument(
         "--seed", type=int, default=None,
@@ -562,30 +560,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _chaos_scenario(name_or_path: str | None) -> chaos.Scenario:
+    """The scenario a ``monitor`` / ``fleet`` run names; fault-free if none."""
+    from .service import chaos
+
+    if name_or_path is None:
+        return chaos.Scenario(
+            name="fault-free", faults=(), description="no faults injected"
+        )
+    return chaos.load_scenario(name_or_path)
+
+
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .obs import MetricsRegistry, canonical_json
-    from .service import SHIPPED_SCENARIOS, ChaosScenario, load_scenario
     from .service.chaos import run_chaos
 
-    if args.chaos_scenario is None:
-        scenario = ChaosScenario(
-            name="fault-free", faults=(), description="no faults injected"
-        )
-    elif args.chaos_scenario in SHIPPED_SCENARIOS:
-        scenario = SHIPPED_SCENARIOS[args.chaos_scenario]
-    elif Path(args.chaos_scenario).exists():
-        scenario = load_scenario(args.chaos_scenario)
-    else:
-        names = ", ".join(sorted(SHIPPED_SCENARIOS))
-        print(
-            f"error: {args.chaos_scenario!r} is neither a shipped scenario "
-            f"({names}) nor a readable JSON file",
-            file=sys.stderr,
-        )
-        return 2
-
+    scenario = _chaos_scenario(args.chaos_scenario)
     registry = MetricsRegistry() if args.metrics_out else None
     report = run_chaos(
         scenario,
@@ -642,29 +634,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .obs import MetricsRegistry
-    from .service.fleet import (
-        FLEET_SCENARIOS,
-        FleetScenario,
-        run_fleet_chaos,
-    )
+    from .service.chaos import run_fleet_chaos
 
-    if args.scenario is None:
-        scenario = FleetScenario(
-            name="fault-free", faults=(), description="no faults injected"
-        )
-    elif args.scenario in FLEET_SCENARIOS:
-        scenario = FLEET_SCENARIOS[args.scenario]
-    elif Path(args.scenario).exists():
-        scenario = FleetScenario.from_json(Path(args.scenario).read_text())
-    else:
-        names = ", ".join(sorted(FLEET_SCENARIOS))
-        print(
-            f"error: {args.scenario!r} is neither a shipped fleet scenario "
-            f"({names}) nor a readable JSON file",
-            file=sys.stderr,
-        )
-        return 2
-
+    scenario = _chaos_scenario(args.scenario)
     registry = MetricsRegistry() if args.metrics_out else None
     report = run_fleet_chaos(
         scenario,
@@ -765,7 +737,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from .sanitize import sanitize_fleet, sanitize_solo
+    from .sanitize import sanitize_chaos
 
     # Only the flags the user gave are passed: every default lives in the
     # runner's signature.
@@ -775,16 +747,12 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
             ("scenario", args.scenario),
             ("duration_s", args.duration),
             ("sample_rate_hz", args.sample_rate),
+            ("n_sessions", args.sessions),
             ("seed", args.seed),
         )
         if value is not None
     }
-    if args.mode == "fleet":
-        if args.sessions is not None:
-            kwargs["n_sessions"] = args.sessions
-        report = sanitize_fleet(**kwargs)
-    else:
-        report = sanitize_solo(**kwargs)
+    report = sanitize_chaos(**kwargs)
     if args.json:
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

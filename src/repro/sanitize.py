@@ -16,7 +16,7 @@ channel.
 
 Used three ways:
 
-* ``repro sanitize --mode solo --scenario source-crash`` from the CLI;
+* ``repro sanitize --scenario source-crash`` from the CLI;
 * the ``determinism``-marked tests in ``tests/test_sanitize.py``;
 * the CI ``sanitize`` job, which runs one solo and one fleet scenario.
 """
@@ -33,8 +33,7 @@ __all__ = [
     "Divergence",
     "SanitizeReport",
     "run_twice",
-    "sanitize_solo",
-    "sanitize_fleet",
+    "sanitize_chaos",
 ]
 
 # How many artifact lines preceding a divergence are carried into the
@@ -220,44 +219,53 @@ def _estimate_lines(estimates: list[Any]) -> str:
     )
 
 
-def sanitize_solo(
+def sanitize_chaos(
     scenario: str = "source-crash",
     *,
-    duration_s: float = 90.0,
-    sample_rate_hz: float = 100.0,
+    duration_s: float | None = None,
+    sample_rate_hz: float | None = None,
+    n_sessions: int = 12,
     seed: int = 0,
 ) -> SanitizeReport:
-    """Byte-verify one solo chaos scenario across two seeded runs.
+    """Byte-verify one chaos scenario across two seeded runs.
+
+    A scenario with a fleet fault kind runs through
+    :func:`repro.service.chaos.run_fleet_chaos`, any other through
+    :func:`repro.service.chaos.run_chaos`.  The fleet driver's per-run
+    solo-baseline isolation check is skipped — this sanitizer asks a
+    different question (run-to-run stability, not solo-vs-fleet
+    equivalence) and skipping it roughly halves the cost.
 
     Args:
-        scenario: A :data:`repro.service.chaos.SHIPPED_SCENARIOS` name.
-        duration_s: Simulated capture duration per run.
-        sample_rate_hz: CSI sample rate of the simulated capture.
+        scenario: A shipped scenario name or a scenario JSON file.
+        duration_s: Simulated capture duration per run (default: the
+            driver's).
+        sample_rate_hz: CSI sample rate of the simulated capture
+            (default: the driver's).
+        n_sessions: Fleet size per run of a fleet scenario.
         seed: Scenario seed used by *both* runs.
 
     Returns:
-        The run-twice report over the event log, estimate stream, final
-        health summary, and metrics snapshot.
+        The run-twice report.  A solo run compares the event log,
+        estimate stream, final health summary, and metrics snapshot; a
+        fleet run compares the fleet event log, metrics snapshot, and
+        summary report.
     """
-    from repro.errors import ConfigurationError
-    from repro.service.chaos import SHIPPED_SCENARIOS, run_chaos
+    from repro.service.chaos import load_scenario, run_chaos, run_fleet_chaos
 
-    if scenario not in SHIPPED_SCENARIOS:
-        known = ", ".join(sorted(SHIPPED_SCENARIOS))
-        raise ConfigurationError(
-            f"unknown solo scenario {scenario!r} (shipped: {known})"
+    spec = load_scenario(scenario)
+    run_kwargs: dict[str, Any] = {
+        name: value
+        for name, value in (
+            ("duration_s", duration_s),
+            ("sample_rate_hz", sample_rate_hz),
         )
-    spec = SHIPPED_SCENARIOS[scenario]
+        if value is not None
+    }
 
-    def runner() -> dict[str, str]:
+    def solo_runner() -> dict[str, str]:
         registry = MetricsRegistry()
-        report = run_chaos(
-            spec,
-            duration_s=duration_s,
-            sample_rate_hz=sample_rate_hz,
-            seed=seed,
-            registry=registry,
-        )
+        report = run_chaos(spec, seed=seed, registry=registry, **run_kwargs)
         return {
             "events.jsonl": report.events.to_jsonl(),
             "estimates.jsonl": _estimate_lines(report.estimates),
@@ -265,56 +273,14 @@ def sanitize_solo(
             "metrics.json": canonical_json(registry.snapshot()),
         }
 
-    return run_twice(f"solo:{scenario}", runner)
-
-
-def sanitize_fleet(
-    scenario: str = "shard-crash",
-    *,
-    n_sessions: int = 12,
-    duration_s: float = 24.0,
-    sample_rate_hz: float = 50.0,
-    seed: int = 0,
-) -> SanitizeReport:
-    """Byte-verify one fleet chaos scenario across two seeded runs.
-
-    The per-run solo-baseline isolation check inside
-    :func:`repro.service.fleet.chaos.run_fleet_chaos` is skipped — this
-    sanitizer asks a different question (run-to-run stability, not
-    solo-vs-fleet equivalence) and skipping it roughly halves the cost.
-
-    Args:
-        scenario: A :data:`repro.service.fleet.chaos.FLEET_SCENARIOS`
-            name.
-        n_sessions: Fleet size per run.
-        duration_s: Simulated duration per run.
-        sample_rate_hz: CSI sample rate of the simulated captures.
-        seed: Fleet seed used by *both* runs.
-
-    Returns:
-        The run-twice report over the fleet event log, metrics snapshot,
-        and summary report.
-    """
-    from repro.errors import ConfigurationError
-    from repro.service.fleet.chaos import FLEET_SCENARIOS, run_fleet_chaos
-
-    if scenario not in FLEET_SCENARIOS:
-        known = ", ".join(sorted(FLEET_SCENARIOS))
-        raise ConfigurationError(
-            f"unknown fleet scenario {scenario!r} (shipped: {known})"
-        )
-    spec = FLEET_SCENARIOS[scenario]
-
-    def runner() -> dict[str, str]:
-        registry = MetricsRegistry()
+    def fleet_runner() -> dict[str, str]:
         report = run_fleet_chaos(
             spec,
             n_sessions=n_sessions,
-            duration_s=duration_s,
-            sample_rate_hz=sample_rate_hz,
             seed=seed,
-            registry=registry,
+            registry=MetricsRegistry(),
             check_isolation=False,
+            **run_kwargs,
         )
         return {
             "events.jsonl": report.events_jsonl,
@@ -322,4 +288,6 @@ def sanitize_fleet(
             "report.json": json.dumps(report.to_jsonable(), sort_keys=True),
         }
 
-    return run_twice(f"fleet:{scenario}", runner)
+    if spec.is_fleet:
+        return run_twice(f"fleet:{spec.name}", fleet_runner)
+    return run_twice(f"solo:{spec.name}", solo_runner)

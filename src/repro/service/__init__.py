@@ -7,8 +7,8 @@ domain (:mod:`~repro.service.sources`), the per-source circuit breaker
 watchdog, checkpoint/restore and an estimator fallback ladder
 (:mod:`~repro.service.supervisor`), the fleet gateway that runs one such
 supervisor per session (:mod:`~repro.service.fleet`), and a scripted
-chaos harness that proves the whole thing recovers
-(:mod:`~repro.service.chaos`) — all timed on one
+chaos harness that proves both recover (:mod:`~repro.service.chaos`) —
+all timed on one
 :class:`~repro.service.clock.SimulatedClock` so every run is
 deterministic and bit-replayable.
 
@@ -17,22 +17,23 @@ See ``docs/service.md`` for the fault-domain map and state machines.
 
 from .breaker import BreakerState, CircuitBreaker
 from .chaos import (
-    SHIPPED_SCENARIOS,
+    SCENARIOS,
     ChaosReport,
-    ChaosScenario,
-    TimedFault,
+    Fault,
+    FlakySourceAdapter,
+    FleetChaosReport,
+    Scenario,
     flaky_source_factory,
     load_scenario,
     run_chaos,
+    run_fleet_chaos,
 )
 from .clock import SimulatedClock
 from .events import EventLog, ServiceEvent
 from .sources import (
-    FlakySourceAdapter,
     Packet,
     PacketSource,
     ResilientSource,
-    SourceFault,
     TracePacketSource,
 )
 from .supervisor import (
@@ -52,19 +53,20 @@ __all__ = [
     "Packet",
     "PacketSource",
     "TracePacketSource",
-    "SourceFault",
-    "FlakySourceAdapter",
     "ResilientSource",
     "SubjectHealth",
     "FALLBACK_METHODS",
     "SupervisorConfig",
     "ServiceEstimate",
     "MonitorSupervisor",
-    "TimedFault",
-    "ChaosScenario",
-    "ChaosReport",
-    "SHIPPED_SCENARIOS",
+    "Fault",
+    "Scenario",
+    "SCENARIOS",
     "load_scenario",
+    "FlakySourceAdapter",
     "flaky_source_factory",
+    "ChaosReport",
     "run_chaos",
+    "FleetChaosReport",
+    "run_fleet_chaos",
 ]

@@ -15,9 +15,9 @@ throttle (wider hop), degrade (pin the estimator fallback ladder), and
 only then shed — with every transition recorded in the shared
 :class:`~repro.service.events.EventLog`.
 
-:mod:`~repro.service.fleet.chaos` extends the single-subject chaos
-harness to fleet-level faults (shard crash, ingest burst, slow consumer,
-correlated source loss) and checks the isolation contract: a fault
+:func:`repro.service.chaos.run_fleet_chaos` drives the gateway through
+fleet-level faults (shard crash, ingest burst, slow consumer, correlated
+source loss, recorder crash) and checks the isolation contract: a fault
 injected into some sessions must not perturb any other session's
 estimate stream by even one byte.
 
@@ -28,13 +28,6 @@ a fixed seed.  See ``docs/fleet.md``.
 """
 
 from .admission import AdmissionController
-from .chaos import (
-    FLEET_SCENARIOS,
-    FleetChaosReport,
-    FleetFault,
-    FleetScenario,
-    run_fleet_chaos,
-)
 from .config import FleetConfig
 from .gateway import FleetGateway, SessionStatus
 from .queue import BoundedPacketQueue, QueuedPacketSource
@@ -42,13 +35,8 @@ from .queue import BoundedPacketQueue, QueuedPacketSource
 __all__ = [
     "AdmissionController",
     "BoundedPacketQueue",
-    "FLEET_SCENARIOS",
-    "FleetChaosReport",
     "FleetConfig",
-    "FleetFault",
     "FleetGateway",
-    "FleetScenario",
     "QueuedPacketSource",
     "SessionStatus",
-    "run_fleet_chaos",
 ]

@@ -25,8 +25,8 @@ gateway schedules them in fixed rounds:
 Because fleet time is advanced solely by the heartbeat and every
 estimate depends only on the session's own packet sequence, a session's
 estimate stream is byte-identical whether it runs alone or next to a
-thousand neighbours — the isolation contract the fleet chaos harness
-(:mod:`~repro.service.fleet.chaos`) enforces.
+thousand neighbours — the isolation contract the fleet chaos driver
+(:func:`~repro.service.chaos.run_fleet_chaos`) enforces.
 
 Upstream sources run on a *private* per-session clock so replayed traces
 (:class:`~repro.service.sources.TracePacketSource` pins its clock to

@@ -3,14 +3,11 @@
 A :class:`PacketSource` is the service's view of capture hardware: a
 pull-based stream of timestamped CSI packets that may momentarily have
 nothing to deliver (``None``), fail transiently, hang past its deadline, or
-die outright.  Three concrete layers are provided:
+die outright.  Two concrete layers are provided:
 
 * :class:`TracePacketSource` — replays a :class:`~repro.io_.trace.CSITrace`
   packet by packet, advancing the shared simulated clock to each packet's
   capture time (the clock's only "natural" driver).
-* :class:`FlakySourceAdapter` — wraps any source and injects *scripted*,
-  seeded faults (hard crashes, silent stalls, hangs, windows of transient
-  errors), the mechanism the chaos harness drives.
 * :class:`ResilientSource` — the supervision wrapper: per-call deadline,
   bounded retry with seeded exponential backoff + jitter (all delays paid
   in simulated time), a per-source circuit breaker, and factory-based
@@ -19,7 +16,6 @@ die outright.  Three concrete layers are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
@@ -27,7 +23,6 @@ import numpy as np
 from ..contracts import ComplexArray
 from ..errors import (
     CircuitOpenError,
-    ConfigurationError,
     SourceCrashedError,
     SourceTimeoutError,
     SourceUnavailableError,
@@ -43,8 +38,6 @@ __all__ = [
     "Packet",
     "PacketSource",
     "TracePacketSource",
-    "SourceFault",
-    "FlakySourceAdapter",
     "BACKOFF_BASE_S",
     "BACKOFF_FACTOR",
     "DEADLINE_S",
@@ -65,8 +58,6 @@ BACKOFF_FACTOR = 2.0
 # Uniform +/- fraction applied to each delay (seeded), so many sources
 # retrying together do not synchronize.
 JITTER_FRACTION = 0.1
-
-_FAULT_KINDS = ("crash", "stall", "hang", "transient-errors")
 
 
 class Packet(NamedTuple):
@@ -146,145 +137,6 @@ class TracePacketSource:
         timestamp_s = float(self._trace.timestamps_s[k])
         self._clock.advance_to(timestamp_s)
         return Packet(csi=self._trace.csi[k], timestamp_s=timestamp_s)
-
-
-@dataclass(frozen=True)
-class SourceFault:
-    """One scripted fault in a :class:`FlakySourceAdapter` schedule.
-
-    Attributes:
-        kind: ``"crash"`` (hard, permanent death at ``at_s``),
-            ``"stall"`` (silent: no packets, data lost, for ``duration_s``),
-            ``"hang"`` (one read blocks ``hang_s`` before returning), or
-            ``"transient-errors"`` (reads raise
-            :class:`~repro.errors.TransientSourceError` with
-            ``probability`` while the window lasts).
-        at_s: When the fault starts (simulated time).
-        duration_s: Window length for ``"stall"`` / ``"transient-errors"``.
-        probability: Per-read error probability for ``"transient-errors"``.
-        hang_s: Blocked-read length for ``"hang"``.
-    """
-
-    kind: str
-    at_s: float
-    duration_s: float = 0.0
-    probability: float = 1.0
-    hang_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{_FAULT_KINDS}"
-            )
-        if self.at_s < 0:
-            raise ConfigurationError("fault at_s must be >= 0")
-        if self.kind in ("stall", "transient-errors") and self.duration_s <= 0:
-            raise ConfigurationError(f"{self.kind} fault needs duration_s > 0")
-        if self.kind == "hang" and self.hang_s <= 0:
-            raise ConfigurationError("hang fault needs hang_s > 0")
-        if not 0.0 < self.probability <= 1.0:
-            raise ConfigurationError("probability must be in (0, 1]")
-
-    @property
-    def end_s(self) -> float:
-        """When the fault's window closes (== ``at_s`` for instant faults)."""
-        return self.at_s + self.duration_s
-
-
-class FlakySourceAdapter:
-    """Inject scripted, seeded faults into any packet source.
-
-    Faults are evaluated against the shared simulated clock: a ``crash``
-    is permanent from ``at_s`` on; a ``stall`` silently loses the inner
-    source's packets for its window while polls return ``None``; a ``hang``
-    makes exactly one read consume ``hang_s`` of simulated time before
-    delivering; ``transient-errors`` raise with a seeded coin flip while
-    the window lasts.
-
-    Args:
-        inner: The healthy source being made flaky.
-        clock: The shared service clock.
-        faults: Scripted fault schedule.
-        seed: Seed for the transient-error coin flips.
-        nominal_interval_s: Poll cadence during a stall (how much simulated
-            time a fruitless read consumes).
-    """
-
-    def __init__(
-        self,
-        inner: PacketSource,
-        clock: SimulatedClock,
-        faults: tuple[SourceFault, ...] | list[SourceFault] = (),
-        *,
-        seed: int = 0,
-        nominal_interval_s: float = 0.01,
-    ):
-        if nominal_interval_s <= 0:
-            raise ConfigurationError("nominal_interval_s must be positive")
-        self._inner = inner
-        self._clock = clock
-        self._faults = tuple(faults)
-        self._rng = np.random.default_rng(seed)
-        self._interval_s = float(nominal_interval_s)
-        self._crashed = False
-        self._fired_hangs: set[int] = set()
-        self._pending: Packet | None = None
-        self.n_dropped_in_stalls = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the inner source is done and nothing is buffered."""
-        return self._pending is None and self._inner.exhausted
-
-    def _pull(self) -> Packet | None:
-        if self._pending is not None:
-            pkt, self._pending = self._pending, None
-            return pkt
-        return self._inner.next_packet()
-
-    def next_packet(self) -> Packet | None:
-        """Deliver the next packet, subject to the fault schedule."""
-        if self._crashed:
-            raise SourceCrashedError("source previously crashed")
-        now = self._clock.now_s
-        for index, fault in enumerate(self._faults):
-            if fault.kind == "crash" and now >= fault.at_s:
-                self._crashed = True
-                raise SourceCrashedError(
-                    f"scripted hard crash at t={fault.at_s:.3f}s"
-                )
-            if fault.kind == "stall" and fault.at_s <= now < fault.end_s:
-                return self._stall_poll()
-            if (
-                fault.kind == "transient-errors"
-                and fault.at_s <= now < fault.end_s
-                and float(self._rng.random()) < fault.probability
-            ):
-                raise TransientSourceError(
-                    f"scripted transient read error at t={now:.3f}s"
-                )
-            if (
-                fault.kind == "hang"
-                and now >= fault.at_s
-                and index not in self._fired_hangs
-            ):
-                self._fired_hangs.add(index)
-                self._clock.advance(fault.hang_s)
-        return self._pull()
-
-    def _stall_poll(self) -> None:
-        """One fruitless poll: time passes, the backlog is lost."""
-        new_now = self._clock.advance(self._interval_s)
-        while True:
-            pkt = self._pull()
-            if pkt is None:
-                break
-            if pkt.timestamp_s >= new_now:
-                self._pending = pkt
-                break
-            self.n_dropped_in_stalls += 1
-        return None
 
 
 class ResilientSource:

@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.service.fleet import (
-    FLEET_SCENARIOS,
-    FleetFault,
-    FleetScenario,
+from repro.service.chaos import (
+    SCENARIOS,
+    Fault,
+    Scenario,
     run_fleet_chaos,
 )
 
@@ -15,17 +15,17 @@ from repro.service.fleet import (
 class TestFleetFault:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            FleetFault(kind="meteor-strike", at_s=1.0)
+            Fault(kind="meteor-strike", at_s=1.0)
 
     def test_session_faults_need_targets_and_window(self):
         with pytest.raises(ConfigurationError):
-            FleetFault(kind="ingest-burst", at_s=1.0, duration_s=2.0)
+            Fault(kind="ingest-burst", at_s=1.0, duration_s=2.0)
         with pytest.raises(ConfigurationError):
-            FleetFault(kind="ingest-burst", at_s=1.0, n_sessions=2)
+            Fault(kind="ingest-burst", at_s=1.0, n_sessions=2)
 
     def test_factor_bounds(self):
         with pytest.raises(ConfigurationError):
-            FleetFault(
+            Fault(
                 kind="ingest-burst",
                 at_s=1.0,
                 duration_s=2.0,
@@ -33,7 +33,7 @@ class TestFleetFault:
                 ingest_factor=0.5,
             )
         with pytest.raises(ConfigurationError):
-            FleetFault(
+            Fault(
                 kind="slow-consumer",
                 at_s=1.0,
                 duration_s=2.0,
@@ -42,76 +42,76 @@ class TestFleetFault:
             )
 
     def test_dict_round_trip(self):
-        fault = FleetFault(
+        fault = Fault(
             kind="slow-consumer",
             at_s=4.0,
             duration_s=6.0,
             n_sessions=3,
             drain_factor=0.5,
         )
-        assert FleetFault.from_dict(fault.to_dict()) == fault
+        assert Fault.from_dict(fault.to_dict()) == fault
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
-            FleetFault.from_dict(
+            Fault.from_dict(
                 {"kind": "shard-crash", "at_s": 1.0, "blast_radius": 9}
             )
 
     def test_recorder_crash_is_instantaneous(self):
         # No duration required: the crash happens between two packets.
-        fault = FleetFault(kind="recorder-crash", at_s=2.0, n_sessions=2)
+        fault = Fault(kind="recorder-crash", at_s=2.0, n_sessions=2)
         assert fault.duration_s == 0.0
 
     def test_recorder_crash_needs_targets(self):
         with pytest.raises(ConfigurationError):
-            FleetFault(kind="recorder-crash", at_s=2.0)
+            Fault(kind="recorder-crash", at_s=2.0)
 
     def test_torn_tail_bytes_validated(self):
         with pytest.raises(ConfigurationError, match="torn_tail_bytes"):
-            FleetFault(
+            Fault(
                 kind="recorder-crash", at_s=2.0, n_sessions=1, torn_tail_bytes=-1
             )
 
     def test_recorder_crash_dict_round_trip(self):
-        fault = FleetFault(
+        fault = Fault(
             kind="recorder-crash", at_s=5.0, n_sessions=3, torn_tail_bytes=96
         )
         data = fault.to_dict()
         assert data["torn_tail_bytes"] == 96
-        assert FleetFault.from_dict(data) == fault
+        assert Fault.from_dict(data) == fault
 
 
 class TestFleetScenario:
     def test_json_round_trip(self):
-        scenario = FLEET_SCENARIOS["overload-shed"]
-        assert FleetScenario.from_json(scenario.to_json()) == scenario
+        scenario = SCENARIOS["overload-shed"]
+        assert Scenario.from_json(scenario.to_json()) == scenario
 
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigurationError):
-            FleetScenario.from_json("not json")
+            Scenario.from_json("not json")
         with pytest.raises(ConfigurationError):
-            FleetScenario.from_json("[1, 2]")
+            Scenario.from_json("[1, 2]")
 
     def test_schedule_metadata(self):
-        scenario = FLEET_SCENARIOS["overload-shed"]
+        scenario = SCENARIOS["overload-shed"]
         assert scenario.last_fault_end_s == 11.0
         assert scenario.max_targeted_sessions() == 6
 
 
 class TestRunValidation:
     def test_scenario_needs_a_clean_tail(self):
-        late = FleetScenario(
+        late = Scenario(
             name="too-late",
-            faults=(FleetFault(kind="shard-crash", at_s=20.0),),
+            faults=(Fault(kind="shard-crash", at_s=20.0),),
         )
         with pytest.raises(ConfigurationError, match="clean tail"):
             run_fleet_chaos(late, n_sessions=2, duration_s=24.0)
 
     def test_fleet_must_cover_targeted_sessions(self):
-        wide = FleetScenario(
+        wide = Scenario(
             name="too-wide",
             faults=(
-                FleetFault(
+                Fault(
                     kind="correlated-source-loss",
                     at_s=4.0,
                     duration_s=2.0,
@@ -125,7 +125,7 @@ class TestRunValidation:
 
 class TestEndToEnd:
     def test_fault_free_fleet_holds_every_invariant(self):
-        scenario = FleetScenario(name="fault-free", faults=())
+        scenario = Scenario(name="fault-free", faults=())
         report = run_fleet_chaos(
             scenario,
             n_sessions=4,
@@ -142,7 +142,7 @@ class TestEndToEnd:
         assert '"fleet_sessions_active_count"' in report.metrics_json
 
     def test_same_seed_reports_are_byte_identical(self):
-        scenario = FLEET_SCENARIOS["shard-crash"]
+        scenario = SCENARIOS["shard-crash"]
         reports = [
             run_fleet_chaos(
                 scenario,
@@ -161,7 +161,7 @@ class TestEndToEnd:
     def test_report_is_json_safe(self):
         import json
 
-        scenario = FleetScenario(name="fault-free", faults=())
+        scenario = Scenario(name="fault-free", faults=())
         report = run_fleet_chaos(
             scenario,
             n_sessions=2,
@@ -174,7 +174,7 @@ class TestEndToEnd:
 
     def test_recorder_crash_scenario_produces_salvageable_recordings(self):
         report = run_fleet_chaos(
-            FLEET_SCENARIOS["record-crash-resume"],
+            SCENARIOS["record-crash-resume"],
             n_sessions=4,
             duration_s=24.0,
             seed=0,
@@ -198,7 +198,7 @@ class TestEndToEnd:
 
     def test_recorder_crash_is_in_the_event_log(self):
         report = run_fleet_chaos(
-            FLEET_SCENARIOS["record-crash-resume"],
+            SCENARIOS["record-crash-resume"],
             n_sessions=4,
             duration_s=24.0,
             seed=0,

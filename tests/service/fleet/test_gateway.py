@@ -6,7 +6,7 @@ from repro.core.streaming import StreamingConfig
 from repro.errors import ConfigurationError, FleetAdmissionError
 from repro.service.clock import SimulatedClock
 from repro.service.fleet import FleetConfig, FleetGateway, SessionStatus
-from repro.service.fleet.chaos import _estimate_stream_bytes
+from repro.service.chaos import _estimate_stream_bytes
 from repro.service.sources import TracePacketSource
 from repro.service.supervisor import SupervisorConfig
 from tests.service.test_supervisor import _CorruptingSource

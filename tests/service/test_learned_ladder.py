@@ -23,7 +23,7 @@ from repro.service import (
     SupervisorConfig,
     TracePacketSource,
 )
-from repro.service.chaos import SHIPPED_SCENARIOS, run_chaos
+from repro.service.chaos import SCENARIOS, run_chaos
 from repro.service.supervisor import LEARNED_FALLBACK_METHODS
 
 STREAMING = StreamingConfig(window_s=10.0, hop_s=2.5)
@@ -201,7 +201,7 @@ class TestOverloadPins:
 
 class TestLearnedChaosScenario:
     def test_burst_escalates_into_a_real_learned_estimator(self):
-        scenario = SHIPPED_SCENARIOS["learned-degradation-burst"]
+        scenario = SCENARIOS["learned-degradation-burst"]
         assert scenario.use_learned_rung
         report = run_chaos(scenario, seed=2)
         assert report.violations() == []
@@ -217,7 +217,7 @@ class TestLearnedChaosScenario:
 
     @pytest.mark.determinism
     def test_learned_chaos_report_is_byte_reproducible(self):
-        scenario = SHIPPED_SCENARIOS["learned-degradation-burst"]
+        scenario = SCENARIOS["learned-degradation-burst"]
         first = run_chaos(scenario, seed=2)
         second = run_chaos(scenario, seed=2)
         assert canonical_json(first.to_jsonable()) == canonical_json(

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.obs import MetricsRegistry, canonical_json, validate_metric_name
-from repro.service.chaos import SHIPPED_SCENARIOS, ChaosScenario, run_chaos
+from repro.service.chaos import SCENARIOS, Scenario, run_chaos
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def crash_run():
     """One instrumented source-crash drill (shared: chaos runs are slow)."""
     registry = MetricsRegistry()
     report = run_chaos(
-        SHIPPED_SCENARIOS["source-crash"],
+        SCENARIOS["source-crash"],
         duration_s=40.0,
         registry=registry,
     )
@@ -35,7 +35,7 @@ class TestDeterminism:
         registry, _ = crash_run
         rerun = MetricsRegistry()
         run_chaos(
-            SHIPPED_SCENARIOS["source-crash"],
+            SCENARIOS["source-crash"],
             duration_s=40.0,
             registry=rerun,
         )
@@ -46,7 +46,7 @@ class TestDeterminism:
     def test_report_unchanged_by_instrumentation(self, crash_run):
         _, instrumented = crash_run
         plain = run_chaos(
-            SHIPPED_SCENARIOS["source-crash"], duration_s=40.0
+            SCENARIOS["source-crash"], duration_s=40.0
         )
         # Serialized comparison: NaN medians (no post-recovery estimates
         # in a short drill) are unequal to themselves as dict values.
@@ -111,7 +111,7 @@ class TestBreakerMetrics:
     def test_transient_errors_drive_breaker_transitions(self):
         registry = MetricsRegistry()
         run_chaos(
-            SHIPPED_SCENARIOS["transient-errors"],
+            SCENARIOS["transient-errors"],
             duration_s=40.0,
             streaming_config=None,
             registry=registry,
@@ -134,7 +134,7 @@ class TestFaultFreeRun:
     def test_no_failure_counters_appear(self):
         registry = MetricsRegistry()
         run_chaos(
-            ChaosScenario(name="clean", faults=()),
+            Scenario(name="clean", faults=()),
             duration_s=40.0,
             registry=registry,
         )

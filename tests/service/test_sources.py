@@ -13,12 +13,12 @@ from repro.errors import (
 )
 from repro.service import (
     EventLog,
+    Fault,
     FlakySourceAdapter,
     Packet,
     PacketSource,
     ResilientSource,
     SimulatedClock,
-    SourceFault,
     TracePacketSource,
 )
 from repro.service.sources import MAX_RETRIES
@@ -62,14 +62,14 @@ class TestTracePacketSource:
 class TestSourceFault:
     def test_validates_kind_and_windows(self):
         with pytest.raises(ConfigurationError):
-            SourceFault(kind="meteor", at_s=1.0)
+            Fault(kind="meteor", at_s=1.0)
         with pytest.raises(ConfigurationError):
-            SourceFault(kind="stall", at_s=1.0)  # needs duration
+            Fault(kind="stall", at_s=1.0)  # needs duration
         with pytest.raises(ConfigurationError):
-            SourceFault(kind="hang", at_s=1.0)  # needs hang_s
+            Fault(kind="hang", at_s=1.0)  # needs hang_s
 
     def test_end_time(self):
-        fault = SourceFault(kind="stall", at_s=2.0, duration_s=3.0)
+        fault = Fault(kind="stall", at_s=2.0, duration_s=3.0)
         assert fault.end_s == pytest.approx(5.0)
 
 
@@ -85,7 +85,7 @@ class TestFlakySourceAdapter:
         source = FlakySourceAdapter(
             TracePacketSource(short_lab_trace, clock),
             clock,
-            faults=[SourceFault(kind="crash", at_s=2.0)],
+            faults=[Fault(kind="crash", at_s=2.0)],
         )
         while clock.now_s < 2.0:
             source.next_packet()
@@ -101,7 +101,7 @@ class TestFlakySourceAdapter:
         source = FlakySourceAdapter(
             TracePacketSource(short_lab_trace, clock),
             clock,
-            faults=[SourceFault(kind="stall", at_s=2.0, duration_s=1.0)],
+            faults=[Fault(kind="stall", at_s=2.0, duration_s=1.0)],
             nominal_interval_s=interval,
         )
         stall_polls = 0
@@ -126,7 +126,7 @@ class TestFlakySourceAdapter:
         source = FlakySourceAdapter(
             TracePacketSource(short_lab_trace, clock),
             clock,
-            faults=[SourceFault(kind="hang", at_s=2.0, hang_s=1.5)],
+            faults=[Fault(kind="hang", at_s=2.0, hang_s=1.5)],
         )
         while clock.now_s < 2.0:
             source.next_packet()
@@ -145,7 +145,7 @@ class TestFlakySourceAdapter:
             TracePacketSource(short_lab_trace, clock),
             clock,
             faults=[
-                SourceFault(
+                Fault(
                     kind="transient-errors",
                     at_s=2.0,
                     duration_s=1.0,
@@ -199,7 +199,7 @@ class TestResilientSource:
         self, short_lab_trace, clock
     ):
         faults = (
-            SourceFault(
+            Fault(
                 kind="transient-errors",
                 at_s=0.0,
                 duration_s=200.0,
@@ -217,7 +217,7 @@ class TestResilientSource:
 
     def test_breaker_opens_then_short_circuits(self, short_lab_trace, clock):
         faults = (
-            SourceFault(
+            Fault(
                 kind="transient-errors",
                 at_s=0.0,
                 duration_s=200.0,
@@ -235,7 +235,7 @@ class TestResilientSource:
         assert "breaker-open" in events.kinds()
 
     def test_crash_rebuilds_and_resumes_live(self, short_lab_trace, clock):
-        faults = (SourceFault(kind="crash", at_s=2.0),)
+        faults = (Fault(kind="crash", at_s=2.0),)
         source, events = _resilient(short_lab_trace, clock, faults)
         with pytest.raises(SourceCrashedError):
             while True:
@@ -247,7 +247,7 @@ class TestResilientSource:
         assert packet is not None and packet.timestamp_s >= 2.0
 
     def test_hang_past_deadline_is_a_timeout(self, short_lab_trace, clock):
-        faults = (SourceFault(kind="hang", at_s=1.0, hang_s=3.0),)
+        faults = (Fault(kind="hang", at_s=1.0, hang_s=3.0),)
         source, events = _resilient(short_lab_trace, clock, faults)
         with pytest.raises(SourceTimeoutError) as excinfo:
             while True:
@@ -260,7 +260,7 @@ class TestResilientSource:
         def run():
             clock = SimulatedClock()
             faults = (
-                SourceFault(
+                Fault(
                     kind="transient-errors",
                     at_s=0.0,
                     duration_s=200.0,

@@ -8,10 +8,10 @@ from repro.core.streaming import StreamingConfig
 from repro.errors import ConfigurationError
 from repro.service import (
     FALLBACK_METHODS,
+    Fault,
     FlakySourceAdapter,
     MonitorSupervisor,
     SimulatedClock,
-    SourceFault,
     SupervisorConfig,
     TracePacketSource,
 )
@@ -119,7 +119,7 @@ class TestWatchdogAndRestarts:
         clock = SimulatedClock()
         supervisor = make_supervisor(clock)
         interval = 1.0 / service_trace.sample_rate_hz
-        stall = SourceFault(kind="stall", at_s=12.0, duration_s=4.0)
+        stall = Fault(kind="stall", at_s=12.0, duration_s=4.0)
 
         def factory(t0):
             faults = (stall,) if stall.end_s > t0 else ()
@@ -232,7 +232,7 @@ class TestDeterminism:
             clock = SimulatedClock()
             supervisor = make_supervisor(clock)
             interval = 1.0 / service_trace.sample_rate_hz
-            fault = SourceFault(
+            fault = Fault(
                 kind="transient-errors",
                 at_s=12.0,
                 duration_s=0.5,

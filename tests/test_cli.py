@@ -148,6 +148,19 @@ class TestMonitorCommand:
         assert code == 2
         assert "neither a shipped scenario" in capsys.readouterr().err
 
+    def test_malformed_scenario_file_is_a_usage_error(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "faults.json"
+        path.write_text(
+            json.dumps(
+                {"name": "bad", "faults": [{"kind": "crash", "at_s": "30"}]}
+            )
+        )
+        code = main(["monitor", "--chaos-scenario", str(path)])
+        assert code == 2
+        assert "at_s must be a finite number" in capsys.readouterr().err
+
     def test_fault_free_run_reports_healthy(self, tmp_path, capsys):
         import json
 
@@ -170,12 +183,12 @@ class TestMonitorCommand:
         assert data["health"]["health"] == "healthy"
 
     def test_scenario_from_json_file(self, tmp_path, capsys):
-        from repro.service import ChaosScenario, TimedFault
+        from repro.service import Fault, Scenario
 
         path = tmp_path / "faults.json"
-        scenario = ChaosScenario(
+        scenario = Scenario(
             name="one-crash",
-            faults=(TimedFault(kind="crash", at_s=15.0),),
+            faults=(Fault(kind="crash", at_s=15.0),),
         )
         path.write_text(scenario.to_json())
         code = main(
@@ -236,7 +249,7 @@ class TestFleetCommand:
     def test_unknown_scenario_is_an_error(self, capsys):
         code = main(["fleet", "--scenario", "nope"])
         assert code == 2
-        assert "neither a shipped fleet scenario" in capsys.readouterr().err
+        assert "neither a shipped scenario" in capsys.readouterr().err
 
     def test_fault_free_fleet_reports_ok(self, tmp_path, capsys):
         import json
@@ -271,12 +284,12 @@ class TestFleetCommand:
             assert {"time_s", "subject", "kind", "detail"} <= set(event)
 
     def test_scenario_from_json_file(self, tmp_path, capsys):
-        from repro.service.fleet import FleetFault, FleetScenario
+        from repro.service import Fault, Scenario
 
         path = tmp_path / "fleet-faults.json"
-        scenario = FleetScenario(
+        scenario = Scenario(
             name="one-shard-down",
-            faults=(FleetFault(kind="shard-crash", at_s=8.0, shard=0),),
+            faults=(Fault(kind="shard-crash", at_s=8.0, shard=0),),
         )
         path.write_text(scenario.to_json())
         code = main(
@@ -499,7 +512,7 @@ class TestBacktestCommand:
 class TestSanitizeCommand:
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Replace both runners with recorders of their keyword arguments."""
+        """Replace the runner with a recorder of its keyword arguments."""
         import repro.sanitize
 
         recorded = []
@@ -510,26 +523,26 @@ class TestSanitizeCommand:
             def format_text(self):
                 return "clean"
 
-        def recorder(mode):
-            def run(**kwargs):
-                recorded.append((mode, kwargs))
-                return CleanReport()
-            return run
+        def run(**kwargs):
+            recorded.append(kwargs)
+            return CleanReport()
 
-        monkeypatch.setattr(repro.sanitize, "sanitize_solo", recorder("solo"))
-        monkeypatch.setattr(repro.sanitize, "sanitize_fleet", recorder("fleet"))
+        monkeypatch.setattr(repro.sanitize, "sanitize_chaos", run)
         return recorded
 
     def test_bare_fleet_run_passes_no_defaults(self, calls, capsys):
-        assert main(["sanitize", "--mode", "fleet"]) == 0
-        assert calls == [("fleet", {})]
+        assert main(["sanitize", "--scenario", "shard-crash"]) == 0
+        assert calls == [{"scenario": "shard-crash"}]
 
     def test_only_given_flags_are_passed(self, calls, capsys):
         assert main(["sanitize", "--duration", "30"]) == 0
         assert main(
-            ["sanitize", "--mode", "fleet", "--sessions", "4", "--seed", "2"]
+            [
+                "sanitize", "--scenario", "shard-crash",
+                "--sessions", "4", "--seed", "2",
+            ]
         ) == 0
         assert calls == [
-            ("solo", {"duration_s": 30.0}),
-            ("fleet", {"seed": 2, "n_sessions": 4}),
+            {"duration_s": 30.0},
+            {"scenario": "shard-crash", "n_sessions": 4, "seed": 2},
         ]

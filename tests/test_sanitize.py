@@ -18,8 +18,7 @@ from repro.sanitize import (
     Divergence,
     SanitizeReport,
     run_twice,
-    sanitize_fleet,
-    sanitize_solo,
+    sanitize_chaos,
 )
 
 
@@ -125,7 +124,7 @@ class TestRunTwice:
 @pytest.mark.determinism
 class TestSeededScenarios:
     def test_solo_chaos_scenario_is_byte_reproducible(self):
-        report = sanitize_solo(
+        report = sanitize_chaos(
             "source-crash", duration_s=90.0, sample_rate_hz=50.0, seed=11
         )
         assert report.clean, report.format_text()
@@ -138,7 +137,7 @@ class TestSeededScenarios:
         assert report.artifact_bytes_total > 0
 
     def test_fleet_chaos_scenario_is_byte_reproducible(self):
-        report = sanitize_fleet(
+        report = sanitize_chaos(
             "shard-crash", n_sessions=6, duration_s=24.0, seed=11
         )
         assert report.clean, report.format_text()
@@ -151,7 +150,7 @@ class TestSeededScenarios:
     def test_record_crash_resume_is_byte_reproducible(self):
         # The report embeds per-session store digests, so a clean run
         # proves record -> crash -> restart -> resume is byte-identical.
-        report = sanitize_fleet(
+        report = sanitize_chaos(
             "record-crash-resume", n_sessions=6, duration_s=24.0, seed=11
         )
         assert report.clean, report.format_text()
@@ -160,7 +159,7 @@ class TestSeededScenarios:
     def test_learned_rung_scenario_is_byte_reproducible(self):
         # The learned rung adds a trained-model inference to the replayed
         # path; seeded training + serving must still be byte-stable.
-        report = sanitize_solo(
+        report = sanitize_chaos(
             "learned-degradation-burst",
             duration_s=90.0,
             sample_rate_hz=50.0,
@@ -170,10 +169,8 @@ class TestSeededScenarios:
         assert report.artifact_bytes_total > 0
 
     def test_unknown_scenarios_raise_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="unknown solo"):
-            sanitize_solo("nope")
-        with pytest.raises(ConfigurationError, match="unknown fleet"):
-            sanitize_fleet("nope")
+        with pytest.raises(ConfigurationError, match="neither a shipped"):
+            sanitize_chaos("nope")
 
 
 class TestSanitizeCli:
@@ -198,7 +195,7 @@ class TestSanitizeCli:
         code = main(
             [
                 "sanitize",
-                "--mode", "fleet",
+                "--scenario", "shard-crash",
                 "--sessions", "6",
                 "--seed", "4",
                 "--json",
@@ -213,4 +210,4 @@ class TestSanitizeCli:
         from repro.cli import main
 
         assert main(["sanitize", "--scenario", "nope"]) == 2
-        assert "unknown solo scenario" in capsys.readouterr().err
+        assert "neither a shipped scenario" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 The fleet gateway multiplexes up to a thousand sessions through one
 process.  Session isolation (the ``check_isolation`` byte-compare in
-`repro.service.fleet.chaos`) only holds if no state is shared between
+`repro.service.chaos.run_fleet_chaos`) only holds if no state is shared between
 them — a module-level cache, a class-body ``dict``, or any mutable
 container bound outside an instance is a channel through which session A
 can change what session B computes.
