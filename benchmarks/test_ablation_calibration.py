@@ -17,7 +17,7 @@ original paper never encounters because its analysis is linear.)
 import numpy as np
 from conftest import banner, run_once
 
-from repro.core.breathing import PeakBreathingEstimator
+from repro.core.breathing import peak_breathing_bpm
 from repro.core.dwt_stage import decompose
 from repro.core.phase_difference import phase_difference
 from repro.core.pipeline import prepare_calibrated_matrix
@@ -34,7 +34,7 @@ from repro.rf.scene import laboratory_scenario
 def _estimate_from(series: np.ndarray, truth: float) -> float:
     bands = decompose(series, 20.0)
     try:
-        rate = PeakBreathingEstimator().estimate_bpm(bands.breathing, 20.0)
+        rate = peak_breathing_bpm(bands.breathing, 20.0)
     except EstimationError:
         return truth
     return min(abs(rate - truth), truth)

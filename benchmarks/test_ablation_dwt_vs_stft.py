@@ -16,7 +16,7 @@ original paper never encounters because its analysis is linear.)
 import numpy as np
 from conftest import banner, run_once
 
-from repro.core.breathing import PeakBreathingEstimator
+from repro.core.breathing import peak_breathing_bpm
 from repro.core.dwt_stage import decompose
 from repro.core.pipeline import prepare_calibrated_matrix
 from repro.core.subcarrier_selection import select_subcarrier
@@ -29,7 +29,6 @@ from repro.rf.scene import laboratory_scenario
 
 
 def _run(n_trials: int = 10, base_seed: int = 780) -> dict:
-    estimator = PeakBreathingEstimator()
     errors = {"dwt": [], "stft": []}
     for k in range(n_trials):
         seed = base_seed + k
@@ -51,7 +50,7 @@ def _run(n_trials: int = 10, base_seed: int = 780) -> dict:
 
         for name, signal in (("dwt", bands.breathing), ("stft", stft_breathing)):
             try:
-                estimate = estimator.estimate_bpm(signal, rate)
+                estimate = peak_breathing_bpm(signal, rate)
                 errors[name].append(min(abs(estimate - truth), truth))
             except EstimationError:
                 errors[name].append(truth)

@@ -16,7 +16,7 @@ import numpy as np
 from conftest import banner, run_once
 
 from repro.baselines.amplitude import AmplitudeMethod
-from repro.core.breathing import PeakBreathingEstimator
+from repro.core.breathing import peak_breathing_bpm
 from repro.core.calibration import calibrate
 from repro.core.dwt_stage import decompose
 from repro.core.phase_difference import phase_difference, raw_phase
@@ -36,7 +36,7 @@ def _pipeline_error(
     column = select_subcarrier(calibrated.series, mask=quality).selected
     bands = decompose(calibrated.series[:, column], calibrated.sample_rate_hz)
     try:
-        rate = PeakBreathingEstimator().estimate_bpm(
+        rate = peak_breathing_bpm(
             bands.breathing, bands.sample_rate_hz
         )
     except EstimationError:
@@ -64,7 +64,7 @@ def _run(n_trials: int = 10, base_seed: int = 760) -> dict:
         column = select_subcarrier(matrix, mask=quality).selected
         bands = decompose(matrix[:, column], sample_rate)
         try:
-            rate = PeakBreathingEstimator().estimate_bpm(
+            rate = peak_breathing_bpm(
                 bands.breathing, bands.sample_rate_hz
             )
             errors["phase_difference"].append(min(abs(rate - truth), truth))

@@ -16,7 +16,7 @@ original paper never encounters because its analysis is linear.)
 import numpy as np
 from conftest import banner, run_once
 
-from repro.core.breathing import PeakBreathingEstimator
+from repro.core.breathing import peak_breathing_bpm
 from repro.core.dwt_stage import decompose
 from repro.core.pipeline import prepare_calibrated_matrix
 from repro.core.subcarrier_selection import select_subcarrier
@@ -28,7 +28,6 @@ from repro.rf.scene import laboratory_scenario
 
 
 def _run(n_trials: int = 10, base_seed: int = 700) -> dict:
-    estimator = PeakBreathingEstimator()
     rows = {"selected": [], "worst": [], "all_spread": []}
     for k in range(n_trials):
         seed = base_seed + k
@@ -48,7 +47,7 @@ def _run(n_trials: int = 10, base_seed: int = 700) -> dict:
             bands = decompose(matrix[:, column], sample_rate)
             try:
                 return abs(
-                    estimator.estimate_bpm(bands.breathing, 20.0) - truth
+                    peak_breathing_bpm(bands.breathing, 20.0) - truth
                 )
             except EstimationError:
                 return truth  # unusable column scores accuracy 0

@@ -14,7 +14,7 @@ original paper never encounters because its analysis is linear.)
 import numpy as np
 from conftest import banner, run_once
 
-from repro.core.breathing import PeakBreathingEstimator
+from repro.core.breathing import peak_breathing_bpm
 from repro.core.dwt_stage import DWTConfig, decompose
 from repro.core.pipeline import prepare_calibrated_matrix
 from repro.core.subcarrier_selection import select_subcarrier
@@ -33,7 +33,6 @@ def _run(n_trials: int = 8, base_seed: int = 740) -> dict:
         "db4/L3": DWTConfig(wavelet="db4", level=3, heart_detail_levels=(2, 3)),
         "db4/L5": DWTConfig(wavelet="db4", level=5, heart_detail_levels=(4, 5)),
     }
-    estimator = PeakBreathingEstimator()
     errors: dict = {name: [] for name in variants}
     for k in range(n_trials):
         seed = base_seed + k
@@ -52,7 +51,7 @@ def _run(n_trials: int = 8, base_seed: int = 740) -> dict:
         for name, config in variants.items():
             bands = decompose(series, sample_rate, config)
             try:
-                rate = estimator.estimate_bpm(
+                rate = peak_breathing_bpm(
                     bands.breathing, bands.sample_rate_hz
                 )
                 errors[name].append(abs(rate - truth))

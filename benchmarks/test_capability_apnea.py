@@ -12,7 +12,6 @@ from conftest import banner, run_once
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     capture_trace,
     laboratory_scenario,
 )
@@ -22,7 +21,7 @@ from repro.physio import ApneicBreathing, SinusoidalBreathing
 
 
 def _run(n_trials: int = 6, base_seed: int = 900) -> dict:
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     detected, missed, false_alarms = 0, 0, 0
     boundary_errors = []
     rng = np.random.default_rng(base_seed)

@@ -14,7 +14,6 @@ from conftest import banner, run_once
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     capture_trace,
     laboratory_scenario,
@@ -24,7 +23,7 @@ from repro.eval.reporting import format_series
 
 
 def _run(n_trials: int = 6, base_seed: int = 950) -> dict:
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     reflectivities = (0.3, 0.55, 0.8, 1.05, 1.3)
     medians = []
     for reflectivity in reflectivities:

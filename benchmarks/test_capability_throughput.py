@@ -29,7 +29,7 @@ from pathlib import Path
 
 from conftest import banner
 
-from repro import PhaseBeat, PhaseBeatConfig, capture_trace, laboratory_scenario
+from repro import PhaseBeat, capture_trace, laboratory_scenario
 from repro.errors import NotStationaryError
 from repro.core.streaming import StreamingConfig, StreamingMonitor
 from repro.eval.reporting import format_table
@@ -71,7 +71,7 @@ def _get_stream_trace():
 
 def test_capability_throughput(benchmark):
     trace = _get_trace()
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
 
     result = benchmark.pedantic(
         lambda: pipeline.process(trace, estimate_heart=True),
@@ -164,7 +164,7 @@ def test_streaming_throughput_incremental_vs_batch():
 
     # Warm FFT plans and allocator caches so the first measured mode does
     # not pay one-time costs the second mode skips.
-    PhaseBeat(PhaseBeatConfig(enforce_stationarity=False)).process(
+    PhaseBeat(enforce_stationarity=False).process(
         trace, estimate_heart=False
     )
 

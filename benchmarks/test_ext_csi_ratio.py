@@ -11,7 +11,7 @@ distributions over the same randomized lab trials as Fig. 11.
 import numpy as np
 from conftest import banner, run_once
 
-from repro import PhaseBeat, PhaseBeatConfig, capture_trace
+from repro import PhaseBeat, capture_trace
 from repro.errors import EstimationError, NotStationaryError
 from repro.eval.harness import default_subject
 from repro.eval.reporting import format_table
@@ -20,7 +20,7 @@ from repro.rf.scene import laboratory_scenario
 
 
 def _run(n_trials: int = 20, base_seed: int = 100) -> dict:
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     ratio = CsiRatioEstimator()
     errors = {"phase_difference": [], "csi_ratio": []}
     for k in range(n_trials):

@@ -10,12 +10,12 @@ import numpy as np
 from conftest import banner, run_once
 
 from repro import Person, SinusoidalBreathing, capture_trace, laboratory_scenario
-from repro.core.breathing import FFTBreathingEstimator, MusicBreathingEstimator
+from repro.core.breathing import fft_breathing_bpm, music_breathing_bpm
 from repro.core.pipeline import prepare_calibrated_matrix
 from repro.errors import EstimationError
 from repro.eval.metrics import multi_person_errors
 from repro.eval.reporting import format_table
-from repro.extensions import TensorBeatEstimator
+from repro.extensions import tensorbeat_breathing_bpm
 
 RATES_HZ = (0.1467, 0.2233, 0.2483)
 POSITIONS = ((0.8, 5.5, 1.0), (2.2, 6.2, 1.0), (3.8, 5.8, 1.0))
@@ -42,19 +42,13 @@ def _run(n_trials: int = 4, base_seed: int = 1) -> dict:
         usable = matrix[:, quality] if quality.any() else matrix
 
         estimators = {
-            "tensorbeat": lambda: TensorBeatEstimator().estimate_bpm(
-                usable, rate, 3
-            ),
-            "root_music": lambda: MusicBreathingEstimator().estimate_bpm(
-                usable, rate, 3
-            ),
-            "fft": lambda: FFTBreathingEstimator().estimate_bpm(
-                usable, rate, 3
-            ),
+            "tensorbeat": tensorbeat_breathing_bpm,
+            "root_music": music_breathing_bpm,
+            "fft": fft_breathing_bpm,
         }
-        for name, call in estimators.items():
+        for name, estimate_bpm in estimators.items():
             try:
-                estimates = np.asarray(call())
+                estimates = np.asarray(estimate_bpm(usable, rate, 3))
             except EstimationError:
                 estimates = np.empty(0)
             worst[name].append(

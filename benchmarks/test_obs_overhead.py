@@ -18,7 +18,7 @@ import time
 
 from conftest import banner
 
-from repro import PhaseBeat, PhaseBeatConfig, capture_trace, laboratory_scenario
+from repro import PhaseBeat, capture_trace, laboratory_scenario
 from repro.eval.reporting import format_table
 from repro.obs import Instrumentation, MetricsRegistry
 
@@ -56,11 +56,11 @@ def test_obs_overhead_under_five_percent():
     trace = capture_trace(
         laboratory_scenario(clutter_seed=1), duration_s=30.0, seed=1
     )
-    config = PhaseBeatConfig(enforce_stationarity=False)
-    bare = PhaseBeat(config)
+    bare = PhaseBeat(enforce_stationarity=False)
     registry = MetricsRegistry()
     instrumented = PhaseBeat(
-        config, instrumentation=Instrumentation(registry=registry)
+        enforce_stationarity=False,
+        instrumentation=Instrumentation(registry=registry),
     )
 
     # Warm-up: first runs pay FFT planning and allocator caches for both.

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import PhaseBeat, PhaseBeatConfig
+from repro import PhaseBeat
 from repro.eval.harness import default_subject
 from repro.eval.metrics import empirical_cdf
 from repro.io_.dataset import TraceDataset, generate_dataset
@@ -42,7 +42,7 @@ def main() -> None:
     dataset = TraceDataset(root)
     print(f"reloaded {len(dataset)} traces from the index\n")
 
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     errors = []
     print(f"{'trace':>10} {'truth':>8} {'estimate':>9} {'error':>7}")
     for entry in dataset:

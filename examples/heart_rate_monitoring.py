@@ -13,7 +13,6 @@ Run:
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     SinusoidalHeartbeat,
     capture_trace,
@@ -36,7 +35,7 @@ def main() -> None:
     print("simulating 60 s with a directional TX aimed at the subject ...")
     trace = capture_trace(scenario, duration_s=60.0, seed=3)
 
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     result = pipeline.process(trace)
 
     oximeter_reading = PulseOximeter(seed=1).read_person(person)

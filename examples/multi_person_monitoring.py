@@ -14,7 +14,6 @@ import numpy as np
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     capture_trace,
     laboratory_scenario,
@@ -43,7 +42,7 @@ def main() -> None:
     print("simulating 60 s with three subjects ...")
     trace = capture_trace(scenario, duration_s=60.0, seed=1)
 
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
 
     print(f"\nground truth: {np.round(truth_bpm, 2)} bpm")
     for method, label in (("fft", "FFT"), ("music", "root-MUSIC (30 sc)")):

@@ -11,7 +11,6 @@ Run:
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     SinusoidalHeartbeat,
     capture_trace,
@@ -40,7 +39,7 @@ def main() -> None:
 
     # The stationarity check is calibrated for the omni setup; with a
     # directional TX we skip it, exactly as the paper's heart experiments do.
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     result = pipeline.process(trace)
 
     print("\n--- PhaseBeat result ---")

@@ -16,7 +16,6 @@ import numpy as np
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     capture_trace,
     laboratory_scenario,
@@ -49,7 +48,7 @@ def main() -> None:
     flat = gain.ravel()
     best = np.unravel_index(np.argmax(gain), gain.shape)
     worst = np.unravel_index(np.argmin(gain), gain.shape)
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     print("\nvalidation (subject breathing at 16.2 bpm):")
     for label, (iy, ix) in (("best spot", best), ("worst spot", worst)):
         position = (float(xs[ix]), float(ys[iy]), 1.0)

@@ -13,7 +13,6 @@ Run:
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     capture_trace,
     laboratory_scenario,
@@ -39,7 +38,7 @@ def main() -> None:
     print("simulating a 2-minute sleep capture with scripted apneas ...")
     trace = capture_trace(scenario, duration_s=120.0, seed=9)
 
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
     result = pipeline.process(trace, estimate_heart=False)
     print(
         f"\nbreathing rate over the breathing segments: "

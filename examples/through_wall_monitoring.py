@@ -15,7 +15,6 @@ import numpy as np
 from repro import (
     Person,
     PhaseBeat,
-    PhaseBeatConfig,
     SinusoidalBreathing,
     capture_trace,
     corridor_scenario,
@@ -32,7 +31,7 @@ def subject(y: float) -> Person:
 
 
 def main() -> None:
-    pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+    pipeline = PhaseBeat(enforce_stationarity=False)
 
     # Single through-wall estimate at 4 m.
     scenario = through_wall_scenario(4.0, [subject(1.2)], clutter_seed=7)

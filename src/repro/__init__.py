@@ -19,7 +19,6 @@ Quickstart::
 
 from .core import (
     PhaseBeat,
-    PhaseBeatConfig,
     PhaseBeatResult,
     StreamingConfig,
     StreamingMonitor,
@@ -69,7 +68,6 @@ __all__ = [
     "NotStationaryError",
     "Person",
     "PhaseBeat",
-    "PhaseBeatConfig",
     "PhaseBeatResult",
     "PulseHeartbeat",
     "RealisticBreathing",

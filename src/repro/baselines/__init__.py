@@ -1,10 +1,10 @@
 """Comparison methods the paper evaluates against."""
 
 from .amplitude import AmplitudeMethod
-from .rss import RSSMethod, rss_series_db
+from .rss import rss_breathing_bpm, rss_series_db
 
 __all__ = [
     "AmplitudeMethod",
-    "RSSMethod",
+    "rss_breathing_bpm",
     "rss_series_db",
 ]

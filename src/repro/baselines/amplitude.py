@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.breathing import PeakBreathingEstimator
+from ..core.breathing import peak_breathing_bpm
 from ..core.calibration import calibrate
 from ..core.dwt_stage import decompose
 from ..core.subcarrier_selection import select_subcarrier
@@ -50,6 +50,4 @@ class AmplitudeMethod:
         selection = select_subcarrier(calibrated.series)
         series = calibrated.series[:, selection.selected]
         bands = decompose(series, calibrated.sample_rate_hz)
-        return PeakBreathingEstimator().estimate_bpm(
-            bands.breathing, bands.sample_rate_hz
-        )
+        return peak_breathing_bpm(bands.breathing, bands.sample_rate_hz)

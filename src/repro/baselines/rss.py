@@ -22,7 +22,7 @@ from ..dsp.resample import decimate, decimation_factor, downsampled_rate
 from ..contracts import FloatArray
 from ..io_.trace import CSITrace
 
-__all__ = ["QUANTIZATION_DB", "SMOOTH_WINDOW_S", "RSSMethod", "rss_series_db"]
+__all__ = ["QUANTIZATION_DB", "SMOOTH_WINDOW_S", "rss_breathing_bpm", "rss_series_db"]
 
 # RSSI reporting granularity of commodity NICs.
 QUANTIZATION_DB = 1.0
@@ -49,24 +49,19 @@ def rss_series_db(trace: CSITrace) -> FloatArray:
     return rss
 
 
-class RSSMethod:
-    """Coarse RSS breathing estimator (the UbiBreathe-style contrast).
+def rss_breathing_bpm(trace: CSITrace) -> float:
+    """Breathing rate (bpm) from quantized RSS (the UbiBreathe-style contrast).
 
     Smooths the quantized RSS series, decimates it to the paper's
     processing rate and takes the FFT peak in the breathing search band.
     """
-
-    def estimate_breathing_bpm(self, trace: CSITrace) -> float:
-        """Breathing rate (bpm) from quantized RSS via FFT peak."""
-        rss = rss_series_db(trace)
-        window = max(3, int(round(SMOOTH_WINDOW_S * trace.sample_rate_hz)))
-        smoothed = hampel_filter(rss, min(window, rss.size), HAMPEL_THRESHOLD)
-        detrended = smoothed - hampel_filter(
-            smoothed, min(rss.size, 8 * window), HAMPEL_THRESHOLD
-        )
-        factor = decimation_factor(trace.sample_rate_hz)
-        series = decimate(detrended, factor)
-        rate = downsampled_rate(trace.sample_rate_hz, factor)
-        return 60.0 * fundamental_frequency(
-            series, rate, band=BREATHING_SEARCH_BAND_HZ
-        )
+    rss = rss_series_db(trace)
+    window = max(3, int(round(SMOOTH_WINDOW_S * trace.sample_rate_hz)))
+    smoothed = hampel_filter(rss, min(window, rss.size), HAMPEL_THRESHOLD)
+    detrended = smoothed - hampel_filter(
+        smoothed, min(rss.size, 8 * window), HAMPEL_THRESHOLD
+    )
+    factor = decimation_factor(trace.sample_rate_hz)
+    series = decimate(detrended, factor)
+    rate = downsampled_rate(trace.sample_rate_hz, factor)
+    return 60.0 * fundamental_frequency(series, rate, band=BREATHING_SEARCH_BAND_HZ)

@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from . import __version__
-from .core.pipeline import PhaseBeat, PhaseBeatConfig
+from .core.pipeline import PhaseBeat
 from .errors import ReproError
 from .eval import experiments
 from .io_.dataset import generate_dataset
@@ -496,9 +497,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     trace = CSITrace.load(args.trace)
-    config = PhaseBeatConfig(enforce_stationarity=not args.no_gate)
-
-    result = PhaseBeat(config).process(
+    result = PhaseBeat(enforce_stationarity=not args.no_gate).process(
         trace,
         n_persons=args.persons,
         estimate_heart=args.heart,
@@ -551,12 +550,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     _print_experiment(args.figure, result)
     if args.json:
         import json
-        from pathlib import Path
 
-        Path(args.json).write_text(
-            json.dumps(_jsonable(result), indent=2)
-        )
-        print(f"wrote {args.json}")
+        _write(args.json, json.dumps(_jsonable(result), indent=2))
     return 0
 
 
@@ -572,8 +567,6 @@ def _chaos_scenario(name_or_path: str | None) -> chaos.Scenario:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .obs import MetricsRegistry, canonical_json
     from .service.chaos import run_chaos
 
@@ -618,20 +611,16 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        Path(args.json).write_text(json.dumps(report.to_jsonable(), indent=2))
-        print(f"wrote {args.json}")
+        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
     if registry is not None:
-        Path(args.metrics_out).write_text(canonical_json(registry.snapshot()))
-        print(f"wrote {args.metrics_out}")
+        _write(args.metrics_out, canonical_json(registry.snapshot()))
     if args.events_out:
-        Path(args.events_out).write_text(report.events.to_jsonl())
-        print(f"wrote {args.events_out}")
+        _write(args.events_out, report.events.to_jsonl())
     return 0 if not violations else 1
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .obs import MetricsRegistry
     from .service.chaos import run_fleet_chaos
@@ -668,20 +657,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     violations = report.violations()
     print(f"  fleet invariants: {'OK' if not violations else violations}")
     if args.json:
-        Path(args.json).write_text(json.dumps(report.to_jsonable(), indent=2))
-        print(f"wrote {args.json}")
+        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
     if registry is not None:
-        Path(args.metrics_out).write_text(report.metrics_json)
-        print(f"wrote {args.metrics_out}")
+        _write(args.metrics_out, report.metrics_json)
     if args.events_out:
-        Path(args.events_out).write_text(report.events_jsonl)
-        print(f"wrote {args.events_out}")
+        _write(args.events_out, report.events_jsonl)
     return 0 if not violations else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .obs import (
         canonical_json,
         diff_snapshots,
@@ -802,7 +786,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .core.streaming import StreamingConfig
     from .obs.clock import WallClock
@@ -851,7 +834,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"  t={e.time_s:7.2f}s  {e.rate_bpm:6.2f} bpm  ({e.method})")
     print(f"estimates: {len(usable)} usable of {len(estimates)}")
     if args.json:
-        Path(args.json).write_text(
+        _write(
+            args.json,
             json.dumps(
                 {
                     "store": args.store,
@@ -864,15 +848,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     "estimates": [e.to_dict() for e in estimates],
                 },
                 indent=2,
-            )
+            ),
         )
-        print(f"wrote {args.json}")
     return 0
 
 
 def _cmd_backtest(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .store.backtest import run_backtest
 
@@ -884,10 +866,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     )
     print(report.format_text())
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.to_jsonable(), indent=2)
-        )
-        print(f"wrote {args.json}")
+        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
     return 0 if report.passed else 1
 
 
@@ -934,7 +913,6 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
 
 def _cmd_learn_eval(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from .eval.harness import default_subject, run_breathing_trials
     from .learn import LearnedEstimator, read_bundle
@@ -1011,10 +989,10 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
     )
     print(f"  learned margin: {margin:+.2f} bpm median (positive = better)")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps({"condition": condition, "methods": summary}, indent=2)
+        _write(
+            args.json,
+            json.dumps({"condition": condition, "methods": summary}, indent=2),
         )
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -1031,30 +1009,36 @@ def _jsonable(value):
     return value
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` and say so on stdout."""
+    Path(path).write_text(text)
+    print(f"wrote {path}")
+
+
 def _print_experiment(figure: str, result: dict) -> None:
-    """Generic pretty-printer for experiment dictionaries."""
+    """Generic pretty-printer for experiment dictionaries.
+
+    One row per key; a nested dict prints its rows indented under its key.
+    """
     print(f"=== {figure} ===")
-    for key, value in result.items():
-        if isinstance(value, np.ndarray):
-            if value.size > 12:
-                print(f"{key}: array(shape={value.shape})")
-            else:
-                print(f"{key}: {np.round(value, 4).tolist()}")
-        elif isinstance(value, dict):
+    for key, value in result.items():  # phaselint: insertion-order -- key order is row order
+        if isinstance(value, dict):
             print(f"{key}:")
-            for inner_key, inner_value in value.items():
-                if isinstance(inner_value, np.ndarray) and inner_value.size > 12:
-                    print(f"  {inner_key}: array(shape={inner_value.shape})")
-                elif isinstance(inner_value, np.ndarray):
-                    print(f"  {inner_key}: {np.round(inner_value, 4).tolist()}")
-                elif isinstance(inner_value, float):
-                    print(f"  {inner_key}: {inner_value:.4g}")
-                else:
-                    print(f"  {inner_key}: {inner_value}")
-        elif isinstance(value, float):
-            print(f"{key}: {value:.4g}")
+            for inner_key, inner_value in value.items():  # phaselint: insertion-order -- key order is row order
+                print(f"  {_format_row(inner_key, inner_value)}")
         else:
-            print(f"{key}: {value}")
+            print(_format_row(key, value))
+
+
+def _format_row(key: object, value: object) -> str:
+    """One ``key: value`` row; long arrays print their shape only."""
+    if isinstance(value, np.ndarray):
+        if value.size > 12:
+            return f"{key}: array(shape={value.shape})"
+        return f"{key}: {np.round(value, 4).tolist()}"
+    if isinstance(value, float):
+        return f"{key}: {value:.4g}"
+    return f"{key}: {value}"
 
 
 def main(argv: list[str] | None = None) -> int:

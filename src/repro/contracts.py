@@ -17,9 +17,7 @@ those conventions explicit twice over:
 
 Checks are observations only — a conforming ndarray argument passes
 through with zero copies and no casting (sequence inputs are checked via
-the same ``asarray`` view the wrapped function will build).  Set
-``REPRO_NO_CONTRACTS=1`` to strip the decorators at import time (e.g. for
-microbenchmarks of the wrapped functions themselves).
+the same ``asarray`` view the wrapped function will build).
 
 Axis specs are comma-separated tokens, one per dimension::
 
@@ -36,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
@@ -56,7 +53,6 @@ __all__ = [
     "check_matrix",
     "check_series",
     "check_trace",
-    "contracts_enabled",
 ]
 
 #: 1-D/2-D real-valued series and matrices (phase, displacement, spectra).
@@ -121,11 +117,6 @@ class ArraySpec:
             for alt in self.alternatives
         )
         return f"{layouts} of {self.dtype} dtype"
-
-
-def contracts_enabled() -> bool:
-    """Whether contract decorators are active in this process."""
-    return os.environ.get("REPRO_NO_CONTRACTS", "") not in ("1", "true", "yes")
 
 
 def _check_value(
@@ -206,8 +197,6 @@ def check_arrays(**raw_specs: str | tuple[str, str] | ArraySpec) -> Callable[[_F
     specs = {name: _as_spec(raw) for name, raw in raw_specs.items()}
 
     def decorate(func: _F) -> _F:
-        if not contracts_enabled():
-            return func
         sig = inspect.signature(func)
         unknown = set(specs) - set(sig.parameters)
         if unknown:
@@ -269,8 +258,6 @@ def check_trace(arg: str = "trace") -> Callable[[_F], _F]:
     """
 
     def decorate(func: _F) -> _F:
-        if not contracts_enabled():
-            return func
         sig = inspect.signature(func)
         if arg not in sig.parameters:
             raise TypeError(

@@ -3,9 +3,9 @@
 from .apnea import ApneaEvent, breathing_envelope, detect_apnea
 from .breathing import (
     BREATHING_SEARCH_BAND_HZ,
-    FFTBreathingEstimator,
-    MusicBreathingEstimator,
-    PeakBreathingEstimator,
+    fft_breathing_bpm,
+    music_breathing_bpm,
+    peak_breathing_bpm,
 )
 from .calibration import CalibratedData, calibrate
 from .dwt_stage import DWTBands, DWTConfig, decompose
@@ -14,12 +14,11 @@ from .environment import (
     v_statistic,
     windowed_v,
 )
-from .heart import HEART_SEARCH_BAND_HZ, FFTHeartEstimator
+from .heart import HEART_SEARCH_BAND_HZ, fft_heart_bpm
 from .phase_difference import phase_difference, raw_phase
-from .pipeline import PhaseBeat, PhaseBeatConfig, prepare_calibrated_matrix
+from .pipeline import PhaseBeat, prepare_calibrated_matrix
 from .results import PhaseBeatResult, PipelineDiagnostics, VitalSignEstimate
 from .streaming import StreamingConfig, StreamingEstimate, StreamingMonitor
-from .waveform import BreathingWaveformStats, analyze_waveform, breath_intervals
 from .subcarrier_selection import (
     SelectionResult,
     amplitude_quality_mask,
@@ -30,17 +29,11 @@ from .subcarrier_selection import (
 __all__ = [
     "ApneaEvent",
     "BREATHING_SEARCH_BAND_HZ",
-    "BreathingWaveformStats",
     "CalibratedData",
     "DWTBands",
     "DWTConfig",
-    "FFTBreathingEstimator",
-    "FFTHeartEstimator",
     "HEART_SEARCH_BAND_HZ",
-    "MusicBreathingEstimator",
-    "PeakBreathingEstimator",
     "PhaseBeat",
-    "PhaseBeatConfig",
     "PhaseBeatResult",
     "PipelineDiagnostics",
     "SelectionResult",
@@ -49,13 +42,15 @@ __all__ = [
     "StreamingMonitor",
     "VitalSignEstimate",
     "amplitude_quality_mask",
-    "analyze_waveform",
-    "breath_intervals",
     "breathing_envelope",
     "calibrate",
-    "detect_apnea",
     "classify_windows",
     "decompose",
+    "detect_apnea",
+    "fft_breathing_bpm",
+    "fft_heart_bpm",
+    "music_breathing_bpm",
+    "peak_breathing_bpm",
     "phase_difference",
     "prepare_calibrated_matrix",
     "raw_phase",

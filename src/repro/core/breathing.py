@@ -2,21 +2,19 @@
 
 Three estimators:
 
-* :class:`PeakBreathingEstimator` — the paper's single-person method: peak
-  detection on the DWT approximation with the 51-sample dominance window,
-  rate = 60 / mean peak-to-peak interval.  Chosen over FFT because the FFT
-  bin width at realistic window lengths is coarser than the accuracy target.
-* :class:`FFTBreathingEstimator` — the multi-person baseline of Fig. 8: one
+* :func:`peak_breathing_bpm` — the paper's single-person method: peak
+  detection on the DWT approximation, rate = 60 / mean peak-to-peak
+  interval.  Chosen over FFT because the FFT bin width at realistic window
+  lengths is coarser than the accuracy target.
+* :func:`fft_breathing_bpm` — the multi-person baseline of Fig. 8: one
   rate per spectral peak; fails when rates are closer than the Rayleigh
   resolution.
-* :class:`MusicBreathingEstimator` — the paper's multi-person method:
+* :func:`music_breathing_bpm` — the paper's multi-person method:
   root-MUSIC over the calibrated subcarrier matrix (Eq. 11–12), resolving
   rates the FFT cannot.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,157 +26,100 @@ from ..errors import ConfigurationError, EstimationError
 
 __all__ = [
     "BREATHING_SEARCH_BAND_HZ",
-    "PeakBreathingEstimator",
-    "FFTBreathingEstimator",
-    "MusicBreathingEstimator",
+    "MIN_PROMINENCE_FACTOR",
+    "MUSIC_DECIMATION",
+    "fft_breathing_bpm",
+    "music_breathing_bpm",
+    "peak_breathing_bpm",
 ]
 
 #: Admissible breathing band (Hz): the paper cites 0.17–0.62 Hz for adult
 #: breathing; the search band is slightly wider to avoid clipping estimates
 #: at the edges.
 BREATHING_SEARCH_BAND_HZ = (0.1, 0.7)
+#: Peaks must rise above the window median by this fraction of the series'
+#: overall standard deviation; damps fake peaks on near-flat segments.
+MIN_PROMINENCE_FACTOR = 0.2
+#: Post-analytic decimation before root-MUSIC's subspace step: at a 20 Hz
+#: processing rate a factor of 10 stretches the subspace aperture enough to
+#: split rates 0.025 Hz apart.
+MUSIC_DECIMATION = 10
 
 
-@dataclass(frozen=True)
-class PeakBreathingEstimator:
-    """Single-person breathing rate via sliding-window peak detection.
+def _check_n_persons(n_persons: int) -> None:
+    if n_persons < 1:
+        raise ConfigurationError(f"n_persons must be >= 1, got {n_persons}")
 
-    The dominance window defaults to the paper's 51 samples (the maximum
-    human breathing period at 20 Hz).  With ``adaptive_window`` the window
-    is instead matched to a coarse FFT pre-estimate of the breathing
-    period, so fast breathers don't lose true peaks to an over-long window
-    and slow breathers don't admit fake ones — the final rate still comes
-    from peak-to-peak timing, which is what beats the raw FFT resolution.
 
-    Attributes:
-        window_samples: Dominance window when ``adaptive_window`` is off.
-        min_prominence_factor: Peaks must rise above the window median by
-            this fraction of the series' overall standard deviation; damps
-            fake peaks on near-flat segments.
-        adaptive_window: Match the window to an FFT period pre-estimate.
-        band_hz: Search band for the FFT pre-estimate.
+def peak_breathing_bpm(breathing_signal: FloatArray, sample_rate_hz: float) -> float:
+    """Single-person breathing rate (breaths/min) from the DWT breathing band.
+
+    The dominance window is matched to a coarse FFT pre-estimate of the
+    breathing period, so fast breathers don't lose true peaks to an
+    over-long window and slow breathers don't admit fake ones — the final
+    rate still comes from peak-to-peak timing, which is what beats the raw
+    FFT resolution.
+
+    Raises:
+        EstimationError: If fewer than two true peaks are found.
     """
-
-    window_samples: int = 51
-    min_prominence_factor: float = 0.2
-    adaptive_window: bool = True
-    band_hz: tuple[float, float] = BREATHING_SEARCH_BAND_HZ
-
-    def __post_init__(self) -> None:
-        if self.window_samples < 3:
-            raise ConfigurationError("window must be >= 3 samples")
-        if self.min_prominence_factor < 0:
-            raise ConfigurationError("prominence factor must be >= 0")
-
-    def estimate_bpm(self, breathing_signal: FloatArray, sample_rate_hz: float) -> float:
-        """Breathing rate in breaths/min from the DWT breathing band.
-
-        Raises:
-            EstimationError: If fewer than two true peaks are found.
-        """
-        breathing_signal = np.asarray(breathing_signal, dtype=float)
-        window = self.window_samples
-        if self.adaptive_window:
-            f0 = fundamental_frequency(
-                breathing_signal, sample_rate_hz, band=self.band_hz
-            )
-            # 1.2× the pre-estimated period: the dominance radius (half the
-            # window) then exceeds half a period, so the secondary crest a
-            # strong 2nd harmonic adds mid-cycle is suppressed, while true
-            # peaks one full period apart always survive.
-            period_samples = sample_rate_hz / max(f0, 1e-6)
-            window = int(np.clip(round(1.2 * period_samples) | 1, 25, 121))
-        prominence = self.min_prominence_factor * float(np.std(breathing_signal))
-        peaks = find_peaks(
-            breathing_signal,
-            window=window,
-            min_prominence=prominence,
-        )
-        period = robust_peak_interval(peaks, sample_rate_hz)
-        return 60.0 / period
+    breathing_signal = np.asarray(breathing_signal, dtype=float)
+    f0 = fundamental_frequency(
+        breathing_signal, sample_rate_hz, band=BREATHING_SEARCH_BAND_HZ
+    )
+    # 1.2× the pre-estimated period: the dominance radius (half the window)
+    # then exceeds half a period, so the secondary crest a strong 2nd
+    # harmonic adds mid-cycle is suppressed, while true peaks one full
+    # period apart always survive.
+    period_samples = sample_rate_hz / max(f0, 1e-6)
+    window = int(np.clip(round(1.2 * period_samples) | 1, 25, 121))
+    prominence = MIN_PROMINENCE_FACTOR * float(np.std(breathing_signal))
+    peaks = find_peaks(breathing_signal, window=window, min_prominence=prominence)
+    period = robust_peak_interval(peaks, sample_rate_hz)
+    return 60.0 / period
 
 
-@dataclass(frozen=True)
-class FFTBreathingEstimator:
-    """Multi-person breathing rates from FFT magnitude peaks (the foil).
+def fft_breathing_bpm(
+    signal: FloatArray, sample_rate_hz: float, n_persons: int
+) -> FloatArray:
+    """Breathing rates (bpm, ascending) from FFT magnitude peaks (the foil).
 
-    Attributes:
-        band_hz: Search band.
-        min_separation_hz: Peaks closer than this merge — the Rayleigh-limit
-            behaviour Fig. 8 demonstrates (0 lets the raw spectrum decide).
+    May return fewer rates than requested when the spectrum shows fewer
+    peaks — exactly the failure mode of Fig. 8's three-person panel.  A
+    matrix input is read through its strongest column.
     """
-
-    band_hz: tuple[float, float] = BREATHING_SEARCH_BAND_HZ
-    min_separation_hz: float = 0.0
-
-    def estimate_bpm(
-        self, signal: FloatArray, sample_rate_hz: float, n_persons: int = 1
-    ) -> FloatArray:
-        """Breathing rates (bpm, ascending) for up to ``n_persons``.
-
-        May return fewer rates than requested when the spectrum shows fewer
-        peaks — exactly the failure mode of Fig. 8's three-person panel.
-        """
-        if n_persons < 1:
-            raise ConfigurationError(f"n_persons must be >= 1, got {n_persons}")
-        signal = np.asarray(signal, dtype=float)
-        if signal.ndim == 2:
-            # Aggregate subcarriers by their average spectrum carrier: use
-            # the strongest column to mirror single-series FFT processing.
-            signal = signal[:, int(np.argmax(np.std(signal, axis=0)))]
-        freqs = spectral_peaks(
-            signal,
-            sample_rate_hz,
-            n_persons,
-            band=self.band_hz,
-            min_separation_hz=self.min_separation_hz,
-        )
-        if freqs.size == 0:
-            raise EstimationError("no spectral peaks inside the breathing band")
-        return 60.0 * freqs
+    _check_n_persons(n_persons)
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim == 2:
+        signal = signal[:, int(np.argmax(np.std(signal, axis=0)))]
+    freqs = spectral_peaks(
+        signal, sample_rate_hz, n_persons, band=BREATHING_SEARCH_BAND_HZ
+    )
+    if freqs.size == 0:
+        raise EstimationError("no spectral peaks inside the breathing band")
+    return 60.0 * freqs
 
 
-@dataclass(frozen=True)
-class MusicBreathingEstimator:
-    """Multi-person breathing rates via root-MUSIC (paper Eq. 11–12).
+def music_breathing_bpm(
+    series: FloatArray, sample_rate_hz: float, n_persons: int
+) -> FloatArray:
+    """Breathing rates (bpm, ascending) via root-MUSIC (paper Eq. 11–12).
 
-    Attributes:
-        band_hz: Admissible breathing band.
-        subspace_order: Covariance dimension m; ``None`` → automatic.
-        decimation: Post-analytic decimation applied before the subspace
-            step; at a 20 Hz processing rate a factor of 10 stretches the
-            subspace aperture enough to split rates 0.025 Hz apart.
+    Args:
+        series: Either the full calibrated subcarrier matrix
+            ``(n_samples, 30)`` — the paper's 30-subcarrier variant — or
+            a single series (the single-subcarrier ablation of Fig. 14).
+        sample_rate_hz: Rate of the series.
+        n_persons: Number of rates to recover.
     """
-
-    band_hz: tuple[float, float] = BREATHING_SEARCH_BAND_HZ
-    subspace_order: int | None = None
-    decimation: int = 10
-
-    def estimate_bpm(
-        self,
-        series: FloatArray,
-        sample_rate_hz: float,
-        n_persons: int,
-    ) -> FloatArray:
-        """Breathing rates (bpm, ascending) for ``n_persons`` subjects.
-
-        Args:
-            series: Either the full calibrated subcarrier matrix
-                ``(n_samples, 30)`` — the paper's 30-subcarrier variant — or
-                a single series (the single-subcarrier ablation of Fig. 14).
-            sample_rate_hz: Rate of the series.
-            n_persons: Number of rates to recover.
-        """
-        if n_persons < 1:
-            raise ConfigurationError(f"n_persons must be >= 1, got {n_persons}")
-        freqs = estimate_frequencies(
-            series,
-            n_persons,
-            sample_rate_hz,
-            order=self.subspace_order,
-            band=self.band_hz,
-            decimation=self.decimation,
-        )
-        if freqs.size == 0:
-            raise EstimationError("root-MUSIC returned no admissible rates")
-        return 60.0 * freqs
+    _check_n_persons(n_persons)
+    freqs = estimate_frequencies(
+        series,
+        n_persons,
+        sample_rate_hz,
+        band=BREATHING_SEARCH_BAND_HZ,
+        decimation=MUSIC_DECIMATION,
+    )
+    if freqs.size == 0:
+        raise EstimationError("root-MUSIC returned no admissible rates")
+    return 60.0 * freqs

@@ -10,193 +10,160 @@ the raw bin resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..contracts import FloatArray
-from ..dsp.fft_utils import three_bin_phase_frequency
+from ..contracts import BoolArray, FloatArray
+from ..dsp.fft_utils import (
+    band_mask,
+    magnitude_spectrum,
+    quadratic_peak_interpolation,
+    three_bin_phase_frequency,
+)
 from ..errors import ConfigurationError, EstimationError
 
-__all__ = ["HEART_SEARCH_BAND_HZ", "FFTHeartEstimator"]
+__all__ = [
+    "HARMONIC_TOLERANCE_HZ",
+    "HEART_SEARCH_BAND_HZ",
+    "MAX_HARMONIC_ORDER",
+    "MIN_PEAK_SNR",
+    "fft_heart_bpm",
+]
 
 #: Admissible heart band: the DWT detail band is 0.625–2.5 Hz; resting human
 #: heart rates occupy 0.8–2.0 Hz, and restricting the peak search to that
 #: range keeps residual breathing harmonics (2·f_b ≤ 1.24 Hz is
 #: unavoidable, but 0.7 Hz thirds are excluded) from capturing the peak.
 HEART_SEARCH_BAND_HZ = (0.8, 2.0)
+#: Minimum ratio of the peak magnitude to the median in-band magnitude;
+#: below it the band is declared signal-free.
+MIN_PEAK_SNR = 1.5
+#: Half-width of the notch skipped around each breathing harmonic k·f_b.
+HARMONIC_TOLERANCE_HZ = 0.04
+#: Highest breathing harmonic order k the notches cover.
+MAX_HARMONIC_ORDER = 6
 
 
-@dataclass(frozen=True)
-class FFTHeartEstimator:
-    """Heart rate via band-limited FFT with 3-bin phase refinement.
+def fft_heart_bpm(
+    heart_signal: FloatArray,
+    sample_rate_hz: float,
+    *,
+    breathing_rate_hz: float | None = None,
+) -> float:
+    """Heart rate in beats/min from the DWT heart band.
 
-    Attributes:
-        band_hz: Peak search band.
-        refine: Apply the 3-bin inverse-FFT phase-slope refinement; when
-            False the (quadratically interpolated) peak bin is returned —
-            the ablation knob for the refinement step.
-        min_peak_snr: Minimum ratio of the peak magnitude to the median
-            in-band magnitude; below it the band is declared signal-free.
+    The band-limited FFT peak is refined with the 3-bin inverse-FFT
+    phase-slope method.
+
+    Args:
+        heart_signal: The β₃+β₄ reconstruction.
+        sample_rate_hz: Its sample rate.
+        breathing_rate_hz: The (already estimated) breathing frequency.
+            When given, bins near the breathing harmonics k·f_b
+            (k = 2…:data:`MAX_HARMONIC_ORDER`) are skipped and the
+            remaining peaks are scored by comb symmetry (see
+            :func:`_masked_peak`).  The phase-of-sum nonlinearity puts a
+            comb of breathing harmonics into the heart band that can exceed
+            the weak heart peak; knowing f_b precisely makes them
+            avoidable.  (Known failure mode, shared with the paper: a heart
+            rate within the notch of a breathing harmonic is lost — this is
+            where the paper's ~10 bpm worst-case errors live.)
+
+    Raises:
+        EstimationError: If no sufficiently dominant peak exists in the
+            band (e.g. omnidirectional TX at long range, where the paper
+            does not attempt heart estimation either).
     """
-
-    band_hz: tuple[float, float] = HEART_SEARCH_BAND_HZ
-    refine: bool = True
-    min_peak_snr: float = 1.5
-    suppress_breathing_harmonics: bool = True
-    harmonic_tolerance_hz: float = 0.04
-    max_harmonic_order: int = 6
-
-    def __post_init__(self) -> None:
-        lo, hi = self.band_hz
-        if lo <= 0 or hi <= lo:
-            raise ConfigurationError(f"heart band must satisfy 0 < lo < hi, got {self.band_hz}")
-        if self.min_peak_snr < 1.0:
-            raise ConfigurationError("min_peak_snr must be >= 1")
-        if self.max_harmonic_order < 2:
-            raise ConfigurationError("max_harmonic_order must be >= 2")
-
-    def estimate_bpm(
-        self,
-        heart_signal: FloatArray,
-        sample_rate_hz: float,
-        *,
-        breathing_rate_hz: float | None = None,
-    ) -> float:
-        """Heart rate in beats/min from the DWT heart band.
-
-        Args:
-            heart_signal: The β₃+β₄ reconstruction.
-            sample_rate_hz: Its sample rate.
-            breathing_rate_hz: The (already estimated) breathing frequency.
-                When given, the heart signal is first cleansed of breathing
-                harmonics: sinusoids at k·f_b (k = 2…``max_harmonic_order``)
-                are least-squares fitted and subtracted.  The phase-of-sum
-                nonlinearity puts a comb of breathing harmonics into the
-                heart band that can exceed the weak heart peak; knowing f_b
-                precisely makes them removable.  (Known failure mode, shared
-                with the paper: a heart rate within the fit bandwidth of a
-                breathing harmonic partially cancels — this is where the
-                paper's ~10 bpm worst-case errors live.)
-
-        Raises:
-            EstimationError: If no sufficiently dominant peak exists in the
-                band (e.g. omnidirectional TX at long range, where the paper
-                does not attempt heart estimation either).
-        """
-        heart_signal = np.asarray(heart_signal, dtype=float)
-        if heart_signal.ndim != 1:
-            raise ConfigurationError(
-                f"expected the 1-D heart-band series, got {heart_signal.shape}"
-            )
-        self._check_peak_snr(heart_signal, sample_rate_hz)
-        peak_hz = self._masked_peak(
-            heart_signal, sample_rate_hz, breathing_rate_hz
+    heart_signal = np.asarray(heart_signal, dtype=float)
+    if heart_signal.ndim != 1:
+        raise ConfigurationError(
+            f"expected the 1-D heart-band series, got {heart_signal.shape}"
         )
-        if self.refine:
-            # Refine only in a narrow window around the chosen peak, so the
-            # 3-bin step cannot jump back onto a masked harmonic.
-            narrow = (max(self.band_hz[0], peak_hz - 0.08), peak_hz + 0.08)
-            freq = three_bin_phase_frequency(
-                heart_signal, sample_rate_hz, band=narrow
-            )
-        else:
-            freq = peak_hz
-        return 60.0 * float(freq)
-
-    def _masked_peak(
-        self,
-        signal: np.ndarray,
-        sample_rate_hz: float,
-        breathing_rate_hz: float | None,
-    ) -> float:
-        """Heart carrier frequency from the in-band FFT peaks.
-
-        Bins near breathing harmonics (k·f_b) are skipped; the remaining
-        candidate peaks are then scored by *comb symmetry*.  Chest motion
-        phase-modulates the heart tone with the breathing waveform, so the
-        spectrum around the heart carrier is an AM/PM comb ``f_h ± k·f_b``
-        whose sidebands can exceed the carrier at high modulation index —
-        the naive "largest peak" then returns a sideband, off by a multiple
-        of the breathing rate (exactly the failure that produces ~30 bpm
-        errors).  Sidebands sit *symmetrically* around the carrier and
-        asymmetrically around each other, so the candidate maximizing
-        ``mag(f) + Σ_k min(mag(f+k·f_b), mag(f−k·f_b))`` is the carrier.
-
-        Falls back to the plain masked peak when no breathing rate is
-        available, and to the unmasked peak when masking empties the band.
-        """
-        from ..dsp.fft_utils import (
-            band_mask,
-            magnitude_spectrum,
-            quadratic_peak_interpolation,
+    freqs, mag = magnitude_spectrum(heart_signal, sample_rate_hz)
+    in_band = band_mask(freqs, HEART_SEARCH_BAND_HZ)
+    if not in_band.any():
+        raise EstimationError(
+            f"no FFT bins inside the heart band {HEART_SEARCH_BAND_HZ}"
         )
+    floor = float(np.median(mag[in_band]))
+    peak = float(mag[in_band].max())
+    if floor > 0 and peak / floor < MIN_PEAK_SNR:
+        raise EstimationError(
+            f"heart band peak SNR {peak / floor:.2f} below "
+            f"{MIN_PEAK_SNR}; no detectable heartbeat"
+        )
+    peak_hz = _masked_peak(freqs, mag, in_band, breathing_rate_hz)
+    # Refine only in a narrow window around the chosen peak, so the 3-bin
+    # step cannot jump back onto a masked harmonic.
+    narrow = (max(HEART_SEARCH_BAND_HZ[0], peak_hz - 0.08), peak_hz + 0.08)
+    freq = three_bin_phase_frequency(heart_signal, sample_rate_hz, band=narrow)
+    return 60.0 * float(freq)
 
-        freqs, mag = magnitude_spectrum(signal, sample_rate_hz)
-        bin_width = freqs[1] - freqs[0]
-        in_band = band_mask(freqs, self.band_hz)
-        mask = in_band.copy()
-        f_b = breathing_rate_hz if breathing_rate_hz else None
-        if self.suppress_breathing_harmonics and f_b:
-            for k in range(2, self.max_harmonic_order + 1):
-                f_h = k * f_b
-                if f_h > self.band_hz[1] + self.harmonic_tolerance_hz:
-                    break
-                mask &= np.abs(freqs - f_h) > self.harmonic_tolerance_hz
-        if not mask.any():
-            mask = in_band
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise EstimationError(f"no FFT bins inside the heart band {self.band_hz}")
 
-        def refine(k: int) -> float:
-            delta = 0.0
-            if 0 < k < mag.size - 1:
-                delta = quadratic_peak_interpolation(
-                    mag[k - 1], mag[k], mag[k + 1]
-                )
-            return float(freqs[k] + delta * bin_width)
+def _masked_peak(
+    freqs_hz: FloatArray,
+    mag: FloatArray,
+    in_band: BoolArray,
+    breathing_rate_hz: float | None,
+) -> float:
+    """Heart carrier frequency from the in-band FFT peaks.
 
-        if not f_b:
-            return refine(idx[np.argmax(mag[idx])])
+    Bins near breathing harmonics (k·f_b) are skipped; the remaining
+    candidate peaks are then scored by *comb symmetry*.  Chest motion
+    phase-modulates the heart tone with the breathing waveform, so the
+    spectrum around the heart carrier is an AM/PM comb ``f_h ± k·f_b``
+    whose sidebands can exceed the carrier at high modulation index —
+    the naive "largest peak" then returns a sideband, off by a multiple
+    of the breathing rate (exactly the failure that produces ~30 bpm
+    errors).  Sidebands sit *symmetrically* around the carrier and
+    asymmetrically around each other, so the candidate maximizing
+    ``mag(f) + Σ_k min(mag(f+k·f_b), mag(f−k·f_b))`` is the carrier.
 
-        def mag_near(f: float) -> float:
-            lo = np.searchsorted(freqs, f - 1.5 * bin_width)
-            hi = np.searchsorted(freqs, f + 1.5 * bin_width) + 1
-            if lo >= mag.size or hi <= 0 or lo >= hi:
-                return 0.0
-            return float(mag[lo:hi].max())
+    Falls back to the plain masked peak when no breathing rate is
+    available, and to the unmasked peak when masking empties the band.
+    """
+    bin_width = freqs_hz[1] - freqs_hz[0]
+    mask = in_band.copy()
+    f_b = breathing_rate_hz if breathing_rate_hz else None
+    if f_b:
+        for k in range(2, MAX_HARMONIC_ORDER + 1):
+            f_h = k * f_b
+            if f_h > HEART_SEARCH_BAND_HZ[1] + HARMONIC_TOLERANCE_HZ:
+                break
+            mask &= np.abs(freqs_hz - f_h) > HARMONIC_TOLERANCE_HZ
+    if not mask.any():
+        mask = in_band
+    idx = np.flatnonzero(mask)
 
-        # Candidate peaks: local maxima among the masked in-band bins.
-        local = np.zeros(mag.size, dtype=bool)
-        local[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-        candidates = idx[local[idx]]
-        if candidates.size == 0:
-            candidates = idx
-        order = candidates[np.argsort(mag[candidates])[::-1][:6]]
-        best_k, best_score = None, -np.inf
-        for k in order:
-            f = float(freqs[k])
-            score = float(mag[k])
-            for m in (1, 2):
-                score += min(mag_near(f + m * f_b), mag_near(f - m * f_b))
-            if score > best_score:
-                best_score = score
-                best_k = k
-        return refine(int(best_k))
+    def refine(k: int) -> float:
+        delta = 0.0
+        if 0 < k < mag.size - 1:
+            delta = quadratic_peak_interpolation(mag[k - 1], mag[k], mag[k + 1])
+        return float(freqs_hz[k] + delta * bin_width)
 
-    def _check_peak_snr(self, signal: np.ndarray, sample_rate_hz: float) -> None:
-        from ..dsp.fft_utils import band_mask, magnitude_spectrum
+    if not f_b:
+        return refine(idx[np.argmax(mag[idx])])
 
-        freqs, mag = magnitude_spectrum(signal, sample_rate_hz)
-        mask = band_mask(freqs, self.band_hz)
-        if not mask.any():
-            raise EstimationError(f"no FFT bins inside the heart band {self.band_hz}")
-        in_band = mag[mask]
-        floor = float(np.median(in_band))
-        peak = float(in_band.max())
-        if floor > 0 and peak / floor < self.min_peak_snr:
-            raise EstimationError(
-                f"heart band peak SNR {peak / floor:.2f} below "
-                f"{self.min_peak_snr}; no detectable heartbeat"
-            )
+    def mag_near(f: float) -> float:
+        lo = np.searchsorted(freqs_hz, f - 1.5 * bin_width)
+        hi = np.searchsorted(freqs_hz, f + 1.5 * bin_width) + 1
+        if lo >= mag.size or hi <= 0 or lo >= hi:
+            return 0.0
+        return float(mag[lo:hi].max())
+
+    # Candidate peaks: local maxima among the masked in-band bins.
+    local = np.zeros(mag.size, dtype=bool)
+    local[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
+    candidates = idx[local[idx]]
+    if candidates.size == 0:
+        candidates = idx
+    order = candidates[np.argsort(mag[candidates])[::-1][:6]]
+    best_k, best_score = None, -np.inf
+    for k in order:
+        f = float(freqs_hz[k])
+        score = float(mag[k])
+        for m in (1, 2):
+            score += min(mag_near(f + m * f_b), mag_near(f - m * f_b))
+        if score > best_score:
+            best_score = score
+            best_k = k
+    return refine(int(best_k))

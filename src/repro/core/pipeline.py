@@ -21,7 +21,6 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,11 +32,7 @@ from ..errors import NotStationaryError, SignalTooShortError
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
 from ..physio.motion import ActivityState
-from .breathing import (
-    FFTBreathingEstimator,
-    MusicBreathingEstimator,
-    PeakBreathingEstimator,
-)
+from .breathing import fft_breathing_bpm, music_breathing_bpm, peak_breathing_bpm
 from .calibration import calibrate
 from .dwt_stage import decompose
 from .environment import (
@@ -47,35 +42,30 @@ from .environment import (
     v_statistic,
     windowed_v,
 )
-from .heart import FFTHeartEstimator
+from .heart import HEART_SEARCH_BAND_HZ, fft_heart_bpm
 from .phase_difference import wrapped_pair_matrix
 from .results import PhaseBeatResult, PipelineDiagnostics, VitalSignEstimate
 from .subcarrier_selection import amplitude_quality_mask, select_subcarrier
 
 __all__ = [
-    "PhaseBeatConfig",
     "PhaseBeat",
     "pair_difference_matrix",
     "prepare_calibrated_matrix",
 ]
 
-# The paper defaults of the estimators the pipeline calls as objects;
-# the DWT falls back to its own defaults when called without a config.
-_PEAK = PeakBreathingEstimator()
-_FFT = FFTBreathingEstimator()
-_MUSIC = MusicBreathingEstimator()
-_HEART = FFTHeartEstimator()
 
-
-def _antenna_pairs(
-    n_rx: int, use_pair_diversity: bool = True
-) -> list[tuple[int, int]]:
+def _antenna_pairs(n_rx: int) -> list[tuple[int, int]]:
     """The antenna pairs to draw phase differences from.
 
-    Pair (0, 1) first, then, with diversity on a NIC of three or more
-    chains, pair (1, 2).
+    Pair (0, 1), and on a NIC of three or more chains also pair (1, 2),
+    so subcarrier selection chooses across both.  A chest reflection can
+    sit at a *null point* of one pair's phase response (the static
+    operating phase makes the breathing fundamental vanish, leaving only
+    its second harmonic); the other pair, a half-wavelength away, almost
+    never nulls simultaneously.  The paper's hardware exposes all three
+    chains, so the second pair is free diversity.
     """
-    if use_pair_diversity and n_rx >= 3:
+    if n_rx >= 3:
         return [(0, 1), (1, 2)]
     return [(0, 1)]
 
@@ -155,37 +145,17 @@ def prepare_calibrated_matrix(
     return calibrated.series, np.concatenate(masks), calibrated.sample_rate_hz
 
 
-@dataclass(frozen=True)
-class PhaseBeatConfig:
-    """The pipeline's two switches.
-
-    Every other parameter is the paper default held by its stage's own
-    config or estimator (DESIGN.md, "Key algorithmic parameters", names
-    the holder of each).
-
-    Attributes:
-        use_pair_diversity: Derive phase differences from pair (0, 1) and,
-            on a 3-chain NIC, pair (1, 2), and let subcarrier selection
-            choose across both.  A chest reflection can sit at a *null
-            point* of one pair's phase response (the static operating phase
-            makes the breathing fundamental vanish, leaving only its second
-            harmonic); the other pair, a half-wavelength away, almost never
-            nulls simultaneously.  The paper's hardware exposes all three
-            chains; using two pairs is free diversity.
-        enforce_stationarity: Raise :class:`NotStationaryError` when the
-            segment fails environment detection; when False the pipeline
-            estimates anyway (used by sweeps that control the scene).
-    """
-
-    use_pair_diversity: bool = True
-    enforce_stationarity: bool = True
-
-
 class PhaseBeat:
     """CSI phase-difference vital-sign monitor.
 
+    Every algorithmic parameter is the paper default held as a module
+    constant of its stage (DESIGN.md, "Key algorithmic parameters", names
+    the holder of each).
+
     Args:
-        config: Pipeline parameters; paper defaults when omitted.
+        enforce_stationarity: Raise :class:`NotStationaryError` when the
+            segment fails environment detection; when False the pipeline
+            estimates anyway (used by sweeps that control the scene).
         instrumentation: Optional :class:`repro.obs.Instrumentation`; when
             given, every stage of :meth:`process` is timed into the
             ``pipeline_stage_duration_s`` histogram (see
@@ -194,10 +164,10 @@ class PhaseBeat:
 
     def __init__(
         self,
-        config: PhaseBeatConfig | None = None,
+        enforce_stationarity: bool = True,
         instrumentation: Instrumentation | None = None,
     ):
-        self.config = config if config is not None else PhaseBeatConfig()
+        self.enforce_stationarity = enforce_stationarity
         self._obs = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
@@ -232,9 +202,8 @@ class PhaseBeat:
                 segment and ``enforce_stationarity`` is set.
             EstimationError: If an estimator cannot produce a rate.
         """
-        cfg = self.config
         obs = self._obs
-        pairs = _antenna_pairs(trace.n_rx, cfg.use_pair_diversity)
+        pairs = _antenna_pairs(trace.n_rx)
         quality_report = trace.quality_report()
         needs_reclock = not quality_report.is_uniform
         n_sub = trace.n_subcarriers
@@ -247,7 +216,7 @@ class PhaseBeat:
             v, state = self.classify_environment(
                 diff[:, :n_sub], trace.sample_rate_hz
             )
-        if cfg.enforce_stationarity and state is not ActivityState.SITTING:
+        if self.enforce_stationarity and state is not ActivityState.SITTING:
             obs.count(
                 "pipeline_not_stationary_total",
                 help_text="Traces rejected by environment detection.",
@@ -388,7 +357,7 @@ class PhaseBeat:
                 )
                 if heart_signal is None:
                     heart_signal = bands.heart
-                rate = _HEART.estimate_bpm(
+                rate = fft_heart_bpm(
                     heart_signal,
                     bands.sample_rate_hz,
                     breathing_rate_hz=f_breath,
@@ -470,7 +439,7 @@ class PhaseBeat:
         except SignalTooShortError:
             return None
         freqs, mags = magnitude_spectrum(candidates, sample_rate_hz)
-        mask = band_mask(freqs, _HEART.band_hz)
+        mask = band_mask(freqs, HEART_SEARCH_BAND_HZ)
         if not mask.any():
             return None
         in_band = mags[mask]
@@ -488,10 +457,10 @@ class PhaseBeat:
         n_persons: int,
     ) -> tuple[VitalSignEstimate, ...]:
         if method == "peak":
-            rate = _PEAK.estimate_bpm(breathing_band, sample_rate_hz)
+            rate = peak_breathing_bpm(breathing_band, sample_rate_hz)
             return (VitalSignEstimate(rate_bpm=rate, method="peak"),)
         if method == "fft":
-            rates = _FFT.estimate_bpm(
+            rates = fft_breathing_bpm(
                 breathing_band if n_persons == 1 else calibrated_matrix,
                 sample_rate_hz,
                 n_persons,
@@ -500,26 +469,22 @@ class PhaseBeat:
                 VitalSignEstimate(rate_bpm=float(r), method="fft") for r in rates
             )
         if method == "music":
-            rates = _MUSIC.estimate_bpm(
-                calibrated_matrix, sample_rate_hz, n_persons
-            )
+            rates = music_breathing_bpm(calibrated_matrix, sample_rate_hz, n_persons)
             return tuple(
                 VitalSignEstimate(rate_bpm=float(r), method="root-music")
                 for r in rates
             )
         if method == "music-single":
-            rates = _MUSIC.estimate_bpm(
-                selected_series, sample_rate_hz, n_persons
-            )
+            rates = music_breathing_bpm(selected_series, sample_rate_hz, n_persons)
             return tuple(
                 VitalSignEstimate(rate_bpm=float(r), method="root-music-1sc")
                 for r in rates
             )
         if method == "tensorbeat":
             # Imported lazily: the extension is optional machinery.
-            from ..extensions.tensorbeat import TensorBeatEstimator
+            from ..extensions.tensorbeat import tensorbeat_breathing_bpm
 
-            rates = TensorBeatEstimator().estimate_bpm(
+            rates = tensorbeat_breathing_bpm(
                 calibrated_matrix, sample_rate_hz, n_persons
             )
             return tuple(

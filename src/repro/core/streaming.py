@@ -658,9 +658,7 @@ class StreamingMonitor:
     ) -> StreamingEstimate:
         n_sub = self._packet_shape[1]
         if self._pairs is None:
-            self._pairs = _antenna_pairs(
-                self._packet_shape[0], self._pipeline.config.use_pair_diversity
-            )
+            self._pairs = _antenna_pairs(self._packet_shape[0])
         with self._obs.stage("incremental_advance", component="monitor"):
             engine = self._engine
             if engine is None:

@@ -18,12 +18,12 @@ import numpy as np
 
 from ..contracts import FloatArray
 
-from ..core.breathing import FFTBreathingEstimator, MusicBreathingEstimator
+from ..core.breathing import fft_breathing_bpm, music_breathing_bpm
 from ..core.calibration import calibrate
 from ..core.dwt_stage import decompose
 from ..core.environment import STATIONARY_BAND, classify_windows, windowed_v
 from ..core.phase_difference import phase_difference, raw_phase
-from ..core.pipeline import PhaseBeat, PhaseBeatConfig
+from ..core.pipeline import PhaseBeat
 from ..core.subcarrier_selection import select_subcarrier
 from ..dsp.fft_utils import magnitude_spectrum
 from ..dsp.stats import (
@@ -64,9 +64,6 @@ __all__ = [
     "fig16_distance_through_wall",
     "robustness_impairments",
 ]
-
-_SWEEP_CONFIG = PhaseBeatConfig(enforce_stationarity=False)
-
 
 def _lab_trace(seed: int = 0, duration_s: float = 30.0, **capture_kwargs):
     person = Person(
@@ -273,17 +270,15 @@ def fig08_multiperson_fft_vs_music(
         trace = capture_trace(scenario, duration_s=duration_s, seed=seed)
         calibrated = calibrate(phase_difference(trace), trace.sample_rate_hz)
 
-        fft_est = FFTBreathingEstimator()
-        music_est = MusicBreathingEstimator()
         n = len(rates)
         truth_bpm = 60.0 * np.asarray(rates)
         try:
-            fft_bpm = fft_est.estimate_bpm(
+            fft_bpm = fft_breathing_bpm(
                 calibrated.series, calibrated.sample_rate_hz, n
             )
         except EstimationError:
             fft_bpm = np.empty(0)
-        music_bpm = music_est.estimate_bpm(
+        music_bpm = music_breathing_bpm(
             calibrated.series, calibrated.sample_rate_hz, n
         )
         out[label] = {
@@ -311,7 +306,7 @@ def fig09_heart_fft(seed: int = 3, duration_s: float = 60.0) -> dict:
         [person], directional_tx=True, clutter_seed=seed
     )
     trace = capture_trace(scenario, duration_s=duration_s, seed=seed)
-    result = PhaseBeat(_SWEEP_CONFIG).process(trace)
+    result = PhaseBeat(enforce_stationarity=False).process(trace)
     truth = person.heart_rate_bpm
     return {
         "truth_bpm": truth,
@@ -340,7 +335,7 @@ def fig11_breathing_cdf(n_trials: int = 30, base_seed: int = 100) -> dict:
         factory,
         n_trials,
         methods=("phasebeat", "amplitude"),
-        pipeline_config=PhaseBeatConfig(),
+        enforce_stationarity=True,
         base_seed=base_seed,
     )
     out: dict = {}
@@ -366,7 +361,7 @@ def fig12_heart_cdf(n_trials: int = 25, base_seed: int = 200) -> dict:
     Paper shape: median ≈ 1 bpm, 80% < 2.5 bpm, max ≈ 10 bpm — an order of
     magnitude worse than breathing, because the heart signal is weak.
     """
-    pipeline = PhaseBeat(_SWEEP_CONFIG)
+    pipeline = PhaseBeat(enforce_stationarity=False)
     errors = []
     for k in range(n_trials):
         seed = base_seed + k
@@ -420,7 +415,7 @@ def fig13_sampling_rate(
     """
     from ..dsp.fft_utils import band_mask, magnitude_spectrum
 
-    pipeline = PhaseBeat(_SWEEP_CONFIG)
+    pipeline = PhaseBeat(enforce_stationarity=False)
     out: dict = {
         "rates_hz": list(rates_hz),
         "breathing": [],
@@ -485,7 +480,7 @@ def fig14_num_persons(
         "music_1sc": "music-single",
         "fft": "fft",
     }
-    pipeline = PhaseBeat(_SWEEP_CONFIG)
+    pipeline = PhaseBeat(enforce_stationarity=False)
     out: dict = {"person_counts": list(person_counts)}
     accum = {label: [] for label in methods}
     for count in person_counts:
@@ -543,7 +538,7 @@ def _distance_sweep(
     if person_y is None:
         def person_y(d: float) -> float:
             return max(0.8, d / 2.0)
-    pipeline = PhaseBeat(_SWEEP_CONFIG)
+    pipeline = PhaseBeat(enforce_stationarity=False)
     mean_errors = []
     for distance in distances_m:
         errors = []
@@ -629,7 +624,7 @@ def robustness_impairments(
 
     # The sweep controls the scene (always a sitting subject), so skip the
     # stationarity gate like the other controlled sweeps do.
-    pipeline = PhaseBeat(_SWEEP_CONFIG)
+    pipeline = PhaseBeat(enforce_stationarity=False)
 
     def breathing_error(trace: CSITrace, truth_bpm: float) -> float:
         try:

@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..baselines.amplitude import AmplitudeMethod
-from ..core.pipeline import PhaseBeat, PhaseBeatConfig
+from ..core.pipeline import PhaseBeat
 from ..contracts import FloatArray
 from ..errors import EstimationError, NotStationaryError, ReproError
 from ..io_.trace import CSITrace
@@ -127,7 +127,7 @@ def run_breathing_trials(
     duration_s: float = 30.0,
     sample_rate_hz: float = 400.0,
     methods: tuple[str, ...] = ("phasebeat",),
-    pipeline_config: PhaseBeatConfig | None = None,
+    enforce_stationarity: bool = False,
     base_seed: int = 0,
     learned: Any | None = None,
     impairments_factory: (
@@ -144,8 +144,8 @@ def run_breathing_trials(
         sample_rate_hz: Packet rate.
         methods: Any of ``"phasebeat"``, ``"amplitude"``, ``"rss"``,
             ``"learned"`` (the last needs ``learned``).
-        pipeline_config: PhaseBeat parameters (sweeps disable stationarity
-            enforcement by default — the harness controls the scene).
+        enforce_stationarity: Passed to :class:`PhaseBeat`; off by
+            default because the harness controls the scene.
         base_seed: Base RNG seed; trial k uses ``base_seed + k``.
         learned: A trained estimator (typically
             :class:`~repro.learn.LearnedEstimator`) backing the
@@ -165,9 +165,7 @@ def run_breathing_trials(
         raise ReproError(
             "methods includes 'learned' but no learned estimator was given"
         )
-    if pipeline_config is None:
-        pipeline_config = PhaseBeatConfig(enforce_stationarity=False)
-    pipeline = PhaseBeat(pipeline_config)
+    pipeline = PhaseBeat(enforce_stationarity=enforce_stationarity)
     amplitude = AmplitudeMethod()
     results = BreathingTrialResults()
 
@@ -212,9 +210,9 @@ def _run_method(
         elif method == "amplitude":
             estimate = amplitude.estimate_breathing_bpm(trace)
         elif method == "rss":
-            from ..baselines.rss import RSSMethod
+            from ..baselines.rss import rss_breathing_bpm
 
-            estimate = RSSMethod().estimate_breathing_bpm(trace)
+            estimate = rss_breathing_bpm(trace)
         elif method == "learned":
             assert learned is not None  # validated by run_breathing_trials
             estimate = learned.estimate_breathing_bpm(trace)

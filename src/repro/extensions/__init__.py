@@ -10,15 +10,15 @@
 
 from .csi_ratio import CsiRatioEstimator, csi_ratio_series
 from .tensor import CPDecomposition, cp_als, khatri_rao, unfold
-from .tensorbeat import TensorBeatEstimator, hankel_tensor
+from .tensorbeat import hankel_tensor, tensorbeat_breathing_bpm
 
 __all__ = [
     "CPDecomposition",
     "CsiRatioEstimator",
     "csi_ratio_series",
-    "TensorBeatEstimator",
     "cp_als",
     "hankel_tensor",
     "khatri_rao",
+    "tensorbeat_breathing_bpm",
     "unfold",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.breathing import PeakBreathingEstimator
+from ..core.breathing import peak_breathing_bpm
 from ..dsp.hampel import (
     HAMPEL_THRESHOLD,
     NOISE_WINDOW_S,
@@ -140,4 +140,4 @@ class CsiRatioEstimator:
     def estimate_breathing_bpm(self, trace: CSITrace) -> float:
         """Single-person breathing rate from the CSI ratio."""
         series, rate = self.breathing_series(trace)
-        return PeakBreathingEstimator().estimate_bpm(series, rate)
+        return peak_breathing_bpm(series, rate)

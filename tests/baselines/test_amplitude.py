@@ -33,7 +33,7 @@ class TestAmplitudeMethod:
 
     def test_agc_jitter_hurts_amplitude_more_than_phase(self):
         """The Fig. 11 mechanism: gain jitter hits |CSI|, not Δ∠CSI."""
-        from repro.core.pipeline import PhaseBeat, PhaseBeatConfig
+        from repro.core.pipeline import PhaseBeat
         from repro.physio.person import Person
         from repro.rf.hardware import HardwareConfig
         from repro.rf.receiver import capture_trace
@@ -41,7 +41,7 @@ class TestAmplitudeMethod:
 
         person = Person(position=(2.2, 3.0, 1.0), heartbeat=None)
         truth = person.breathing_rate_bpm
-        pipeline = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False))
+        pipeline = PhaseBeat(enforce_stationarity=False)
         phase_errors, amplitude_errors = [], []
         for seed in (11, 12, 13, 14):
             scenario = laboratory_scenario([person], clutter_seed=seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import rss
-from repro.baselines.rss import RSSMethod, rss_series_db
+from repro.baselines.rss import rss_breathing_bpm, rss_series_db
 
 
 class TestRSSSeries:
@@ -44,7 +44,7 @@ class TestRSSMethod:
         scenario = laboratory_scenario([person], clutter_seed=13)
         trace = capture_trace(scenario, duration_s=30.0, seed=13)
         monkeypatch.setattr(rss, "QUANTIZATION_DB", 0.0)
-        rate = RSSMethod().estimate_breathing_bpm(trace)
+        rate = rss_breathing_bpm(trace)
         assert rate == pytest.approx(15.0, abs=1.5)
 
     def test_quantization_degrades_estimate(
@@ -54,6 +54,6 @@ class TestRSSMethod:
         errors = {}
         for quantization_db in (0.0, 4.0):
             monkeypatch.setattr(rss, "QUANTIZATION_DB", quantization_db)
-            rate = RSSMethod().estimate_breathing_bpm(lab_trace)
+            rate = rss_breathing_bpm(lab_trace)
             errors[quantization_db] = abs(rate - truth)
         assert errors[4.0] >= errors[0.0]

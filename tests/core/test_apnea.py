@@ -103,7 +103,6 @@ class TestEndToEnd:
         from repro import (
             Person,
             PhaseBeat,
-            PhaseBeatConfig,
             capture_trace,
             laboratory_scenario,
         )
@@ -118,7 +117,7 @@ class TestEndToEnd:
         )
         scenario = laboratory_scenario([sleeper], clutter_seed=9)
         trace = capture_trace(scenario, duration_s=90.0, seed=9)
-        result = PhaseBeat(PhaseBeatConfig(enforce_stationarity=False)).process(
+        result = PhaseBeat(enforce_stationarity=False).process(
             trace, estimate_heart=False
         )
         events = detect_apnea(

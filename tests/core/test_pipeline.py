@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PhaseBeat, PhaseBeatConfig
+from repro.core.pipeline import PhaseBeat
 from repro.errors import NotStationaryError
+from repro.io_.trace import CSITrace
 from repro.physio.breathing import SinusoidalBreathing
 from repro.physio.motion import ActivityScript, ActivityState, MotionEvent
 from repro.physio.person import Person
@@ -27,8 +28,9 @@ class TestSinglePerson:
     ):
         # The V band is calibrated on the omni setup; heart runs use the
         # directional TX and skip enforcement (as the fig. 12 harness does).
-        config = PhaseBeatConfig(enforce_stationarity=False)
-        result = PhaseBeat(config).process(directional_trace)
+        result = PhaseBeat(enforce_stationarity=False).process(
+            directional_trace
+        )
         assert result.heart_rate_bpm == pytest.approx(
             lab_person.heart_rate_bpm, abs=2.0
         )
@@ -89,10 +91,11 @@ class TestEnvironmentGating:
             ),
         )
         trace = capture_trace(scenario, duration_s=15.0, seed=4)
-        config = PhaseBeatConfig(enforce_stationarity=False)
         # Must not raise NotStationaryError (the estimate may be poor).
         try:
-            PhaseBeat(config).process(trace, estimate_heart=False)
+            PhaseBeat(enforce_stationarity=False).process(
+                trace, estimate_heart=False
+            )
         except NotStationaryError:  # pragma: no cover
             pytest.fail("stationarity was enforced despite the config")
         except Exception:
@@ -159,23 +162,30 @@ class TestMultiPerson:
         assert result.heart is None
 
 
+def _first_two_chains(trace):
+    return CSITrace(
+        csi=trace.csi[:, :2, :],
+        timestamps_s=trace.timestamps_s,
+        sample_rate_hz=trace.sample_rate_hz,
+        subcarrier_indices=trace.subcarrier_indices,
+        meta={},
+    )
+
+
 class TestPairDiversity:
     def test_diversity_can_select_second_pair(self, lab_trace):
-        # With diversity the selected pair is one of the two adjacent pairs;
-        # disabling diversity pins it to the configured pair.
-        with_div = PhaseBeat(PhaseBeatConfig(use_pair_diversity=True)).process(
-            lab_trace, estimate_heart=False
-        )
-        without = PhaseBeat(PhaseBeatConfig(use_pair_diversity=False)).process(
-            lab_trace, estimate_heart=False
+        # A 3-chain capture offers both adjacent pairs to selection; the
+        # same capture cut to 2 chains has only pair (0, 1).
+        with_div = PhaseBeat().process(lab_trace, estimate_heart=False)
+        without = PhaseBeat().process(
+            _first_two_chains(lab_trace), estimate_heart=False
         )
         assert without.diagnostics.selected_antenna_pair == (0, 1)
         assert with_div.diagnostics.selected_antenna_pair in [(0, 1), (1, 2)]
 
     def test_both_modes_estimate_correctly(self, lab_trace, lab_person):
-        for diversity in (True, False):
-            config = PhaseBeatConfig(use_pair_diversity=diversity)
-            result = PhaseBeat(config).process(lab_trace, estimate_heart=False)
+        for trace in (lab_trace, _first_two_chains(lab_trace)):
+            result = PhaseBeat().process(trace, estimate_heart=False)
             assert result.breathing_rates_bpm[0] == pytest.approx(
                 lab_person.breathing_rate_bpm, abs=0.6
             )

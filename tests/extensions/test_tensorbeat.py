@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.extensions.tensorbeat import (
-    TensorBeatEstimator,
-    hankel_tensor,
-)
+from repro.extensions.tensorbeat import hankel_tensor, tensorbeat_breathing_bpm
 
 
 def mixed_channels(freqs, fs=20.0, n=1200, n_channels=12, noise=0.1, seed=1):
@@ -49,18 +46,18 @@ class TestHankelTensor:
 class TestTensorBeatEstimator:
     def test_two_separated_rates(self):
         m = mixed_channels([0.20, 0.30])
-        rates = TensorBeatEstimator().estimate_bpm(m, 20.0, 2)
+        rates = tensorbeat_breathing_bpm(m, 20.0, 2)
         assert np.allclose(rates, [12.0, 18.0], atol=0.3)
 
     def test_three_rates_with_close_pair(self):
         # The paper's Fig. 8 rates including the 0.025 Hz-close pair.
         m = mixed_channels([0.1467, 0.2233, 0.2483])
-        rates = TensorBeatEstimator().estimate_bpm(m, 20.0, 3)
+        rates = tensorbeat_breathing_bpm(m, 20.0, 3)
         assert np.allclose(rates, [8.80, 13.40, 14.90], atol=0.3)
 
     def test_single_person(self):
         m = mixed_channels([0.25])
-        rates = TensorBeatEstimator().estimate_bpm(m, 20.0, 1)
+        rates = tensorbeat_breathing_bpm(m, 20.0, 1)
         assert rates[0] == pytest.approx(15.0, abs=0.3)
 
     def test_on_simulated_csi(self):
@@ -88,21 +85,22 @@ class TestTensorBeatEstimator:
         trace = capture_trace(scenario, duration_s=60.0, seed=2)
         matrix, quality, rate = prepare_calibrated_matrix(trace)
         usable = matrix[:, quality] if quality.any() else matrix
-        estimates = TensorBeatEstimator().estimate_bpm(usable, rate, 2)
+        estimates = tensorbeat_breathing_bpm(usable, rate, 2)
         assert np.allclose(estimates, [8.80, 14.90], atol=0.5)
 
     def test_reproducible_for_seed(self):
+        # CP-ALS restarts draw from the fixed module SEED.
         m = mixed_channels([0.2, 0.3])
-        a = TensorBeatEstimator().estimate_bpm(m, 20.0, 2, seed=5)
-        b = TensorBeatEstimator().estimate_bpm(m, 20.0, 2, seed=5)
+        a = tensorbeat_breathing_bpm(m, 20.0, 2)
+        b = tensorbeat_breathing_bpm(m, 20.0, 2)
         assert np.array_equal(a, b)
 
     def test_n_persons_validation(self):
         with pytest.raises(ConfigurationError):
-            TensorBeatEstimator().estimate_bpm(np.zeros((100, 3)), 20.0, 0)
+            tensorbeat_breathing_bpm(np.zeros((100, 3)), 20.0, 0)
 
     def test_too_short_series_rejected(self):
         # 20 samples decimate to 2, shorter than the minimum 3-sample
         # Hankel window.
         with pytest.raises(ConfigurationError):
-            TensorBeatEstimator().estimate_bpm(np.zeros((20, 3)), 20.0, 1)
+            tensorbeat_breathing_bpm(np.zeros((20, 3)), 20.0, 1)

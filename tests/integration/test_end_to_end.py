@@ -10,7 +10,6 @@ import pytest
 from repro import (
     CSITrace,
     PhaseBeat,
-    PhaseBeatConfig,
     Person,
     SinusoidalBreathing,
     StreamingConfig,
@@ -20,8 +19,6 @@ from repro import (
     laboratory_scenario,
     through_wall_scenario,
 )
-
-SWEEP = PhaseBeatConfig(enforce_stationarity=False)
 
 
 class TestFullJourney:
@@ -54,7 +51,7 @@ class TestFullJourney:
                 clutter_seed=21,
             ),
         ]
-        pipeline = PhaseBeat(SWEEP)
+        pipeline = PhaseBeat(enforce_stationarity=False)
         # Through-wall traces are the hard regime (wall loss + a dominant
         # second harmonic at this geometry): allow the wider tolerance the
         # paper's own Fig. 16 errors imply.
@@ -91,7 +88,7 @@ class TestSamplingRateRobustness:
         trace = capture_trace(
             scenario, duration_s=20.0, sample_rate_hz=rate, seed=22
         )
-        result = PhaseBeat(SWEEP).process(trace, estimate_heart=False)
+        result = PhaseBeat(enforce_stationarity=False).process(trace, estimate_heart=False)
         assert result.breathing_rates_bpm[0] == pytest.approx(
             lab_person.breathing_rate_bpm, abs=0.8
         )
@@ -110,7 +107,7 @@ class TestRealisticPhysiology:
         )
         scenario = laboratory_scenario([person], clutter_seed=23)
         trace = capture_trace(scenario, duration_s=30.0, seed=23)
-        result = PhaseBeat(SWEEP).process(trace, estimate_heart=False)
+        result = PhaseBeat(enforce_stationarity=False).process(trace, estimate_heart=False)
         assert result.breathing_rates_bpm[0] == pytest.approx(16.2, abs=1.2)
 
     def test_pulse_heartbeat_detectable(self):
@@ -125,7 +122,7 @@ class TestRealisticPhysiology:
             [person], directional_tx=True, clutter_seed=24
         )
         trace = capture_trace(scenario, duration_s=60.0, seed=24)
-        result = PhaseBeat(SWEEP).process(trace)
+        result = PhaseBeat(enforce_stationarity=False).process(trace)
         assert result.heart_rate_bpm == pytest.approx(75.0, abs=3.0)
 
 

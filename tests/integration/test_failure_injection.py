@@ -14,7 +14,6 @@ from repro import (
     EstimationError,
     NotStationaryError,
     PhaseBeat,
-    PhaseBeatConfig,
     ReproError,
     SignalTooShortError,
     TraceFormatError,
@@ -65,9 +64,9 @@ class TestDegenerateTraces:
             subcarrier_indices=lab_trace.subcarrier_indices,
             meta={},
         )
-        result = PhaseBeat(
-            PhaseBeatConfig(enforce_stationarity=False)
-        ).process(two_chain, estimate_heart=False)
+        result = PhaseBeat(enforce_stationarity=False).process(
+            two_chain, estimate_heart=False
+        )
         assert result.diagnostics.selected_antenna_pair == (0, 1)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.breathing import MusicBreathingEstimator, PeakBreathingEstimator
-from repro.core.heart import FFTHeartEstimator
+from repro.core.breathing import music_breathing_bpm, peak_breathing_bpm
+from repro.core.heart import fft_heart_bpm
 from repro.dsp.fft_utils import fundamental_frequency
 
 
@@ -20,7 +20,7 @@ def test_peak_estimator_tracks_any_clean_rate(f, phase, amplitude):
     fs = 20.0
     t = np.arange(1800) / fs
     signal = amplitude * np.sin(2 * np.pi * f * t + phase)
-    rate = PeakBreathingEstimator().estimate_bpm(signal, fs)
+    rate = peak_breathing_bpm(signal, fs)
     assert abs(rate - 60 * f) < 0.6
 
 
@@ -36,9 +36,8 @@ def test_peak_estimator_amplitude_invariance(f, noise, seed):
     rng = np.random.default_rng(seed)
     t = np.arange(1200) / fs
     base = np.sin(2 * np.pi * f * t) + noise * rng.normal(size=t.size)
-    estimator = PeakBreathingEstimator()
-    r1 = estimator.estimate_bpm(base, fs)
-    r2 = estimator.estimate_bpm(100.0 * base, fs)
+    r1 = peak_breathing_bpm(base, fs)
+    r2 = peak_breathing_bpm(100.0 * base, fs)
     assert abs(r1 - r2) < 1e-9
 
 
@@ -51,7 +50,7 @@ def test_heart_estimator_tracks_any_clean_rate(f, phase):
     fs = 20.0
     t = np.arange(1200) / fs
     signal = np.sin(2 * np.pi * f * t + phase)
-    rate = FFTHeartEstimator().estimate_bpm(signal, fs)
+    rate = fft_heart_bpm(signal, fs)
     assert abs(rate - 60 * f) < 1.0
 
 
@@ -79,7 +78,7 @@ def test_music_separates_well_spaced_pairs(f1, gap, seed):
         + np.sin(2 * np.pi * f2 * t + 1.0)
         + 0.05 * rng.normal(size=t.size)
     )
-    rates = MusicBreathingEstimator().estimate_bpm(x, fs, 2)
+    rates = music_breathing_bpm(x, fs, 2)
     assert abs(rates[0] - 60 * f1) < 1.0
     assert abs(rates[1] - 60 * f2) < 1.0
 

@@ -5,9 +5,6 @@ Each decorator is exercised both ways: a violating call raises
 conforming ndarray passes through untouched (same object, zero copies).
 """
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,7 +15,6 @@ from repro.contracts import (
     check_matrix,
     check_series,
     check_trace,
-    contracts_enabled,
 )
 from repro.errors import ContractError, ReproError
 from repro.io_.trace import CSITrace
@@ -163,32 +159,6 @@ class TestShorthands:
             @check_trace()
             def no_trace_here(series):
                 return series
-
-
-class TestKillSwitch:
-    def test_contracts_enabled_by_default(self):
-        assert contracts_enabled()
-
-    def test_env_var_strips_decorators(self):
-        # Decoration happens at import time, so the kill-switch is probed
-        # in a fresh interpreter rather than by monkeypatching os.environ.
-        code = (
-            "import numpy as np\n"
-            "from repro.contracts import check_series, contracts_enabled\n"
-            "assert not contracts_enabled()\n"
-            "@check_series('series')\n"
-            "def f(series):\n"
-            "    return 'ok'\n"
-            "assert f(np.zeros((2, 2))) == 'ok'\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"REPRO_NO_CONTRACTS": "1", "PYTHONPATH": "src", "PATH": ""},
-            cwd=str(__import__("pathlib").Path(__file__).resolve().parents[1]),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
 
 
 class TestPipelineEntryPoints:

@@ -1,6 +1,15 @@
 """Public-API surface tests."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+SUBPACKAGES = sorted(
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
+)
 
 
 class TestPublicApi:
@@ -11,6 +20,12 @@ class TestPublicApi:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.{name} missing"
+
+    @pytest.mark.parametrize("package", SUBPACKAGES)
+    def test_subpackage_exports_resolve(self, package):
+        module = importlib.import_module(package)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], f"{package}.__all__ names missing attributes: {missing}"
 
     def test_quickstart_symbols(self):
         # The README's quickstart must keep working.

@@ -976,17 +976,14 @@ class TestRepoIsClean:
         run = lint_paths_detailed(
             ["src", "tests", "benchmarks"], load_config(root)
         )
-        baseline = Baseline.load(root / "phaselint-baseline.json")
-        findings = baseline.filter(run.findings, run.line_text)
-        assert findings == [], "\n".join(f.format_text() for f in findings)
+        assert run.findings == [], "\n".join(
+            f.format_text() for f in run.findings
+        )
 
     def test_baseline_is_small_and_audited(self):
-        # The baseline is for grandfathered display-order sites only; a
-        # growing baseline means new determinism findings are being
-        # buried instead of fixed or annotated.
+        # No finding is grandfathered: every site is fixed or annotated,
+        # so the repo commits no baseline for the linter to auto-load.
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
-        baseline = Baseline.load(root / "phaselint-baseline.json")
-        assert sum(baseline.entries.values()) <= 4
-        assert all(rule == "PL008" for _, rule, _ in baseline.entries)
+        assert not (root / "phaselint-baseline.json").exists()
