@@ -30,12 +30,15 @@ chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_service_chaos.py benchmarks/test_fleet_chaos.py -q
 
 # The perf job's perfbench steps: the harness's own tests plus a one-second
-# smoke run of each workload (digest and correctness checks, no timing gate).
+# smoke run of each workload (digest and correctness checks, no timing gate)
+# and one traced run, which fails if an entry point the span tracer wraps
+# was renamed or removed.
 perfbench:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) perfbench/run.py --workload fleet-record-20hz --seed 0 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload fleet-400hz --seed 0 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload solo-lossy --seed 0 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload fleet-record-20hz --seed 0 --seconds 1 --trace 1
 
 lint: phaselint
 	ruff check src/ tests/ benchmarks/ examples/

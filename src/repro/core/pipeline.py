@@ -53,6 +53,9 @@ __all__ = [
     "prepare_calibrated_matrix",
 ]
 
+# Top-MAD candidate columns the heart stage re-ranks by heart-band SNR.
+HEART_CANDIDATES = 8
+
 
 def _antenna_pairs(n_rx: int) -> list[tuple[int, int]]:
     """The antenna pairs to draw phase differences from.
@@ -400,7 +403,6 @@ class PhaseBeat:
         sensitivities: FloatArray,
         sample_rate_hz: float,
         f_breath: float,
-        n_candidates: int = 8,
     ) -> FloatArray | None:
         """Heart-band series from the candidate column with the best peak.
 
@@ -419,7 +421,7 @@ class PhaseBeat:
         )
         order = eligible[np.argsort(sensitivities[eligible])[::-1]]
         cleansed_columns = []
-        for column in order[:n_candidates]:
+        for column in order[:HEART_CANDIDATES]:
             try:
                 cleansed_columns.append(
                     subtract_cycle_template(

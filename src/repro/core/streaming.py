@@ -36,7 +36,7 @@ import copy
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -324,30 +324,95 @@ class StreamingMonitor:
                 self._count_drop("backward-timestamp")
                 return None
 
-        if self._last_time is not None:
-            step = (timestamp_s - self._last_time) * self.sample_rate_hz
-            if abs(step - 1.0) > _UNIFORM_TOL:
-                # Timing anomaly: the trailing engine (which treats rows as
-                # uniform samples) is invalid until this step leaves the
-                # retained buffer; windows fall back to the batch path.
-                self._anomaly_time = timestamp_s
-                self._drop_engine()
+        if self._last_time is not None and self._timing_anomaly(
+            timestamp_s - self._last_time
+        ):
+            # Timing anomaly: the trailing engine (which treats rows as
+            # uniform samples) is invalid until this step leaves the
+            # retained buffer; windows fall back to the batch path.
+            self._anomaly_time = timestamp_s
+            self._drop_engine()
         self._buffer.append(csi_packet)
         self._times.append(timestamp_s)
         self._last_time = timestamp_s
         self._advance_window_start()
 
-        span = self._times[-1] - self._times[self._win_start]
-        if span < self.config.window_s - self._eps:
-            return None
-        effective_hop_s = self.config.hop_s * self._hop_stretch
-        if (
-            self._last_emit_time is not None
-            and timestamp_s - self._last_emit_time < effective_hop_s - self._eps
-        ):
+        if not self._window_due(timestamp_s, self._times[self._win_start]):
             return None
         self._last_emit_time = timestamp_s
         return self._emit()
+
+    def push_block(
+        self,
+        csi_packets: Sequence[ComplexArray],
+        timestamps_s: Sequence[float],
+    ) -> int:
+        """Buffer the leading packets of a block that need no handling.
+
+        A packet is absorbed when :meth:`push_packet` would only buffer
+        it: it is not the stream's first packet, it is a 2-D array of the
+        stream's shape, its CSI and timestamp are finite, and its step from
+        the previous packet is within the uniform-timing tolerance (so it
+        is not backward and resets nothing).  Absorption also stops at the
+        packet that would complete a window.  The packets are checked
+        together; the buffer keeps references to the absorbed arrays, as
+        :meth:`push_packet` does.
+
+        Absorbing ``k`` packets leaves the monitor exactly as ``k``
+        :meth:`push_packet` calls would, all returning ``None``.  The caller
+        pushes packet ``k`` (the one that emits, or that needs handling)
+        through :meth:`push_packet`, then offers the rest again.
+
+        Args:
+            csi_packets: Complex CSI of consecutive packets, each
+                ``(n_rx, n_subcarriers)``.
+            timestamps_s: Their capture times.
+
+        Returns:
+            How many leading packets were absorbed.
+        """
+        if self._last_time is None:
+            return 0
+        # Timing first: it is cheap and bounds the CSI checks below.
+        times = np.asarray(timestamps_s, dtype=float)
+        valid = np.isfinite(times) & ~self._timing_anomaly(
+            np.diff(times, prepend=self._last_time)
+        )
+        n = len(times) if valid.all() else int(np.argmin(valid))
+        shape = self._packet_shape
+        for k in range(n):
+            packet = csi_packets[k]
+            if not (isinstance(packet, np.ndarray) and packet.shape == shape):
+                n = k
+                break
+        if n:
+            finite = np.isfinite(np.array(csi_packets[:n])).reshape(n, -1).all(axis=1)
+            if not finite.all():
+                n = int(np.argmin(finite))
+        if n == 0:
+            return 0
+        times = times[:n]
+
+        # A window is at least as long as from the current window start, so
+        # only packets that pass the emission test against it can emit.
+        maybe_due = self._window_due(times, self._times[self._win_start])
+        self._buffer.extend(csi_packets[:n])
+        self._times.extend(times.tolist())
+        first = len(self._times) - n
+        start = self._win_start
+        for k in np.flatnonzero(maybe_due):
+            start = self._window_start(start, first + int(k))
+            if self._window_due(times[k], self._times[start]):
+                for _ in range(n - int(k)):
+                    self._buffer.pop()
+                    self._times.pop()
+                n = int(k)
+                break
+        if n:
+            self.counters["packets_in"] += n
+            self._last_time = float(times[n - 1])
+            self._advance_window_start()
+        return n
 
     def push_trace(self, trace: CSITrace) -> list[StreamingEstimate]:
         """Feed a whole trace packet-by-packet; collect all estimates.
@@ -408,8 +473,12 @@ class StreamingMonitor:
     def checkpoint(self) -> dict[str, Any]:
         """Snapshot the monitor's full mutable state.
 
-        The returned dict is self-contained (arrays and results are
-        copied): mutating the monitor afterwards does not corrupt it.  A
+        Nothing the monitor does afterwards changes the returned dict.  Its
+        containers and results are copies; the buffered packet arrays are
+        shared, because the monitor never writes into a packet it buffered
+        (its buffer already holds the caller's arrays, see
+        :meth:`push_packet`), and copying them cost one allocation per
+        packet at every checkpoint.  :meth:`restore` copies them again.  A
         monitor constructed with the same configuration and then
         :meth:`restore`-d from this snapshot produces **bit-identical**
         estimates to one that was never interrupted.
@@ -424,7 +493,7 @@ class StreamingMonitor:
                 if self._subcarrier_indices is None
                 else self._subcarrier_indices.copy()
             ),
-            "buffer": [packet.copy() for packet in self._buffer],
+            "buffer": list(self._buffer),
             "times": list(self._times),
             "last_time": self._last_time,
             "last_emit_time": self._last_emit_time,
@@ -538,13 +607,39 @@ class StreamingMonitor:
         restore, so a restored monitor resolves boundary packets exactly
         as the uninterrupted run did.
         """
+        self._win_start = self._window_start(self._win_start, len(self._times) - 1)
+
+    def _window_start(self, start: int, end: int) -> int:
+        """First packet of the window ending at buffered packet ``end``.
+
+        Searches forward from ``start``, which must not be past the answer.
+        The test subtracts timestamps in floating point, so on some hops the
+        start moves one row fewer than the hop holds; it is kept as is
+        because integer grid rows would change estimates.
+        """
         times = self._times
-        while (
-            self._win_start < len(times) - 1
-            and times[-1] - times[self._win_start]
-            > self.config.window_s + self._eps
-        ):
-            self._win_start += 1
+        t_end = times[end]
+        while start < end and t_end - times[start] > self.config.window_s + self._eps:
+            start += 1
+        return start
+
+    def _window_due(self, t_end: Any, t_start: Any) -> Any:
+        """Whether a window from ``t_start`` to ``t_end`` is emitted now.
+
+        It is emitted once it spans ``window_s`` and, after the first
+        emission, once the effective hop has elapsed; both tests allow one
+        nominal interval of slack.  Takes scalars or arrays of ``t_end``.
+        """
+        full = t_end - t_start >= self.config.window_s - self._eps
+        if self._last_emit_time is None:
+            return full
+        effective_hop_s = self.config.hop_s * self._hop_stretch
+        return full & (t_end - self._last_emit_time >= effective_hop_s - self._eps)
+
+    def _timing_anomaly(self, step_s: Any) -> Any:
+        """Whether an inter-packet step (scalar or array) is off the nominal
+        interval by more than the uniform-timing tolerance."""
+        return abs(step_s * self.sample_rate_hz - 1.0) > _UNIFORM_TOL
 
     def _count_drop(self, reason: str) -> None:
         """Mirror one dropped-packet tally into the metrics registry."""

@@ -33,6 +33,10 @@ __all__ = [
     "spectral_peaks",
 ]
 
+# Relative 3-bin energy at f/2 that makes fundamental_frequency take the
+# subharmonic as the fundamental (octave-down correction).
+SUBHARMONIC_RATIO = 0.25
+
 
 @dataclass(frozen=True)
 class RfftPlan:
@@ -167,7 +171,6 @@ def fundamental_frequency(
     *,
     band: tuple[float, float],
     nfft: int | None = None,
-    subharmonic_ratio: float = 0.25,
 ) -> float:
     """Dominant frequency with octave-error (subharmonic) correction.
 
@@ -175,7 +178,7 @@ def fundamental_frequency(
     breathing signal the tallest spectral line at unlucky static operating
     points.  As in pitch estimation, the cure is to check half the peak
     frequency: when the spectrum at ``f/2`` holds at least
-    ``subharmonic_ratio`` of the peak magnitude (and lies in the band), the
+    :data:`SUBHARMONIC_RATIO` of the peak magnitude (and lies in the band), the
     subharmonic is taken as the fundamental.  Applied recursively, so a
     dominant 4th harmonic also resolves down.
 
@@ -184,8 +187,6 @@ def fundamental_frequency(
         sample_rate_hz: Sample rate in Hz.
         band: Admissible fundamental band.
         nfft: FFT length.
-        subharmonic_ratio: Relative magnitude at f/2 that triggers the
-            octave-down correction.
 
     Returns:
         The corrected fundamental frequency in Hz.
@@ -235,7 +236,7 @@ def fundamental_frequency(
         f_half, energy_half = local_peak(f_peak / 2.0)
         if (
             f_half >= band[0]
-            and energy_half >= subharmonic_ratio * peak_energy
+            and energy_half >= SUBHARMONIC_RATIO * peak_energy
             and energy_half >= 2.0 * noise_floor
         ):
             f_peak, peak_energy = f_half, energy_half
@@ -320,13 +321,12 @@ def spectral_peaks(
     *,
     band: tuple[float, float] | None = None,
     nfft: int | None = None,
-    min_separation_hz: float = 0.0,
 ) -> FloatArray:
     """Frequencies of the ``count`` largest local spectral maxima.
 
     The multi-person FFT baseline of Fig. 8 reads one breathing rate per
-    spectral peak; ``min_separation_hz`` mimics its inability to resolve
-    closely spaced rates by merging nearby candidates.
+    spectral peak; closely spaced rates merge into one peak by themselves
+    once they are nearer than the window's Rayleigh limit.
 
     Returns:
         Peak frequencies sorted ascending; may contain fewer than ``count``
@@ -342,13 +342,7 @@ def spectral_peaks(
     candidates = np.flatnonzero(local & mask & (mag > 0))
     if candidates.size == 0:
         return np.empty(0, dtype=float)
-    order = candidates[np.argsort(mag[candidates])[::-1]]
-    chosen: list[int] = []
-    for k in order:
-        if len(chosen) == count:
-            break
-        if all(abs(freqs[k] - freqs[j]) >= min_separation_hz for j in chosen):
-            chosen.append(k)
+    chosen = candidates[np.argsort(mag[candidates])[::-1]][:count]
     bin_width = freqs[1] - freqs[0]
     refined = []
     for k in chosen:

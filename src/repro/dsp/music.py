@@ -34,6 +34,17 @@ __all__ = [
     "estimate_frequencies",
 ]
 
+# Largest subspace order: the covariance is min(n_samples // 3, this) wide.
+MAX_ORDER = 48
+# Signal-subspace head-room beyond the number of persons.  The phase of a
+# multipath sum is a *nonlinear* function of each chest displacement, so
+# the measured series carries harmonics and intermodulation products of
+# the breathing rates; reserving extra dimensions keeps them out of the
+# noise subspace.
+EXTRA_SIGNAL_DIMS = 2
+# Matching tolerance (Hz) of the mixing-product rule of _select_candidates.
+HARMONIC_TOLERANCE_HZ = 0.02
+
 
 def hankel_snapshots(x: FloatArray | ComplexArray, order: int) -> FloatArray | ComplexArray:
     """Stack sliding windows of ``x`` into an ``order × K`` snapshot matrix.
@@ -173,43 +184,32 @@ def estimate_frequencies(
     n_sources: int,
     sample_rate_hz: float,
     *,
-    order: int | None = None,
     band: tuple[float, float] | None = None,
-    analytic: bool = True,
     decimation: int = 1,
-    extra_signal_dims: int = 2,
-    suppress_harmonics: bool = True,
-    harmonic_tolerance_hz: float = 0.02,
 ) -> FloatArray:
     """End-to-end root-MUSIC estimate from one or many real-valued series.
+
+    Real input is first mapped to its analytic signal, so each sinusoid
+    contributes one exponential instead of a conjugate pair.  The subspace
+    order m is ``min(n_samples // 3, MAX_ORDER)`` but never less than
+    ``2 · n_model + 2``, with ``n_model = n_sources + EXTRA_SIGNAL_DIMS``.
+    A candidate whose frequency matches twice a stronger candidate, or the
+    sum of two stronger candidates, within :data:`HARMONIC_TOLERANCE_HZ` is
+    dropped as a mixing product, not a person.  (Limitation shared with the
+    paper: a real subject breathing at exactly twice another's rate is
+    indistinguishable from a harmonic.)
 
     Args:
         channels: 1-D series or ``(n_samples, n_channels)`` matrix (the
             paper's H of Eq. 12, one column per subcarrier).
         n_sources: Number of frequencies to recover (= number of persons).
         sample_rate_hz: Sample rate of the series in Hz.
-        order: Subspace order m; defaults to ``min(n_samples // 3, 48)``
-            but never less than ``2 · n_sources + 2``.
         band: Optional admissible frequency band in Hz.
-        analytic: Convert real input to its analytic signal first, so each
-            sinusoid contributes one exponential instead of a conjugate pair.
         decimation: Keep every n-th sample *after* the analytic-signal step.
             Breathing rates live far below the 20 Hz processing rate, so the
             phase advance per sample is tiny; decimating stretches the
             subspace aperture and sharply improves the resolution of close
-            rates (requires ``analytic=True`` to avoid aliasing real input).
-        extra_signal_dims: Signal-subspace head-room beyond ``n_sources``.
-            The phase of a multipath sum is a *nonlinear* function of each
-            chest displacement, so the measured series carries harmonics and
-            intermodulation products of the breathing rates; reserving extra
-            dimensions keeps them out of the noise subspace.
-        suppress_harmonics: Drop a candidate whose frequency matches twice a
-            stronger candidate, or the sum of two stronger candidates,
-            within ``harmonic_tolerance_hz`` — those are mixing products,
-            not persons.  (Limitation shared with the paper: a real subject
-            breathing at exactly twice another's rate is indistinguishable
-            from a harmonic.)
-        harmonic_tolerance_hz: Matching tolerance for the suppression rule.
+            rates.
 
     Returns:
         ``n_sources`` frequencies in Hz, sorted ascending (fewer if some
@@ -220,20 +220,12 @@ def estimate_frequencies(
         channels = channels[:, None]
     if decimation < 1:
         raise ConfigurationError(f"decimation must be >= 1, got {decimation}")
-    data = channels - channels.mean(axis=0, keepdims=True)
-    if analytic:
-        data = hilbert(data, axis=0)
-    elif decimation > 1:
-        raise ConfigurationError(
-            "decimation of real (non-analytic) input would alias; "
-            "set analytic=True"
-        )
+    data = hilbert(channels - channels.mean(axis=0, keepdims=True), axis=0)
     data = data[::decimation]
     effective_rate = sample_rate_hz / decimation
     n_samples = data.shape[0]
-    n_model = n_sources + max(0, extra_signal_dims)
-    if order is None:
-        order = min(max(2 * n_model + 2, n_samples // 3), 48)
+    n_model = n_sources + EXTRA_SIGNAL_DIMS
+    order = min(max(2 * n_model + 2, n_samples // 3), MAX_ORDER)
     if order <= n_model + 1:
         raise ConfigurationError(
             f"subspace order ({order}) must exceed the model order "
@@ -247,16 +239,7 @@ def estimate_frequencies(
         band=band,
         n_candidates=min(2 * n_model + 2, order - 1),
     )
-    if candidates.size <= n_sources and not suppress_harmonics:
-        return candidates
-    return _select_candidates(
-        data,
-        candidates,
-        effective_rate,
-        n_sources,
-        suppress_harmonics=suppress_harmonics,
-        tolerance_hz=harmonic_tolerance_hz,
-    )
+    return _select_candidates(data, candidates, effective_rate, n_sources)
 
 
 def _select_candidates(
@@ -264,18 +247,15 @@ def _select_candidates(
     candidates: FloatArray,
     sample_rate_hz: float,
     n_sources: int,
-    *,
-    suppress_harmonics: bool,
-    tolerance_hz: float,
 ) -> FloatArray:
     """Rank candidate frequencies by energy and drop mixing products.
 
     A spurious root can sit as close to the unit circle as a real one while
     explaining almost none of the signal, so candidates are least-squares
-    fitted to the (analytic, decimated) data and ranked by amplitude.  With
-    ``suppress_harmonics`` a candidate matching 2× a stronger accepted
-    frequency — or the sum of two stronger accepted frequencies — is
-    rejected as an intermodulation product of the phase nonlinearity.
+    fitted to the (analytic, decimated) data and ranked by amplitude.  A
+    candidate matching 2× a stronger accepted frequency — or the sum of two
+    stronger accepted frequencies — is rejected as an intermodulation
+    product of the phase nonlinearity.
     """
     if candidates.size == 0:
         return candidates
@@ -291,9 +271,7 @@ def _select_candidates(
         if len(accepted) == n_sources:
             break
         f = candidates[idx]
-        if suppress_harmonics and _is_mixing_product(
-            f, [candidates[a] for a in accepted], tolerance_hz
-        ):
+        if _is_mixing_product(f, [candidates[a] for a in accepted]):
             skipped.append(idx)
             continue
         accepted.append(idx)
@@ -305,13 +283,11 @@ def _select_candidates(
     return np.sort(candidates[sorted(accepted)])
 
 
-def _is_mixing_product(
-    frequency_hz: float, accepted: list[float], tolerance_hz: float
-) -> bool:
+def _is_mixing_product(frequency_hz: float, accepted: list[float]) -> bool:
     for f1 in accepted:
-        if abs(frequency_hz - 2.0 * f1) <= tolerance_hz:
+        if abs(frequency_hz - 2.0 * f1) <= HARMONIC_TOLERANCE_HZ:
             return True
         for f2 in accepted:
-            if abs(frequency_hz - (f1 + f2)) <= tolerance_hz:
+            if abs(frequency_hz - (f1 + f2)) <= HARMONIC_TOLERANCE_HZ:
                 return True
     return False

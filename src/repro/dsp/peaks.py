@@ -28,7 +28,7 @@ __all__ = [
 
 def find_peaks(
     x: FloatArray,
-    window: int = 51,
+    window: int,
     *,
     min_prominence: float = 0.0,
 ) -> IntArray:

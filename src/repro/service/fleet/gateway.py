@@ -10,10 +10,11 @@ gateway schedules them in fixed rounds:
    *only* thing that moves fleet time;
 2. shard by shard, session by session (admission order), packets whose
    capture time has arrived are pulled from the upstream into the
-   session's queue (*ingest*), then fed to the session's supervisor one
-   :meth:`~repro.service.supervisor.MonitorSupervisor.tick` per packet
-   (*drain*) — a tick is only scheduled when the queue is non-empty, so
-   no session ever burns a fruitless poll interval of shared time;
+   session's queue (*ingest*), then handed to the session's supervisor in
+   one :meth:`~repro.service.supervisor.MonitorSupervisor.tick` of up to
+   the drain budget (*drain*) — a tick is only scheduled when the queue is
+   non-empty, so no session ever burns a fruitless poll interval of shared
+   time;
 3. every session's queue depth is scored against the watermarks and the
    **pressure ladder** reacts: throttle (wider emission hop), then
    degrade (pin the estimator fallback ladder at a cheaper rung), and
@@ -556,15 +557,12 @@ class FleetGateway:
         budget = self.config.drain_budget_packets
         if now_s < session.slow_until_s:
             budget = max(1, int(budget * session.slow_drain_factor))
-        n_ticks = min(budget, session.queue.depth)
-        if n_ticks == 0:
+        n_packets = min(budget, session.queue.depth)
+        if n_packets == 0:
             return
         supervisor = session.supervisor
         before = session.n_emitted
-        for _ in range(n_ticks):
-            if supervisor.subject_done(session.session_id):
-                break
-            supervisor.tick(session.session_id)
+        supervisor.tick(session.session_id, max_packets=n_packets)
         estimates = supervisor.estimates_for(session.session_id)
         session.n_emitted = len(estimates)
         for estimate in estimates[before:]:

@@ -75,6 +75,15 @@ class BoundedPacketQueue:
             return None
         return self._items.popleft()
 
+    def pop_block(self, max_packets: int) -> list[Packet]:
+        """Dequeue up to ``max_packets`` packets, oldest first."""
+        items = self._items
+        return [items.popleft() for _ in range(min(max_packets, len(items)))]
+
+    def unpop(self, packets: list[Packet]) -> None:
+        """Put popped packets back at the front, in their order."""
+        self._items.extendleft(reversed(packets))
+
     def clear(self) -> int:
         """Drop everything (shed / shard crash); returns how many."""
         n = len(self._items)
@@ -118,3 +127,11 @@ class QueuedPacketSource:
     def next_packet(self) -> Packet | None:
         """Dequeue the next packet, ``None`` when the queue is empty."""
         return self._queue.pop()
+
+    def next_packets(self, max_packets: int) -> list[Packet]:
+        """Dequeue up to ``max_packets`` packets in one read."""
+        return self._queue.pop_block(max_packets)
+
+    def unread(self, packets: list[Packet]) -> None:
+        """Return packets a consumer never took to the front of the queue."""
+        self._queue.unpop(packets)

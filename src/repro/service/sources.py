@@ -37,6 +37,7 @@ from .events import EventLog
 __all__ = [
     "Packet",
     "PacketSource",
+    "BlockPacketSource",
     "TracePacketSource",
     "BACKOFF_BASE_S",
     "BACKOFF_FACTOR",
@@ -91,6 +92,24 @@ class PacketSource(Protocol):
     @property
     def exhausted(self) -> bool:
         """Whether the source has permanently run out of data."""
+        ...
+
+
+@runtime_checkable
+class BlockPacketSource(PacketSource, Protocol):
+    """A source that can hand over several packets in one read.
+
+    The fleet's ingest queue is one: its packets are already waiting, so a
+    block read takes no time.  ``unread`` puts packets a consumer never
+    took back at the front, in order.
+    """
+
+    def next_packets(self, max_packets: int) -> list[Packet]:
+        """Deliver up to ``max_packets`` packets, oldest first."""
+        ...
+
+    def unread(self, packets: list[Packet]) -> None:
+        """Return packets to the front of the source."""
         ...
 
 
@@ -186,7 +205,7 @@ class ResilientSource:
             on_transition=self._on_breaker_transition,
             instrumentation=self._obs,
         )
-        self._source = source_factory(clock.now_s)
+        self._set_source(source_factory(clock.now_s))
         self.counters: dict[str, int] = {
             "reads_ok": 0,
             "transient_errors": 0,
@@ -216,10 +235,13 @@ class ResilientSource:
             previous=old.value,
         )
 
-    def _count(self, name: str, help_text: str) -> None:
+    def _count(self, name: str, help_text: str, amount: int = 1) -> None:
         """Mirror one ``counters`` increment into the metrics registry."""
         self._obs.count(
-            name, labels={"subject": self._subject}, help_text=help_text
+            name,
+            amount=amount,
+            labels={"subject": self._subject},
+            help_text=help_text,
         )
 
     def _backoff_delay_s(self, attempt: int) -> float:
@@ -229,9 +251,15 @@ class ResilientSource:
         )
         return base * jitter
 
+    def _set_source(self, source: PacketSource) -> None:
+        self._source = source
+        self._block_source = (
+            source if isinstance(source, BlockPacketSource) else None
+        )
+
     def _rebuild(self) -> None:
         """Replace a crashed source with a fresh one starting 'now'."""
-        self._source = self._factory(self._clock.now_s)
+        self._set_source(self._factory(self._clock.now_s))
         self.counters["rebuilds"] += 1
         self._count("source_rebuilds_total", "Sources rebuilt after a crash or stall.")
         self._events.record(
@@ -248,10 +276,28 @@ class ResilientSource:
         self._rebuild()
 
     def next_packet(self) -> Packet | None:
-        """One supervised read.
+        """One supervised read of one packet (see :meth:`next_packets`).
 
         Returns:
             The packet, or ``None`` when the source has nothing yet.
+        """
+        packets = self.next_packets(1)
+        return packets[0] if packets else None
+
+    def next_packets(self, max_packets: int) -> list[Packet]:
+        """One supervised read of up to ``max_packets`` packets.
+
+        A :class:`BlockPacketSource` (the fleet's ingest queue) hands over
+        up to ``max_packets`` packets in this one read; any other source
+        delivers at most one.  The breaker admits the read once.  ``counters``, the
+        ``source_reads_ok_total`` series and the ``source_read_duration_s``
+        histogram (one observation per packet) end up as after one read per
+        packet: a block source reads without moving the clock, so every
+        packet's read takes the same zero time.
+
+        Returns:
+            The packets, oldest first; empty when the source has nothing
+            yet.
 
         Raises:
             CircuitOpenError: The breaker is open; no read was attempted.
@@ -273,7 +319,7 @@ class ResilientSource:
         while True:
             t0 = self._clock.now_s
             try:
-                packet = self._source.next_packet()
+                packets = self._read(max_packets)
             except TransientSourceError as exc:
                 self.counters["transient_errors"] += 1
                 self._count(
@@ -299,12 +345,14 @@ class ResilientSource:
                 self._rebuild()
                 raise
             elapsed = self._clock.now_s - t0
-            self._obs.observe(
-                "source_read_duration_s",
-                elapsed,
-                labels={"subject": self._subject},
-                help_text="Simulated seconds one supervised read took.",
-            )
+            if self._obs.enabled:
+                for _ in range(max(1, len(packets))):
+                    self._obs.observe(
+                        "source_read_duration_s",
+                        elapsed,
+                        labels={"subject": self._subject},
+                        help_text="Simulated seconds one supervised read took.",
+                    )
             if elapsed > DEADLINE_S:
                 self.counters["timeouts"] += 1
                 self._count(
@@ -321,7 +369,30 @@ class ResilientSource:
                 )
                 raise timeout
             self.breaker.record_success()
-            if packet is not None:
-                self.counters["reads_ok"] += 1
-                self._count("source_reads_ok_total", "Successful packet reads.")
-            return packet
+            if packets:
+                self.counters["reads_ok"] += len(packets)
+                self._count(
+                    "source_reads_ok_total",
+                    "Successful packet reads.",
+                    amount=len(packets),
+                )
+            return packets
+
+    def unread(self, packets: list[Packet]) -> None:
+        """Give back the tail of a block read that the consumer never took.
+
+        The packets return to the front of the underlying source and
+        ``counters["reads_ok"]`` drops by as many.  The metric series only
+        grow, so they keep counting them.  Only a block read can deliver
+        packets a consumer does not take.
+        """
+        assert self._block_source is not None
+        self._block_source.unread(packets)
+        self.counters["reads_ok"] -= len(packets)
+
+    def _read(self, max_packets: int) -> list[Packet]:
+        """The underlying source's block read, or one ``next_packet``."""
+        if self._block_source is not None:
+            return self._block_source.next_packets(max_packets)
+        packet = self._source.next_packet()
+        return [] if packet is None else [packet]

@@ -61,7 +61,7 @@ from ..obs import (
 from .breaker import BreakerState
 from .clock import SimulatedClock
 from .events import EventLog
-from .sources import PacketSource, ResilientSource
+from .sources import Packet, PacketSource, ResilientSource
 
 __all__ = [
     "SubjectHealth",
@@ -345,20 +345,37 @@ class MonitorSupervisor:
                 and self.clock.now_s - start_s >= max_duration_s
             ):
                 break
-            self._tick()
+            self._tick(1)
         return list(self._estimates)
 
-    def tick(self, name: str) -> None:
+    def tick(self, name: str, *, max_packets: int = 1) -> None:
         """Run one scheduling tick (no-op once the subject is done).
 
         This is the unit of work the fleet gateway schedules: one
-        supervised source read, fed to the monitor, with checkpointing,
-        watchdog, fallback-ladder, and health handling exactly as in
-        :meth:`run` — which is itself a loop of these ticks.
+        supervised source read of up to ``max_packets`` packets, fed to the
+        monitor, with checkpointing, watchdog, fallback-ladder, and health
+        handling exactly as in :meth:`run` — which is itself a loop of
+        one-packet ticks.
+
+        A tick of ``n`` packets leaves the subject as ``n`` one-packet
+        ticks would, provided the clock stands still during it (the fleet
+        drain, where only the round heartbeat moves time): a due checkpoint
+        fires after the first packet, and scripted crashes, the watchdog,
+        the breaker and health are decided on the same clock reading.  If
+        the subject fails partway, the packets it never took go back to the
+        source.  A source without a block read delivers one packet per tick
+        (see :meth:`~repro.service.sources.ResilientSource.next_packets`).
+
+        Args:
+            name: The subject's name.
+            max_packets: Most packets to consume; at least 1.
         """
         self._check(name)
-        if not self._done:
-            self._tick()
+        if max_packets < 1:
+            raise ConfigurationError(
+                f"max_packets must be >= 1, got {max_packets}"
+            )
+        self._tick(max_packets)
 
     def subject_done(self, name: str) -> bool:
         """Whether the subject has permanently finished (failed or
@@ -476,7 +493,7 @@ class MonitorSupervisor:
     # ------------------------------------------------------------------
     # One scheduling tick.
 
-    def _tick(self) -> None:
+    def _tick(self, max_packets: int) -> None:
         while (
             self._pending_crashes_s
             and self.clock.now_s >= self._pending_crashes_s[0]
@@ -487,9 +504,9 @@ class MonitorSupervisor:
         if self._done:
             return
         t_before = self.clock.now_s
-        packet = None
+        packets: list[Packet] = []
         try:
-            packet = self._source.next_packet()
+            packets = self._source.next_packets(max_packets)
         except CircuitOpenError:
             # Short-circuited: no read happened.  Time still has to pass,
             # or the cooldown would never elapse (handled below).
@@ -505,25 +522,54 @@ class MonitorSupervisor:
         except SourceCrashedError:
             # Crash + rebuild already recorded by the resilient wrapper.
             pass
-        if packet is None and self.clock.now_s <= t_before:
+        if not packets:
             # Guarantee forward progress: a fruitless tick (failed or
             # short-circuited read) costs one poll interval of simulated
             # time.  A delivered packet is progress by itself — its
             # timestamp may lag the clock when the fleet gateway's round
             # heartbeat already advanced it.
-            self.clock.advance(self._interval_s)
-
-        if packet is None:
+            if self.clock.now_s <= t_before:
+                self.clock.advance(self._interval_s)
             self._check_watchdog()
             self._update_health()
             return
+        n_taken = self._consume(packets)
+        if n_taken < len(packets):
+            # The subject failed partway: what it never took stays queued.
+            self._source.unread(packets[n_taken:])
 
+    def _consume(self, packets: list[Packet]) -> int:
+        """Feed one read's packets to the monitor, in order.
+
+        Each packet is handled as a one-packet tick would handle it.  The
+        first goes through ``push_packet`` alone so a due checkpoint
+        follows it; after that, ``push_block`` absorbs each run of packets
+        that only need buffering, and the packet that ends a run (it emits
+        a window, or needs handling) goes through ``push_packet``.  Health
+        is updated after every ``push_packet``; an absorbed run changes
+        nothing it reads.
+
+        Returns:
+            How many packets were fed: all of them, unless the subject
+            failed first.
+        """
         self._last_progress_s = self.clock.now_s
-        estimate = self._feed_monitor(packet.csi, packet.timestamp_s)
-        self._maybe_checkpoint()
-        if estimate is not None:
-            self._handle_estimate(estimate)
-        self._update_health()
+        csi = [packet.csi for packet in packets]
+        times = [packet.timestamp_s for packet in packets]
+        k = 0
+        while k < len(packets) and not self._failed:
+            if k:
+                k += self._monitor.push_block(csi[k:], times[k:])
+                if k == len(packets):
+                    break
+            estimate = self._feed_monitor(csi[k], times[k])
+            k += 1
+            if k == 1:
+                self._maybe_checkpoint()
+            if estimate is not None:
+                self._handle_estimate(estimate)
+            self._update_health()
+        return k
 
     def _check_watchdog(self) -> None:
         silence_s = self.clock.now_s - self._last_progress_s

@@ -89,6 +89,19 @@ class TestCheckpointRoundTrip:
         push_range(monitor, trace, 400, 800)
         assert len(state["buffer"]) == n_buffered
 
+    def test_later_monitor_work_leaves_the_snapshot_intact(self, short_lab_trace):
+        # The snapshot shares the buffered packet arrays with the monitor;
+        # pushing, emitting, evicting and restoring must never write into
+        # them.
+        trace = short_lab_trace
+        monitor = StreamingMonitor(trace.sample_rate_hz, CONFIG)
+        push_range(monitor, trace, 0, 1700)
+        state = monitor.checkpoint()
+        before = [packet.tobytes() for packet in state["buffer"]]
+        push_range(monitor, trace, 1700, trace.n_packets)
+        StreamingMonitor(trace.sample_rate_hz, CONFIG).restore(state)
+        assert [packet.tobytes() for packet in state["buffer"]] == before
+
     def test_checkpoint_is_json_free_but_copyable(self, short_lab_trace):
         import copy
 

@@ -151,14 +151,12 @@ class TestSpectralPeaks:
         peaks = spectral_peaks(x, fs, 2, band=(0.1, 0.7))
         assert peaks.size < 2 or abs(peaks[1] - peaks[0]) > 0.05
 
-    def test_min_separation_merges_close_candidates(self):
+    def test_resolved_close_tones_both_returned(self):
+        # 0.02 Hz apart over 120 s (resolution 0.008 Hz): two peaks.
         x = tone(0.2, 20.0, 2400) + tone(0.22, 20.0, 2400)
-        unconstrained = spectral_peaks(x, 20.0, 2, band=(0.1, 0.7))
-        constrained = spectral_peaks(
-            x, 20.0, 2, band=(0.1, 0.7), min_separation_hz=0.05
-        )
-        assert unconstrained.size == 2
-        assert constrained.size == 1 or (constrained[1] - constrained[0]) >= 0.05
+        peaks = spectral_peaks(x, 20.0, 2, band=(0.1, 0.7))
+        assert peaks.size == 2
+        assert np.allclose(peaks, [0.2, 0.22], atol=0.005)
 
     def test_count_validation(self):
         with pytest.raises(ConfigurationError):

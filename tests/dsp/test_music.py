@@ -158,12 +158,12 @@ class TestEstimateFrequencies:
         assert f[0] == pytest.approx(0.2, abs=0.01)
         assert f[1] == pytest.approx(0.31, abs=0.01)
 
-    def test_decimation_of_real_input_rejected(self):
+    def test_decimation_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimate_frequencies(
-                np.zeros(100), 1, 20.0, analytic=False, decimation=5
-            )
+            estimate_frequencies(np.zeros(100), 1, 20.0, decimation=0)
 
     def test_order_too_small_rejected(self):
+        # 46 persons need a model order of 48, but the subspace order is
+        # capped at MAX_ORDER = 48: no noise subspace is left.
         with pytest.raises(ConfigurationError):
-            estimate_frequencies(np.zeros(100), 3, 20.0, order=4)
+            estimate_frequencies(np.zeros(1000), 46, 20.0)

@@ -54,7 +54,7 @@ class TestFindPeaks:
 
     def test_rejects_2d(self):
         with pytest.raises(ConfigurationError):
-            find_peaks(np.zeros((10, 2)))
+            find_peaks(np.zeros((10, 2)), window=51)
 
     def test_rejects_tiny_window(self):
         with pytest.raises(ConfigurationError):
