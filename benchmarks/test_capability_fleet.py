@@ -17,12 +17,10 @@ throughput regresses more than 20 % below the committed
 ``BENCH_fleet.json`` baseline at the repo root.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import banner
+from conftest import banner, regression_gate, write_bench_json
 
 from repro.eval.reporting import format_table
 from repro.obs import MetricsRegistry
@@ -36,7 +34,6 @@ _TRACE_POOL = 4
 # this only catches "the gateway stopped being able to run a fleet at
 # all", not the exact number on a noisy shared runner.
 _MIN_SESSION_SECONDS_PER_S = 50.0
-_BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def test_capability_fleet_1k_sessions():
@@ -98,12 +95,7 @@ def test_capability_fleet_1k_sessions():
     print("a factor of 1000 session-seconds/s means all 1000 sessions")
     print("run in realtime simultaneously on one core")
 
-    out_path = os.environ.get("FLEET_BENCH_JSON")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
+    write_bench_json("FLEET_BENCH_JSON", result)
 
     # Every session must complete; nothing is faulted, so nothing may be
     # shed or left degraded by fleet pressure.
@@ -119,13 +111,9 @@ def test_capability_fleet_1k_sessions():
         f"per second (floor {_MIN_SESSION_SECONDS_PER_S:.0f})"
     )
 
-    if os.environ.get("FLEET_REGRESSION_GATE") == "1":
-        with open(_BASELINE_PATH, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        floor = 0.8 * baseline["session_seconds_per_s"]
-        assert session_seconds_per_s >= floor, (
-            f"fleet throughput {session_seconds_per_s:.0f} "
-            f"session-seconds/s regressed more than 20% below the "
-            f"committed baseline {baseline['session_seconds_per_s']:.0f} "
-            f"(floor {floor:.0f})"
-        )
+    regression_gate(
+        "FLEET_REGRESSION_GATE",
+        "BENCH_fleet.json",
+        "session_seconds_per_s",
+        session_seconds_per_s,
+    )

@@ -21,28 +21,17 @@ the learned median error regresses more than 20 % above the committed
 ``BENCH_learn.json`` baseline at the repo root.
 """
 
-import json
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
-from conftest import banner, run_once
+from conftest import banner, regression_gate, run_once, write_bench_json
 
 from repro.eval.harness import default_subject, run_breathing_trials
 from repro.eval.reporting import format_table
 from repro.learn import LearnedEstimator, TrainingConfig, generate_corpus, train
 from repro.physio.person import Person
-from repro.rf.impairments import (
-    BernoulliLoss,
-    ImpulsiveCorruption,
-    SubcarrierNulls,
-    TimestampJitter,
-)
+from repro.rf.impairments import heavy_impairments
 from repro.rf.scene import through_wall_scenario
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_BASELINE_PATH = _REPO_ROOT / "BENCH_learn.json"
 
 # Acceptance bars (see docs/learned.md): the learned head must beat the
 # classical chain by a measurable margin on the heavy scenario, and the
@@ -75,17 +64,6 @@ def _scenario_factory(k, rng):
     )
 
 
-def _heavy_impairments(k, rng):
-    # Compound channel damage: the regime of the paper's worst-case
-    # through-wall runs, plus commodity-NIC pathologies.
-    return [
-        BernoulliLoss(loss_fraction=0.4),
-        TimestampJitter(std_s=8e-3),
-        ImpulsiveCorruption(hit_fraction=0.05, magnitude=12.0),
-        SubcarrierNulls(n_nulls=8),
-    ]
-
-
 def test_capability_learned_through_wall(benchmark, bundle):
     learned = LearnedEstimator(bundle)
     results = run_once(
@@ -98,7 +76,7 @@ def test_capability_learned_through_wall(benchmark, bundle):
         methods=("phasebeat", "learned"),
         base_seed=_TRIAL_SEED,
         learned=learned,
-        impairments_factory=_heavy_impairments,
+        impairments_factory=lambda k, rng: heavy_impairments(),
     )
 
     summary = {}
@@ -148,12 +126,7 @@ def test_capability_learned_through_wall(benchmark, bundle):
         f"(measured margin {margin:+.2f} bpm)"
     )
 
-    out_path = os.environ.get("LEARN_BENCH_JSON")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
+    write_bench_json("LEARN_BENCH_JSON", result)
 
     learned_median = summary["learned"]["median_error_bpm"]
     assert margin >= _MIN_MARGIN_BPM, (
@@ -166,16 +139,13 @@ def test_capability_learned_through_wall(benchmark, bundle):
     )
     assert summary["learned"]["failure_rate"] == 0.0
 
-    if os.environ.get("LEARN_REGRESSION_GATE") == "1":
-        with open(_BASELINE_PATH, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        ceiling = 1.2 * baseline["methods"]["learned"]["median_error_bpm"]
-        assert learned_median <= ceiling, (
-            f"learned median error {learned_median:.2f} bpm regressed more "
-            f"than 20% above the committed baseline "
-            f"{baseline['methods']['learned']['median_error_bpm']:.2f} bpm "
-            f"(ceiling {ceiling:.2f} bpm)"
-        )
+    regression_gate(
+        "LEARN_REGRESSION_GATE",
+        "BENCH_learn.json",
+        "methods.learned.median_error_bpm",
+        learned_median,
+        higher_is_better=False,
+    )
 
 
 def test_capability_learned_apnea(benchmark, bundle):

@@ -16,18 +16,16 @@ the speedup regresses more than 20 % below the committed
 ``BENCH_replay.json`` baseline at the repo root.
 """
 
-import json
 import os
 from pathlib import Path
 
-from conftest import banner
+from conftest import banner, regression_gate, write_bench_json
 
 from repro.eval.reporting import format_table
 from repro.store.backtest import run_backtest
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _CORPUS_DIR = _REPO_ROOT / "corpus"
-_BASELINE_PATH = _REPO_ROOT / "BENCH_replay.json"
 # Conservative in-test floor (the ISSUE's acceptance bar): replay must
 # beat real time by 20x even on a noisy shared runner.
 _MIN_SPEEDUP = 20.0
@@ -75,12 +73,7 @@ def test_capability_replay_backtest():
     )
     print(report.format_text())
 
-    out_path = os.environ.get("REPLAY_BENCH_JSON")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
+    write_bench_json("REPLAY_BENCH_JSON", result)
 
     # Every committed scenario must replay cleanly and hit its baseline.
     assert report.passed, report.format_text()
@@ -91,12 +84,9 @@ def test_capability_replay_backtest():
         f"(floor {_MIN_SPEEDUP:.0f}x)"
     )
 
-    if os.environ.get("REPLAY_REGRESSION_GATE") == "1":
-        with open(_BASELINE_PATH, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        floor = 0.8 * baseline["speedup_ratio"]
-        assert report.overall_speedup_ratio >= floor, (
-            f"replay speedup {report.overall_speedup_ratio:.1f}x regressed "
-            f"more than 20% below the committed baseline "
-            f"{baseline['speedup_ratio']:.1f}x (floor {floor:.1f}x)"
-        )
+    regression_gate(
+        "REPLAY_REGRESSION_GATE",
+        "BENCH_replay.json",
+        "speedup_ratio",
+        report.overall_speedup_ratio,
+    )

@@ -22,12 +22,9 @@ additionally fail if the measured improvement factor regresses more than
 20 % below the committed baseline.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from conftest import banner
+from conftest import banner, regression_gate, write_bench_json
 
 from repro import PhaseBeat, capture_trace, laboratory_scenario
 from repro.errors import NotStationaryError
@@ -46,7 +43,6 @@ _STREAM_HOP_S = 1.0
 # incremental path silently stopped being incremental", not defend the
 # exact factor against shared-runner noise.
 _MIN_IMPROVEMENT_FACTOR = 3.0
-_BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 
 def _get_trace():
@@ -199,12 +195,7 @@ def test_streaming_throughput_incremental_vs_batch():
     rows.append(["improvement factor", improvement])
     print(format_table(["metric", "value"], rows))
 
-    out_path = os.environ.get("THROUGHPUT_BENCH_JSON")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out_path}")
+    write_bench_json("THROUGHPUT_BENCH_JSON", report)
 
     # Both sides covered the same windows.
     assert after["n_windows"] == before["n_windows"] > 0
@@ -219,12 +210,9 @@ def test_streaming_throughput_incremental_vs_batch():
         f"(floor {_MIN_IMPROVEMENT_FACTOR}x)"
     )
 
-    if os.environ.get("THROUGHPUT_REGRESSION_GATE") == "1":
-        with open(_BASELINE_PATH, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        floor = 0.8 * baseline["improvement_factor"]
-        assert improvement >= floor, (
-            f"improvement factor {improvement:.2f}x regressed more than 20% "
-            f"below the committed baseline "
-            f"{baseline['improvement_factor']:.2f}x (floor {floor:.2f}x)"
-        )
+    regression_gate(
+        "THROUGHPUT_REGRESSION_GATE",
+        "BENCH_throughput.json",
+        "improvement_factor",
+        improvement,
+    )

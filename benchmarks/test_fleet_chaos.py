@@ -184,5 +184,4 @@ def test_fleet_runs_are_byte_reproducible():
     print(f"event log: {len(reports[0].events)} events")
     print(f"metrics:   {len(reports[0].metrics_json)} bytes of canonical JSON")
 
-    assert reports[0].events_jsonl == reports[1].events_jsonl
-    assert reports[0].metrics_json == reports[1].metrics_json
+    assert reports[0].artifacts() == reports[1].artifacts()

@@ -12,11 +12,9 @@ CI's ``obs`` job runs this file and uploads the printed report plus the
 ``BENCH_obs.json`` artifact written next to the working directory.
 """
 
-import json
-import os
 import time
 
-from conftest import banner
+from conftest import banner, write_bench_json
 
 from repro import PhaseBeat, capture_trace, laboratory_scenario
 from repro.eval.reporting import format_table
@@ -96,22 +94,17 @@ def test_obs_overhead_under_five_percent():
         )
     )
 
-    out_path = os.environ.get("OBS_BENCH_JSON")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "rounds": _ROUNDS,
-                    "best_bare_s": best_bare,
-                    "best_instrumented_s": best_instrumented,
-                    "overhead_fraction": overhead_fraction,
-                    "budget_fraction": _MAX_OVERHEAD_FRACTION,
-                    "n_series": len(registry),
-                },
-                fh,
-                indent=2,
-            )
-        print(f"wrote {out_path}")
+    write_bench_json(
+        "OBS_BENCH_JSON",
+        {
+            "rounds": _ROUNDS,
+            "best_bare_s": best_bare,
+            "best_instrumented_s": best_instrumented,
+            "overhead_fraction": overhead_fraction,
+            "budget_fraction": _MAX_OVERHEAD_FRACTION,
+            "n_series": len(registry),
+        },
+    )
 
     # The registry actually saw the run — a 0 % overhead "win" because
     # instrumentation silently disconnected would be a false pass.

@@ -95,24 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser(
         "simulate", help="simulate a CSI capture and write it to .npz"
     )
-    simulate.add_argument(
-        "--scenario",
-        choices=("lab", "through-wall", "corridor"),
-        default="lab",
-        help="deployment to simulate",
-    )
-    simulate.add_argument("--duration", type=float, default=30.0, help="seconds")
-    simulate.add_argument(
-        "--rate", type=float, default=400.0, help="packets per second"
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--persons", type=int, default=1, help="number of subjects"
-    )
-    simulate.add_argument(
-        "--distance", type=float, default=None,
-        help="TX-RX separation for through-wall / corridor (m)",
-    )
+    _add_capture_flags(simulate, duration_s=30.0, rate_hz=400.0)
     simulate.add_argument(
         "--directional", action="store_true",
         help="aim a directional TX at the first subject (heart setup)",
@@ -179,19 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="a shipped scenario name (e.g. source-crash) or a JSON "
         "fault-schedule file; omit for a fault-free run",
     )
-    monitor.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the chaos report as JSON",
-    )
-    monitor.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the faulted run's metrics snapshot as canonical JSON "
-        "(byte-identical across identical runs)",
-    )
-    monitor.add_argument(
-        "--events-out", default=None, metavar="PATH",
-        help="write the faulted run's event log as JSON Lines",
-    )
+    _add_report_flags(monitor, "faulted run's")
 
     fleet = sub.add_parser(
         "fleet",
@@ -217,19 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-isolation-check", action="store_true",
         help="skip the solo-baseline byte-compare (faster for large fleets)",
     )
-    fleet.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the fleet chaos report as JSON",
-    )
-    fleet.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="write the fleet run's metrics snapshot as canonical JSON "
-        "(byte-identical across identical runs)",
-    )
-    fleet.add_argument(
-        "--events-out", default=None, metavar="PATH",
-        help="write the fleet event log as JSON Lines",
-    )
+    _add_report_flags(fleet, "fleet run's")
 
     sanitize = sub.add_parser(
         "sanitize",
@@ -292,24 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="simulate a capture and record it into a crash-safe trace store",
     )
-    record.add_argument(
-        "--scenario",
-        choices=("lab", "through-wall", "corridor"),
-        default="lab",
-        help="deployment to simulate",
-    )
-    record.add_argument("--duration", type=float, default=20.0, help="seconds")
-    record.add_argument(
-        "--rate", type=float, default=30.0, help="packets per second"
-    )
-    record.add_argument("--seed", type=int, default=0)
-    record.add_argument(
-        "--persons", type=int, default=1, help="number of subjects"
-    )
-    record.add_argument(
-        "--distance", type=float, default=None,
-        help="TX-RX separation for through-wall / corridor (m)",
-    )
+    _add_capture_flags(record, duration_s=20.0, rate_hz=30.0)
     record.add_argument(
         "--session", default="", metavar="ID",
         help="session id stamped into segment headers",
@@ -449,49 +391,88 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_scenario(
-    name: str,
-    n_persons: int,
-    seed: int,
-    *,
-    distance: float | None = None,
-    directional: bool = False,
-) -> Scenario:
-    """Build one of the paper's deployments with seeded subjects."""
+def _add_capture_flags(
+    parser: argparse.ArgumentParser, *, duration_s: float, rate_hz: float
+) -> None:
+    """The capture flags ``simulate`` and ``record`` share (see
+    :func:`_capture`)."""
+    parser.add_argument(
+        "--scenario",
+        choices=("lab", "through-wall", "corridor"),
+        default="lab",
+        help="deployment to simulate",
+    )
+    parser.add_argument("--duration", type=float, default=duration_s, help="seconds")
+    parser.add_argument(
+        "--rate", type=float, default=rate_hz, help="packets per second"
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--persons", type=int, default=1, help="number of subjects"
+    )
+    parser.add_argument(
+        "--distance", type=float, default=None,
+        help="TX-RX separation for through-wall / corridor (m)",
+    )
+
+
+def _add_report_flags(parser: argparse.ArgumentParser, run: str) -> None:
+    """The output flags ``monitor`` and ``fleet`` share (see
+    :func:`_finish_chaos_run`)."""
+    parser.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="also write the chaos report as JSON",
+    )
+    parser.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help=f"write the {run} metrics snapshot as canonical JSON "
+        "(byte-identical across identical runs)",
+    )
+    parser.add_argument(
+        "--events-out", default=None, metavar="PATH",
+        help=f"write the {run} event log as JSON Lines",
+    )
+
+
+def _capture(args: argparse.Namespace, *, directional: bool = False) -> CSITrace:
+    """Simulate the capture :func:`_add_capture_flags` describes: one of the
+    paper's deployments with seeded subjects."""
     from .eval.harness import default_subject
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     persons = [
-        default_subject(rng, with_heartbeat=True) for _ in range(n_persons)
+        default_subject(rng, with_heartbeat=True) for _ in range(args.persons)
     ]
-    if name == "lab":
-        return laboratory_scenario(
-            persons, directional_tx=directional, clutter_seed=seed
+    scenario: Scenario
+    if args.scenario == "lab":
+        scenario = laboratory_scenario(
+            persons, directional_tx=directional, clutter_seed=args.seed
         )
-    if name == "through-wall":
-        return through_wall_scenario(
-            distance or 4.0, persons, clutter_seed=seed
+    elif args.scenario == "through-wall":
+        scenario = through_wall_scenario(
+            args.distance or 4.0, persons, clutter_seed=args.seed
         )
-    return corridor_scenario(distance or 5.0, persons, clutter_seed=seed)
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _make_scenario(
-        args.scenario,
-        args.persons,
-        args.seed,
-        distance=args.distance,
-        directional=args.directional,
-    )
-    trace = capture_trace(
+    else:
+        scenario = corridor_scenario(
+            args.distance or 5.0, persons, clutter_seed=args.seed
+        )
+    return capture_trace(
         scenario,
         duration_s=args.duration,
         sample_rate_hz=args.rate,
         seed=args.seed,
     )
+
+
+def _truth(trace: CSITrace) -> str:
+    """The capture's ground-truth breathing rates, for a summary line."""
+    return ", ".join(f"{r:.2f}" for r in trace.meta["breathing_rates_bpm"])
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    trace = _capture(args, directional=args.directional)
     path = trace.save(args.out)
-    truth = ", ".join(f"{r:.2f}" for r in trace.meta["breathing_rates_bpm"])
-    print(f"wrote {path} ({trace.n_packets} packets, truth: {truth} bpm)")
+    print(f"wrote {path} ({trace.n_packets} packets, truth: {_truth(trace)} bpm)")
     return 0
 
 
@@ -566,8 +547,29 @@ def _chaos_scenario(name_or_path: str | None) -> chaos.Scenario:
     return chaos.load_scenario(name_or_path)
 
 
+def _finish_chaos_run(
+    args: argparse.Namespace,
+    report: chaos.ChaosReport | chaos.FleetChaosReport,
+    invariants: str,
+) -> int:
+    """Print the invariant verdict, write the requested report outputs, and
+    return the exit code: 1 when an invariant was violated."""
+    import json
+
+    violations = report.violations()
+    print(f"  {invariants} invariants: {'OK' if not violations else violations}")
+    if args.json:
+        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
+    artifacts = report.artifacts()
+    if args.metrics_out:
+        _write(args.metrics_out, artifacts["metrics.json"])
+    if args.events_out:
+        _write(args.events_out, artifacts["events.jsonl"])
+    return 0 if not violations else 1
+
+
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .obs import MetricsRegistry, canonical_json
+    from .obs import MetricsRegistry
     from .service.chaos import run_chaos
 
     scenario = _chaos_scenario(args.chaos_scenario)
@@ -606,22 +608,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         f"  median error: fault-free {report.fault_free_median_error_bpm:.3f} "
         f"bpm, post-recovery {report.post_recovery_median_error_bpm:.3f} bpm"
     )
-    violations = report.violations()
-    print(f"  recovery invariants: {'OK' if not violations else violations}")
-    if args.json:
-        import json
-
-        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
-    if registry is not None:
-        _write(args.metrics_out, canonical_json(registry.snapshot()))
-    if args.events_out:
-        _write(args.events_out, report.events.to_jsonl())
-    return 0 if not violations else 1
+    return _finish_chaos_run(args, report, "recovery")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import MetricsRegistry
     from .service.chaos import run_fleet_chaos
 
@@ -654,15 +644,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     if report.faulted_ids:
         print(f"  faulted: {len(report.faulted_ids)} sessions")
-    violations = report.violations()
-    print(f"  fleet invariants: {'OK' if not violations else violations}")
-    if args.json:
-        _write(args.json, json.dumps(report.to_jsonable(), indent=2))
-    if registry is not None:
-        _write(args.metrics_out, report.metrics_json)
-    if args.events_out:
-        _write(args.events_out, report.events_jsonl)
-    return 0 if not violations else 1
+    return _finish_chaos_run(args, report, "fleet")
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -749,15 +731,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from .service.sources import TracePacketSource
     from .store import DirectoryBackend, RecordingTap
 
-    scenario = _make_scenario(
-        args.scenario, args.persons, args.seed, distance=args.distance
-    )
-    trace = capture_trace(
-        scenario,
-        duration_s=args.duration,
-        sample_rate_hz=args.rate,
-        seed=args.seed,
-    )
+    trace = _capture(args)
     clock = SimulatedClock()
     tap = RecordingTap(
         TracePacketSource(trace, clock),
@@ -774,12 +748,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
         tap.next_packet()
     tap.close()
     digest = tap.digest()
-    truth = ", ".join(
-        f"{r:.2f}" for r in trace.meta["breathing_rates_bpm"]
-    )
     print(
         f"recorded {tap.n_recorded} packets into {args.out} "
-        f"({len(digest['segments'])} segment(s), truth: {truth} bpm)"
+        f"({len(digest['segments'])} segment(s), truth: {_truth(trace)} bpm)"
     )
     return 0
 
@@ -788,33 +759,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
     from .core.streaming import StreamingConfig
-    from .obs.clock import WallClock
-    from .service.clock import SimulatedClock
-    from .service.supervisor import MonitorSupervisor
-    from .store import DirectoryBackend, ReplayPacketSource
+    from .store.backtest import replay_store
 
-    backend = DirectoryBackend(args.store)
-    wall = WallClock()
-    wall_start = wall.now_s
-    clock = SimulatedClock()
-    probe = ReplayPacketSource(backend, args.stem, clock)
-    supervisor = MonitorSupervisor(
-        clock=clock,
+    estimates, _, probe, wall_s = replay_store(
+        args.store,
+        args.stem,
+        "replay",
         streaming_config=StreamingConfig(window_s=args.window, hop_s=args.hop),
         seed=args.seed,
     )
-    supervisor.add_subject(
-        "replay",
-        lambda start_at_s: ReplayPacketSource(
-            backend,
-            args.stem,
-            clock,
-            start_at_s=start_at_s if start_at_s > 0 else None,
-        ),
-        probe.sample_rate_hz,
-    )
-    estimates = supervisor.run()
-    wall_s = max(wall.now_s - wall_start, 1e-9)
     speedup = probe.duration_s / wall_s
     salvage = probe.salvage_report
 
@@ -917,13 +870,7 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
     from .eval.harness import default_subject, run_breathing_trials
     from .learn import LearnedEstimator, read_bundle
     from .physio.person import Person
-    from .rf.impairments import (
-        BernoulliLoss,
-        Impairment,
-        ImpulsiveCorruption,
-        SubcarrierNulls,
-        TimestampJitter,
-    )
+    from .rf.impairments import Impairment, heavy_impairments
 
     bundle = read_bundle(args.bundle)
     learned = LearnedEstimator(bundle, use_mlp=args.mlp)
@@ -945,14 +892,7 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
         )
 
     def impairments(k: int, rng: np.random.Generator) -> list[Impairment]:
-        if not args.heavy:
-            return []
-        return [
-            BernoulliLoss(loss_fraction=0.4),
-            TimestampJitter(std_s=8e-3),
-            ImpulsiveCorruption(hit_fraction=0.05, magnitude=12.0),
-            SubcarrierNulls(n_nulls=8),
-        ]
+        return heavy_impairments() if args.heavy else []
 
     results = run_breathing_trials(
         factory,

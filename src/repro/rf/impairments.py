@@ -44,6 +44,7 @@ __all__ = [
     "SubcarrierNulls",
     "SegmentImpairment",
     "apply_impairments",
+    "heavy_impairments",
 ]
 
 
@@ -515,3 +516,18 @@ def apply_impairments(
     for impairment, stream in zip(impairments, streams):
         out = impairment.apply(out, stream)
     return out
+
+
+def heavy_impairments() -> list[Impairment]:
+    """The heavy impairment mix: 40 % loss, 8 ms timestamp jitter, 5 %
+    impulses at 12× magnitude and 8 nulled subcarriers.
+
+    Compound channel damage: the regime of the paper's worst-case
+    through-wall runs, plus commodity-NIC pathologies.
+    """
+    return [
+        BernoulliLoss(loss_fraction=0.4),
+        TimestampJitter(std_s=8e-3),
+        ImpulsiveCorruption(hit_fraction=0.05, magnitude=12.0),
+        SubcarrierNulls(n_nulls=8),
+    ]

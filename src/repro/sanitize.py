@@ -23,11 +23,10 @@ Used three ways:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from repro.obs import MetricsRegistry, canonical_json
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "Divergence",
@@ -180,42 +179,28 @@ def run_twice(label: str, runner: Runner) -> SanitizeReport:
     first = dict(runner())
     second = dict(runner())
     names = sorted(set(first) | set(second))
-    total_bytes = sum(len(first.get(n, "").encode("utf-8")) for n in names)
+    divergence: Divergence | None = None
     for name in names:
         if name not in first or name not in second:
             missing_in = "first" if name not in first else "second"
-            return SanitizeReport(
-                label=label,
-                artifacts=tuple(names),
-                artifact_bytes_total=total_bytes,
-                divergence=Divergence(
-                    artifact=name,
-                    line_no=1,
-                    first_run=first.get(name, "<artifact missing>"),
-                    second_run=second.get(name, "<artifact missing>"),
-                    context=(f"artifact missing from {missing_in} run",),
-                ),
+            divergence = Divergence(
+                artifact=name,
+                line_no=1,
+                first_run=first.get(name, "<artifact missing>"),
+                second_run=second.get(name, "<artifact missing>"),
+                context=(f"artifact missing from {missing_in} run",),
             )
-        divergence = _first_divergence(name, first[name], second[name])
+        else:
+            divergence = _first_divergence(name, first[name], second[name])
         if divergence is not None:
-            return SanitizeReport(
-                label=label,
-                artifacts=tuple(names),
-                artifact_bytes_total=total_bytes,
-                divergence=divergence,
-            )
+            break
     return SanitizeReport(
         label=label,
         artifacts=tuple(names),
-        artifact_bytes_total=total_bytes,
-    )
-
-
-def _estimate_lines(estimates: list[Any]) -> str:
-    """Canonical JSONL encoding of a service-estimate stream."""
-    return "\n".join(
-        json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
-        for e in estimates
+        artifact_bytes_total=sum(
+            len(first.get(n, "").encode("utf-8")) for n in names
+        ),
+        divergence=divergence,
     )
 
 
@@ -246,10 +231,11 @@ def sanitize_chaos(
         seed: Scenario seed used by *both* runs.
 
     Returns:
-        The run-twice report.  A solo run compares the event log,
-        estimate stream, final health summary, and metrics snapshot; a
-        fleet run compares the fleet event log, metrics snapshot, and
-        summary report.
+        The run-twice report over the run report's
+        :meth:`~repro.service.chaos.ChaosReport.artifacts`: a solo run
+        compares the event log, estimate stream, final health summary,
+        and metrics snapshot; a fleet run compares the fleet event log,
+        metrics snapshot, and summary report.
     """
     from repro.service.chaos import load_scenario, run_chaos, run_fleet_chaos
 
@@ -262,32 +248,14 @@ def sanitize_chaos(
         )
         if value is not None
     }
-
-    def solo_runner() -> dict[str, str]:
-        registry = MetricsRegistry()
-        report = run_chaos(spec, seed=seed, registry=registry, **run_kwargs)
-        return {
-            "events.jsonl": report.events.to_jsonl(),
-            "estimates.jsonl": _estimate_lines(report.estimates),
-            "health.json": json.dumps(report.health, sort_keys=True),
-            "metrics.json": canonical_json(registry.snapshot()),
-        }
-
-    def fleet_runner() -> dict[str, str]:
-        report = run_fleet_chaos(
-            spec,
-            n_sessions=n_sessions,
-            seed=seed,
-            registry=MetricsRegistry(),
-            check_isolation=False,
-            **run_kwargs,
-        )
-        return {
-            "events.jsonl": report.events_jsonl,
-            "metrics.json": report.metrics_json or "",
-            "report.json": json.dumps(report.to_jsonable(), sort_keys=True),
-        }
-
+    run: Callable[..., Any] = run_chaos
     if spec.is_fleet:
-        return run_twice(f"fleet:{spec.name}", fleet_runner)
-    return run_twice(f"solo:{spec.name}", solo_runner)
+        run = run_fleet_chaos
+        run_kwargs.update(n_sessions=n_sessions, check_isolation=False)
+
+    def runner() -> dict[str, str]:
+        report = run(spec, seed=seed, registry=MetricsRegistry(), **run_kwargs)
+        return report.artifacts()
+
+    kind = "fleet" if spec.is_fleet else "solo"
+    return run_twice(f"{kind}:{spec.name}", runner)

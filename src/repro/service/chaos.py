@@ -63,9 +63,10 @@ Each driver rejects a kind it cannot run before it simulates anything.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -111,6 +112,8 @@ __all__ = [
     "run_chaos",
     "FleetChaosReport",
     "run_fleet_chaos",
+    "estimates_jsonl",
+    "anonymous_estimates_jsonl",
 ]
 
 # The kinds run_chaos injects into one supervised subject.
@@ -735,6 +738,8 @@ class ChaosReport:
         n_post_recovery: Number of fresh post-recovery estimates.
         trace_quality: One-line quality summary of the (possibly degraded)
             capture the faulted run consumed.
+        metrics_json: Canonical JSON metrics snapshot of the faulted run,
+            when a registry was supplied (``None`` otherwise).
     """
 
     scenario: Scenario
@@ -747,6 +752,7 @@ class ChaosReport:
     recovery_horizon_s: float
     n_post_recovery: int
     trace_quality: str
+    metrics_json: str | None = field(repr=False)
 
     def violations(self, *, tolerance_bpm: float = 0.5) -> list[str]:
         """Recovery invariants violated by this run (empty = recovered).
@@ -787,6 +793,32 @@ class ChaosReport:
             "n_events": len(self.events),
         }
 
+    def artifacts(self) -> dict[str, str]:
+        """The run's byte-reproducible artifacts: file name -> text.
+
+        The event log, the estimate stream, the final health summary and
+        the metrics snapshot (empty without a registry).
+        """
+        return {
+            "events.jsonl": self.events.to_jsonl(),
+            "estimates.jsonl": estimates_jsonl(self.estimates),
+            "health.json": json.dumps(self.health, sort_keys=True),
+            "metrics.json": self.metrics_json or "",
+        }
+
+
+def estimates_jsonl(estimates: list[ServiceEstimate]) -> str:
+    """Canonical JSONL encoding of a service-estimate stream."""
+    return "\n".join(
+        json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":"))
+        for e in estimates
+    )
+
+
+def _metrics_json(registry: MetricsRegistry | None) -> str | None:
+    """Canonical JSON snapshot of ``registry`` (``None`` without one)."""
+    return canonical_json(registry.snapshot()) if registry is not None else None
+
 
 def _median_error(
     estimates: list[ServiceEstimate],
@@ -812,9 +844,8 @@ def _run_supervised(
     streaming_config: StreamingConfig,
     supervisor_config: SupervisorConfig,
     seed: int,
-    subject_name: str,
+    learned_bundle: Any | None,
     registry: MetricsRegistry | None = None,
-    learned_bundle: Any | None = None,
 ) -> tuple[MonitorSupervisor, list[ServiceEstimate]]:
     clock = SimulatedClock(float(trace.timestamps_s[0]))
     instrumentation = (
@@ -841,7 +872,7 @@ def _run_supervised(
     )
     interval_s = 1.0 / sample_rate_hz
     supervisor.add_subject(
-        subject_name,
+        "subject",
         flaky_source_factory(
             trace,
             clock,
@@ -855,7 +886,7 @@ def _run_supervised(
     for crash_at_s in sorted(
         f.at_s for f in faults if f.kind == "monitor-crash"
     ):
-        supervisor.schedule_monitor_crash(subject_name, t0_s + crash_at_s)
+        supervisor.schedule_monitor_crash("subject", t0_s + crash_at_s)
     duration_s = float(trace.timestamps_s[-1] - trace.timestamps_s[0])
     # Budgeted well past the trace so exhaustion, not the budget, normally
     # ends the run — the budget only bounds pathological stall loops.
@@ -940,28 +971,19 @@ def run_chaos(
             )
         )
 
-    _, reference_estimates = _run_supervised(
-        trace,
-        sample_rate_hz,
-        faults=(),
+    run = functools.partial(
+        _run_supervised,
+        sample_rate_hz=sample_rate_hz,
         streaming_config=streaming_config,
         supervisor_config=supervisor_config,
         seed=seed,
-        subject_name="subject",
         learned_bundle=learned_bundle,
     )
+    _, reference_estimates = run(trace, faults=())
     fault_free_median, _ = _median_error(reference_estimates, truth_bpm)
 
-    faulted, estimates = _run_supervised(
-        degraded_trace,
-        sample_rate_hz,
-        faults=scenario.faults,
-        streaming_config=streaming_config,
-        supervisor_config=supervisor_config,
-        seed=seed,
-        subject_name="subject",
-        registry=registry,
-        learned_bundle=learned_bundle,
+    faulted, estimates = run(
+        degraded_trace, faults=scenario.faults, registry=registry
     )
     health = faulted.health_summary()
 
@@ -984,6 +1006,7 @@ def run_chaos(
         recovery_horizon_s=horizon_s,
         n_post_recovery=n_post,
         trace_quality=assess_trace(degraded_trace).summary(),
+        metrics_json=_metrics_json(registry),
     )
 
 
@@ -1005,8 +1028,6 @@ class FleetChaosReport:
         recovery_horizon_s: Time from which estimates count as recovered.
         fleet_summary: The gateway's final roll-up.
         events: The shared fleet event log.
-        events_jsonl: Canonical JSONL encoding of the event log (the
-            byte-reproducibility artefact).
         metrics_json: Canonical JSON metrics snapshot, when a registry
             was supplied (``None`` otherwise).
         n_estimates_total: Estimates emitted across the whole fleet.
@@ -1025,7 +1046,6 @@ class FleetChaosReport:
     recovery_horizon_s: float
     fleet_summary: dict[str, Any]
     events: EventLog = field(repr=False)
-    events_jsonl: str = field(repr=False)
     metrics_json: str | None = field(repr=False)
     n_estimates_total: int = 0
     recordings: dict[str, Any] = field(default_factory=dict)
@@ -1059,22 +1079,27 @@ class FleetChaosReport:
             "recordings": self.recordings,
         }
 
+    def artifacts(self) -> dict[str, str]:
+        """The run's byte-reproducible artifacts: file name -> text.
 
-def _estimate_stream_bytes(estimates: list[ServiceEstimate]) -> bytes:
-    """Canonical byte encoding of an estimate stream, identity excluded.
+        The fleet event log, the metrics snapshot (empty without a
+        registry) and the summary report.
+        """
+        return {
+            "events.jsonl": self.events.to_jsonl(),
+            "metrics.json": self.metrics_json or "",
+            "report.json": json.dumps(self.to_jsonable(), sort_keys=True),
+        }
+
+
+def anonymous_estimates_jsonl(estimates: list[ServiceEstimate]) -> str:
+    """:func:`estimates_jsonl` with every ``subject`` blanked.
 
     The ``subject`` field is the session's *name*, not part of the
-    estimate; dropping it lets a solo baseline (run under its own id)
+    estimate; blanking it lets a solo baseline (run under its own id)
     byte-compare against any fleet session consuming the same trace.
     """
-    lines = []
-    for estimate in estimates:
-        payload = estimate.to_dict()
-        del payload["subject"]
-        lines.append(
-            json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
-    return "\n".join(lines).encode("utf-8")
+    return estimates_jsonl([replace(e, subject="") for e in estimates])
 
 
 def _trace_factory(trace: CSITrace) -> Callable[[SimulatedClock], PacketSource]:
@@ -1455,9 +1480,9 @@ def run_fleet_chaos(
             if sid in targeted or sid in shed_ids:
                 continue
             k = trace_of[sid]
-            if _estimate_stream_bytes(
+            if anonymous_estimates_jsonl(
                 gateway.estimates(sid)
-            ) != _estimate_stream_bytes(solo_baseline(k)[0]):
+            ) != anonymous_estimates_jsonl(solo_baseline(k)[0]):
                 interference.append(sid)
 
     results = gateway.results()
@@ -1472,12 +1497,7 @@ def run_fleet_chaos(
         recovery_horizon_s=horizon_s,
         fleet_summary=gateway.fleet_summary(),
         events=gateway.events,
-        events_jsonl=gateway.events.to_jsonl(),
-        metrics_json=(
-            canonical_json(registry.snapshot())
-            if registry is not None
-            else None
-        ),
+        metrics_json=_metrics_json(registry),
         n_estimates_total=sum(len(v) for v in results.values()),  # phaselint: insertion-order -- integer count, order-independent
         recordings=recordings,
     )

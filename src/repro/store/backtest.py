@@ -8,12 +8,14 @@ naming each scenario's expected vital-sign baseline::
       lab-still/            one store: trace-00000.cst ... + trace.cidx
       lab-two-person/       ...
 
-:func:`run_backtest` replays every scenario through the supervised
+:func:`replay_store` replays one store through the supervised
 monitoring service (:class:`~repro.service.supervisor.MonitorSupervisor`
 fed by :class:`~repro.store.replay.ReplayPacketSource` on a
-:class:`~repro.service.clock.SimulatedClock`), compares the median
-estimate against the manifest baseline, and reports pass/fail per
-scenario — the regression gate ``repro-phasebeat backtest`` exposes.
+:class:`~repro.service.clock.SimulatedClock`); ``repro-phasebeat replay``
+prints its result.  :func:`run_backtest` replays every corpus scenario
+through it, compares the median estimate against the manifest baseline,
+and reports pass/fail per scenario — the regression gate
+``repro-phasebeat backtest`` exposes.
 
 Because replay time is simulated, a backtest runs as fast as the CPU
 allows; the report includes the measured wall-time speedup
@@ -33,17 +35,16 @@ import math
 import os
 import statistics
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core.streaming import StreamingConfig
 from ..errors import TraceStoreError
 from ..obs import Instrumentation, NULL_INSTRUMENTATION
-from ..obs.clock import Clock, WallClock
+from ..obs.clock import WallClock
 from ..service.clock import SimulatedClock
 from ..service.sources import PacketSource
-from ..service.supervisor import MonitorSupervisor, SupervisorConfig
+from ..service.supervisor import MonitorSupervisor, ServiceEstimate
 from .backend import DirectoryBackend
-from .reader import TraceReader
 from .replay import ReplayPacketSource
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
     "BacktestReport",
     "load_manifest",
     "run_backtest",
+    "StoreReplay",
+    "replay_store",
     "DEFAULT_BACKTEST_STREAMING",
 ]
 
@@ -60,7 +63,7 @@ _MANIFEST_FORMAT_VERSION = 1
 
 # Corpus traces are short lab captures; the service defaults (30 s
 # windows) would yield no estimates, so backtests use the fleet-style
-# short-window configuration unless the caller overrides it.
+# short-window configuration.
 DEFAULT_BACKTEST_STREAMING = StreamingConfig(window_s=8.0, hop_s=4.0)
 
 
@@ -278,30 +281,55 @@ def load_manifest(
     return stem, baselines
 
 
-def _replay_scenario(
-    corpus_dir: str,
+class StoreReplay(NamedTuple):
+    """What :func:`replay_store` hands back.
+
+    Attributes:
+        estimates: Every emission of the replayed subject.
+        supervisor: The supervisor that ran it (for its health summary).
+        probe: An uninstrumented source over the whole store: record
+            count, recorded duration, sample rate and salvage report.
+        wall_s: Wall seconds from opening the store to the last estimate.
+    """
+
+    estimates: list[ServiceEstimate]
+    supervisor: MonitorSupervisor
+    probe: ReplayPacketSource
+    wall_s: float
+
+
+def replay_store(
+    store_dir: str,
     stem: str,
-    baseline: ScenarioBaseline,
+    subject: str,
     *,
     streaming_config: StreamingConfig,
-    supervisor_config: SupervisorConfig | None,
     seed: int,
-    inject_bias_bpm: float,
-    wall_clock: Clock,
-    instrumentation: Instrumentation,
-) -> ScenarioResult:
-    store_dir = os.path.join(corpus_dir, baseline.name)
-    if not os.path.isdir(store_dir):
-        raise TraceStoreError(
-            f"scenario {baseline.name!r}: store directory {store_dir!r} "
-            "does not exist"
-        )
-    backend = DirectoryBackend(store_dir)
-    # Pre-scan (un-instrumented) for record counts and salvage status, so
-    # the per-delivery metrics below count each record exactly once.
-    _, salvage = TraceReader(backend, stem).scan()
+    instrumentation: Instrumentation | None = None,
+) -> StoreReplay:
+    """Replay one recorded store through a supervised monitor.
 
-    wall_start = wall_clock.now_s
+    The store drives a :class:`~repro.service.supervisor.MonitorSupervisor`
+    on a :class:`~repro.service.clock.SimulatedClock`; a source the
+    supervisor rebuilds after a crash resumes at the restart time.  Wall
+    time is measured with a :class:`~repro.obs.clock.WallClock`.
+
+    Args:
+        store_dir: Directory holding the store.
+        stem: Store name inside ``store_dir``.
+        subject: Subject name the estimates carry.
+        streaming_config: Monitor window parameters.
+        seed: Seed for the supervisor's retry jitter.
+        instrumentation: Optional instrumentation for the supervisor and
+            the sources it reads (``replay_records_total``).
+
+    Raises:
+        TraceStoreError: The store has no segments or no replayable
+            records.
+    """
+    backend = DirectoryBackend(store_dir)
+    wall = WallClock()
+    wall_start = wall.now_s
     clock = SimulatedClock()
 
     def factory(start_at_s: float) -> PacketSource:
@@ -316,14 +344,39 @@ def _replay_scenario(
     probe = ReplayPacketSource(backend, stem, clock)
     supervisor = MonitorSupervisor(
         clock=clock,
-        config=supervisor_config,
         streaming_config=streaming_config,
         seed=seed,
         instrumentation=instrumentation,
     )
-    supervisor.add_subject(baseline.name, factory, probe.sample_rate_hz)
+    supervisor.add_subject(subject, factory, probe.sample_rate_hz)
     estimates = supervisor.run()
-    wall_s = max(wall_clock.now_s - wall_start, 1e-9)
+    wall_s = max(wall.now_s - wall_start, 1e-9)
+    return StoreReplay(estimates, supervisor, probe, wall_s)
+
+
+def _replay_scenario(
+    corpus_dir: str,
+    stem: str,
+    baseline: ScenarioBaseline,
+    *,
+    seed: int,
+    inject_bias_bpm: float,
+    instrumentation: Instrumentation,
+) -> ScenarioResult:
+    store_dir = os.path.join(corpus_dir, baseline.name)
+    if not os.path.isdir(store_dir):
+        raise TraceStoreError(
+            f"scenario {baseline.name!r}: store directory {store_dir!r} "
+            "does not exist"
+        )
+    estimates, supervisor, probe, wall_s = replay_store(
+        store_dir,
+        stem,
+        baseline.name,
+        streaming_config=DEFAULT_BACKTEST_STREAMING,
+        seed=seed,
+        instrumentation=instrumentation,
+    )
 
     usable = [
         e.rate_bpm + inject_bias_bpm
@@ -344,8 +397,8 @@ def _replay_scenario(
         labels={"scenario": baseline.name},
         help_text="Recorded seconds replayed per wall-clock second.",
     )
-    summary = supervisor.health_summary()
-    health = summary["health"]
+    health = supervisor.health_summary()["health"]
+    salvage = probe.salvage_report
 
     failures: list[str] = []
     if len(usable) < baseline.min_estimates:
@@ -375,29 +428,23 @@ def run_backtest(
     corpus_dir: str,
     *,
     scenarios: list[str] | None = None,
-    streaming_config: StreamingConfig | None = None,
-    supervisor_config: SupervisorConfig | None = None,
     seed: int = 0,
     inject_bias_bpm: float = 0.0,
-    wall_clock: Clock | None = None,
     instrumentation: Instrumentation | None = None,
 ) -> BacktestReport:
     """Replay a corpus through the pipeline and diff against baselines.
+
+    Every scenario replays through :func:`replay_store` with
+    :data:`DEFAULT_BACKTEST_STREAMING` (8 s windows, 4 s hop).
 
     Args:
         corpus_dir: Corpus directory holding ``manifest.json`` + stores.
         scenarios: Subset of scenario names to run (default: all, in
             manifest order).
-        streaming_config: Monitor window parameters; defaults to
-            :data:`DEFAULT_BACKTEST_STREAMING` (8 s windows, 4 s hop).
-        supervisor_config: Supervision parameters (service defaults).
         seed: Seed for the supervisor's retry jitter.
         inject_bias_bpm: Deliberate estimate bias — a gate self-test
             knob: a non-zero bias models an estimator regression and
             must make the backtest fail.
-        wall_clock: Clock used to measure replay wall time (a
-            :class:`~repro.obs.clock.WallClock` by default; tests inject
-            a simulated one for determinism).
         instrumentation: Optional :class:`repro.obs.Instrumentation`
             (``replay_records_total``, ``replay_speedup_ratio`` and the
             supervisor's series).
@@ -415,22 +462,14 @@ def run_backtest(
                 f"unknown scenario(s) {unknown}; corpus has {sorted(known)}"
             )
         baselines = [b for b in baselines if b.name in set(scenarios)]
-    wall = wall_clock if wall_clock is not None else WallClock()
     obs = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
     results = [
         _replay_scenario(
             corpus_dir,
             stem,
             baseline,
-            streaming_config=(
-                streaming_config
-                if streaming_config is not None
-                else DEFAULT_BACKTEST_STREAMING
-            ),
-            supervisor_config=supervisor_config,
             seed=seed,
             inject_bias_bpm=inject_bias_bpm,
-            wall_clock=wall,
             instrumentation=obs,
         )
         for baseline in baselines

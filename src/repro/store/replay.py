@@ -11,7 +11,8 @@ packet's original capture time, exactly like
 service waits on wall time, a recorded hour replays as fast as the CPU
 can push packets, which is what makes backtesting faster than real time
 (the ``replay_speedup_ratio`` gauge is the recorded duration divided by
-the wall seconds the replay took, measured by the caller with a
+the wall seconds the replay took, measured by
+:func:`~repro.store.backtest.replay_store` with a
 :class:`~repro.obs.clock.WallClock`).
 
 The source reads through :class:`~repro.store.reader.TraceReader`, so a

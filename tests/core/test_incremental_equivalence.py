@@ -423,8 +423,24 @@ class TestCheckpointAfterEviction:
         assert_estimates_bitwise_equal(estimates_a + estimates_b, ref_estimates)
         assert second.counters == reference.counters
         # Rates are blind to whole turns added to a column (detrending
-        # removes them), so the restored engine's anchor is checked where
-        # it surfaces: the next checkpoint carries the same cycle counts.
+        # removes them up to float rounding), so the restored engine's
+        # anchor is checked where it surfaces: its unwrapped cache matches
+        # the uninterrupted engine's byte for byte, and so does its
+        # calibrated cache past the rebuild context (the rows before it
+        # were rebuilt from a suffix and may differ; no window reads them).
+        restored, uninterrupted = second._engine, reference._engine
+        assert restored is not None and uninterrupted is not None
+        assert restored.n_rows == uninterrupted.n_rows
+        assert (
+            restored.unwrapped_window(0).tobytes()
+            == uninterrupted.unwrapped_window(0).tobytes()
+        )
+        exact_from = restored.rebuild_context_samples
+        assert exact_from < restored.n_rows - 8.0 * trace.sample_rate_hz
+        assert (
+            restored.calibrated_window(exact_from).tobytes()
+            == uninterrupted.calibrated_window(exact_from).tobytes()
+        )
         np.testing.assert_array_equal(
             second.checkpoint()["engine_cycles"],
             reference.checkpoint()["engine_cycles"],

@@ -96,7 +96,7 @@ def run(monkeypatch, gateway_class, scenario):
     }
     return {
         "report": json.dumps(report.to_jsonable(), sort_keys=True),
-        "events": report.events_jsonl,
+        "events": report.events.to_jsonl(),
         "metrics": report.metrics_json,
         "estimates": json.dumps(streams, sort_keys=True),
         "queue_depths": [gateway._session(s).queue.depth for s in gateway.session_ids],

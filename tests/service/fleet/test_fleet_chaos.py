@@ -154,8 +154,7 @@ class TestEndToEnd:
             )
             for _ in range(2)
         ]
-        assert reports[0].events_jsonl == reports[1].events_jsonl
-        assert reports[0].metrics_json == reports[1].metrics_json
+        assert reports[0].artifacts() == reports[1].artifacts()
         assert reports[0].violations() == reports[1].violations() == []
 
     def test_report_is_json_safe(self):

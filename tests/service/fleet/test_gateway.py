@@ -6,7 +6,7 @@ from repro.core.streaming import StreamingConfig
 from repro.errors import ConfigurationError, FleetAdmissionError
 from repro.service.clock import SimulatedClock
 from repro.service.fleet import FleetConfig, FleetGateway, SessionStatus
-from repro.service.chaos import _estimate_stream_bytes
+from repro.service.chaos import anonymous_estimates_jsonl
 from repro.service.sources import TracePacketSource
 from repro.service.supervisor import SupervisorConfig
 from tests.service.test_supervisor import _CorruptingSource
@@ -69,11 +69,11 @@ class TestScheduling:
         _admit(solo, fleet_trace, "alone")
         solo.run(max_duration_s=60.0)
 
-        reference = _estimate_stream_bytes(solo.estimates("alone"))
+        reference = anonymous_estimates_jsonl(solo.estimates("alone"))
         for i in range(3):
             assert fleet.status(f"s{i}") is SessionStatus.FINISHED
             assert (
-                _estimate_stream_bytes(fleet.estimates(f"s{i}"))
+                anonymous_estimates_jsonl(fleet.estimates(f"s{i}"))
                 == reference
             )
 
@@ -121,9 +121,9 @@ class TestScheduling:
         assert fleet.status("sick") is SessionStatus.FINISHED
         assert fleet.status("well") is SessionStatus.FINISHED
         assert fleet.estimates("well")
-        assert _estimate_stream_bytes(
+        assert anonymous_estimates_jsonl(
             fleet.estimates("well")
-        ) == _estimate_stream_bytes(solo.estimates("alone"))
+        ) == anonymous_estimates_jsonl(solo.estimates("alone"))
 
     def test_summary_counts_finished_sessions(self, fleet_trace):
         gateway = _gateway(fleet_trace)

@@ -11,11 +11,102 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate", "--out", "x.npz"])
-        assert args.scenario == "lab"
-        assert args.duration == 30.0
-        assert args.rate == 400.0
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["simulate", "--out", "x.npz"],
+                {"scenario": "lab", "duration": 30.0, "rate": 400.0, "seed": 0,
+                 "persons": 1, "distance": None, "directional": False,
+                 "out": "x.npz"},
+            ),
+            (
+                ["estimate", "t.npz"],
+                {"trace": "t.npz", "persons": 1, "heart": False,
+                 "method": None, "no_gate": False},
+            ),
+            (
+                ["dataset", "--out", "d"],
+                {"out": "d", "count": 10, "duration": 30.0, "rate": 400.0,
+                 "seed": 0},
+            ),
+            (
+                ["experiment", "fig11"],
+                {"figure": "fig11", "trials": None, "json": None},
+            ),
+            (
+                ["monitor"],
+                {"duration": 90.0, "rate": 100.0, "seed": 0,
+                 "chaos_scenario": None, "json": None, "metrics_out": None,
+                 "events_out": None},
+            ),
+            (
+                ["fleet"],
+                {"sessions": 20, "duration": 24.0, "rate": 50.0, "seed": 0,
+                 "scenario": None, "no_isolation_check": False, "json": None,
+                 "metrics_out": None, "events_out": None},
+            ),
+            (
+                ["sanitize"],
+                {"scenario": None, "duration": None, "sample_rate": None,
+                 "sessions": None, "seed": None, "json": False},
+            ),
+            (
+                ["metrics", "render", "m.json"],
+                {"metrics_command": "render", "snapshot": "m.json",
+                 "format": "table"},
+            ),
+            (
+                ["metrics", "diff", "a.json", "b.json"],
+                {"metrics_command": "diff", "old": "a.json", "new": "b.json"},
+            ),
+            (
+                ["record", "--out", "s"],
+                {"scenario": "lab", "duration": 20.0, "rate": 30.0, "seed": 0,
+                 "persons": 1, "distance": None, "session": "",
+                 "stem": "trace", "rotate_kib": 256, "flush_every": 64,
+                 "out": "s"},
+            ),
+            (
+                ["replay", "--store", "s"],
+                {"store": "s", "stem": "trace", "window": 8.0, "hop": 4.0,
+                 "seed": 0, "json": None},
+            ),
+            (
+                ["backtest"],
+                {"corpus": "corpus", "scenario": None, "seed": 0,
+                 "inject_regression_bpm": 0.0, "json": None},
+            ),
+            (
+                ["learn", "train", "--out", "b.json"],
+                {"learn_command": "train", "mode": "rf", "store": None,
+                 "stem": None, "windows": 160, "seed": 0, "no_mlp": False,
+                 "out": "b.json"},
+            ),
+            (
+                ["learn", "eval", "b.json"],
+                {"learn_command": "eval", "bundle": "b.json",
+                 "scenario": "through-wall", "distance": 6.5, "trials": 8,
+                 "duration": 30.0, "rate": 50.0, "seed": 0, "heavy": False,
+                 "mlp": False, "json": None},
+            ),
+        ],
+        ids=[
+            "simulate", "estimate", "dataset", "experiment", "monitor",
+            "fleet", "sanitize", "metrics-render", "metrics-diff", "record",
+            "replay", "backtest", "learn-train", "learn-eval",
+        ],
+    )
+    def test_defaults(self, argv, expected):
+        # Every parsed value, its type and the flag order are pinned, so a
+        # flag declared through a shared helper cannot drift its default.
+        parsed = vars(build_parser().parse_args(argv))
+        expected = {"command": argv[0], **expected}
+        assert list(parsed) == list(expected)
+        assert parsed == expected
+        assert [type(v) for v in parsed.values()] == [
+            type(v) for v in expected.values()
+        ]
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig11"])
@@ -546,3 +637,48 @@ class TestSanitizeCommand:
             {"duration_s": 30.0},
             {"scenario": "shard-crash", "n_sessions": 4, "seed": 2},
         ]
+
+
+class TestLearnCommand:
+    @pytest.fixture(scope="class")
+    def bundle_path(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("learn") / "b.json"
+        code = main(
+            [
+                "learn", "train", "--mode", "synthetic", "--windows", "24",
+                "--no-mlp", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        return out
+
+    def test_train_writes_bundle(self, bundle_path):
+        import json
+
+        bundle = json.loads(bundle_path.read_text())
+        assert set(bundle) >= {
+            "apnea_model", "breathing_model", "feature_names", "meta",
+            "version",
+        }
+        assert bundle["breathing_mlp"] is None
+        assert bundle["meta"]["mode"] == "synthetic"
+        assert bundle["meta"]["n_windows"] == 24
+
+    def test_eval_writes_summary(self, bundle_path, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "s.json"
+        code = main(
+            [
+                "learn", "eval", str(bundle_path), "--trials", "1",
+                "--duration", "10", "--rate", "20", "--json", str(out),
+            ]
+        )
+        assert code == 0
+        summary = json.loads(out.read_text())
+        assert summary["condition"] == "clean capture"
+        for method in ("phasebeat", "learned"):
+            assert set(summary["methods"][method]) == {
+                "median_error_bpm", "mean_error_bpm", "failure_rate",
+            }
+        assert "learned margin" in capsys.readouterr().out
