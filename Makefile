@@ -32,7 +32,9 @@ chaos:
 # The perf job's perfbench steps: the harness's own tests plus a one-second
 # smoke run of each workload (digest and correctness checks, no timing gate)
 # and one traced run, which fails if an entry point the span tracer wraps
-# was renamed or removed.
+# was renamed or removed.  The fleet-400hz run is the one whose engine hops
+# take the compressed median, the rank-bounded outlier test and the
+# grid-only denoise; the 20 Hz hops take the plain filter.
 perfbench:
 	$(PYTHON) -m pytest perfbench/tests -q
 	$(PYTHON) perfbench/run.py --workload fleet-record-20hz --seed 0 --seconds 1 --trace 0

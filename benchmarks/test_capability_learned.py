@@ -21,16 +21,13 @@ the learned median error regresses more than 20 % above the committed
 ``BENCH_learn.json`` baseline at the repo root.
 """
 
-import numpy as np
 import pytest
 from conftest import banner, regression_gate, run_once, write_bench_json
 
-from repro.eval.harness import default_subject, run_breathing_trials
+from repro.eval.harness import head_to_head_scene, run_breathing_trials
 from repro.eval.reporting import format_table
 from repro.learn import LearnedEstimator, TrainingConfig, generate_corpus, train
-from repro.physio.person import Person
 from repro.rf.impairments import heavy_impairments
-from repro.rf.scene import through_wall_scenario
 
 
 # Acceptance bars (see docs/learned.md): the learned head must beat the
@@ -52,24 +49,12 @@ def bundle():
     return train(TrainingConfig(mode="rf", n_windows=200, seed=0, with_mlp=True))
 
 
-def _scenario_factory(k, rng):
-    subject = default_subject(rng, with_heartbeat=False)
-    person = Person(
-        position=(2.5, 0.8, 1.0),
-        breathing=subject.breathing,
-        heartbeat=None,
-    )
-    return through_wall_scenario(
-        6.5, [person], wall_loss_db=10.0, clutter_seed=_TRIAL_SEED + k
-    )
-
-
 def test_capability_learned_through_wall(benchmark, bundle):
     learned = LearnedEstimator(bundle)
     results = run_once(
         benchmark,
         run_breathing_trials,
-        _scenario_factory,
+        head_to_head_scene(6.5, _TRIAL_SEED),
         _N_TRIALS,
         duration_s=_DURATION_S,
         sample_rate_hz=_SAMPLE_RATE_HZ,
@@ -79,14 +64,7 @@ def test_capability_learned_through_wall(benchmark, bundle):
         impairments_factory=lambda k, rng: heavy_impairments(),
     )
 
-    summary = {}
-    for method in ("phasebeat", "learned"):
-        errors = results.errors(method)
-        summary[method] = {
-            "median_error_bpm": float(np.median(errors)),
-            "mean_error_bpm": float(np.mean(errors)),
-            "failure_rate": results.failure_rate(method),
-        }
+    summary = {m: results.summary(m) for m in ("phasebeat", "learned")}
     margin = (
         summary["phasebeat"]["median_error_bpm"]
         - summary["learned"]["median_error_bpm"]

@@ -867,35 +867,20 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
 def _cmd_learn_eval(args: argparse.Namespace) -> int:
     import json
 
-    from .eval.harness import default_subject, run_breathing_trials
+    from .eval.harness import head_to_head_scene, run_breathing_trials
     from .learn import LearnedEstimator, read_bundle
-    from .physio.person import Person
     from .rf.impairments import Impairment, heavy_impairments
 
     bundle = read_bundle(args.bundle)
     learned = LearnedEstimator(bundle, use_mlp=args.mlp)
 
-    def factory(k: int, rng: np.random.Generator) -> Scenario:
-        subject = default_subject(rng, with_heartbeat=False)
-        person = Person(
-            position=(2.5, 0.8, 1.0),
-            breathing=subject.breathing,
-            heartbeat=None,
-        )
-        if args.scenario == "lab":
-            return laboratory_scenario([person], clutter_seed=args.seed + k)
-        return through_wall_scenario(
-            args.distance,
-            [person],
-            wall_loss_db=10.0,
-            clutter_seed=args.seed + k,
-        )
-
     def impairments(k: int, rng: np.random.Generator) -> list[Impairment]:
         return heavy_impairments() if args.heavy else []
 
     results = run_breathing_trials(
-        factory,
+        head_to_head_scene(
+            None if args.scenario == "lab" else args.distance, args.seed
+        ),
         args.trials,
         duration_s=args.duration,
         sample_rate_hz=args.rate,
@@ -909,15 +894,10 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
         f"=== learn eval: {args.scenario} ({condition}), "
         f"{args.trials} paired trials ==="
     )
-    summary: dict[str, dict[str, float]] = {}
-    for method in ("phasebeat", "learned"):
-        errors = results.errors(method)
-        row = {
-            "median_error_bpm": float(np.median(errors)),
-            "mean_error_bpm": float(np.mean(errors)),
-            "failure_rate": results.failure_rate(method),
-        }
-        summary[method] = row
+    methods = ("phasebeat", "learned")
+    summary = {method: results.summary(method) for method in methods}
+    for method in methods:
+        row = summary[method]
         print(
             f"  {method:<10s} median {row['median_error_bpm']:6.2f} bpm, "
             f"mean {row['mean_error_bpm']:6.2f} bpm, "

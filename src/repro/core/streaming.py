@@ -49,13 +49,8 @@ from ..errors import (
     TraceFormatError,
 )
 from ..contracts import ComplexArray, FloatArray, IntArray
-from ..dsp.hampel import NOISE_WINDOW_S, TREND_WINDOW_S
 from ..dsp.resample import decimation_factor
-from ..dsp.streaming_kernels import (
-    RowStore,
-    StreamingCalibrator,
-    trailing_window_samples,
-)
+from ..dsp.streaming_kernels import RowStore, StreamingCalibrator, rebuild_context
 from ..io_.quality import TraceQualityReport, assess_timestamps
 from ..io_.trace import CSITrace
 from ..obs import NULL_INSTRUMENTATION, Instrumentation
@@ -224,17 +219,9 @@ class StreamingMonitor:
         # additionally retains enough pre-window context that an engine
         # rebuilt from it alone reproduces the running engine's values
         # bitwise inside the analysis window (see
-        # StreamingCalibrator.rebuild_context_samples).
+        # repro.dsp.streaming_kernels.rebuild_context).
         self._decimation = decimation_factor(self.sample_rate_hz)
-        trend_w = trailing_window_samples(TREND_WINDOW_S, self.sample_rate_hz)
-        noise_w = trailing_window_samples(NOISE_WINDOW_S, self.sample_rate_hz)
-        if noise_w >= trend_w:
-            raise ConfigurationError(
-                f"at {self.sample_rate_hz} Hz the calibration's denoise "
-                "window is not shorter than its trend window; the monitor "
-                "needs at least 0.7 Hz"
-            )
-        self._context_rows = 2 * (trend_w - 1) + 2 * (noise_w - 1)
+        self._context_rows = rebuild_context(self.sample_rate_hz)
         self._engine: StreamingCalibrator | None = None
         self._amps: RowStore | None = None
         # Sliding-window V of the environment check, keyed by the absolute

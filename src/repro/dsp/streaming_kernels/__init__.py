@@ -31,6 +31,7 @@ from .calibrator import (
     StreamingCalibrator,
     TrailingCalibration,
     TrailingHampelState,
+    rebuild_context,
     trailing_calibrate,
     trailing_window_samples,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "StreamingCalibrator",
     "TrailingCalibration",
     "TrailingHampelState",
+    "rebuild_context",
     "trailing_calibrate",
     "trailing_window_samples",
 ]

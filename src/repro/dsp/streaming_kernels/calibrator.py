@@ -9,7 +9,12 @@ pure function of the trailing ``trend_window + noise_window`` raw samples,
 is computed exactly once, and never changes.  Per hop, only the new packets
 are filtered: one scipy call per median over the new rows and their window
 context (cut down to the values that can still be a median once the context
-is full), instead of a full-window pass.  The per-packet caches are
+is full), instead of a full-window pass.  Each stage's MAD only feeds the
+outlier test, which :func:`~repro.dsp.streaming_kernels.rolling.trailing_exceeds`
+decides exactly, and without filtering for the MAD wherever it can.  The
+denoise stage tests and keeps only the rows of the decimation grid, the
+only calibrated rows a window reads; its median still runs on every row,
+because later deviations need it.  The per-packet caches are
 :class:`~repro.dsp.streaming_kernels.row_store.RowStore` buffers, so a hop
 writes its rows in place instead of copying the whole cache.
 
@@ -43,7 +48,7 @@ from ...errors import ConfigurationError
 from ..hampel import HAMPEL_THRESHOLD, NOISE_WINDOW_S, TREND_WINDOW_S
 from ..resample import decimate, downsampled_rate
 from ..stats import MAD_TO_SIGMA
-from .rolling import trailing_hampel, trailing_median
+from .rolling import trailing_exceeds, trailing_hampel, trailing_median
 from .row_store import RowStore
 from .unwrap import cycle_unwrap
 
@@ -52,6 +57,7 @@ __all__ = [
     "TrailingCalibration",
     "trailing_calibrate",
     "trailing_window_samples",
+    "rebuild_context",
     "StreamingCalibrator",
 ]
 
@@ -84,17 +90,36 @@ def _stage_windows(sample_rate_hz: float) -> tuple[int, int]:
     noise_w = trailing_window_samples(NOISE_WINDOW_S, sample_rate_hz)
     if noise_w >= trend_w:
         raise ConfigurationError(
-            "denoise window must be shorter than the trend window"
+            f"at {sample_rate_hz} Hz the calibration's denoise window is not "
+            "shorter than its trend window; it needs at least 0.7 Hz"
         )
     return trend_w, noise_w
+
+
+def rebuild_context(sample_rate_hz: float) -> int:
+    """Raw rows of context a rebuild needs before its outputs are exact.
+
+    A calibrated row reaches back ``trend_window - 1`` rows through the
+    trend median, the same again through the trend MAD (deviations are
+    medians of earlier medians), and likewise twice through the noise
+    stage: ``2*(trend_window - 1) + 2*(noise_window - 1)`` rows in total.
+    An engine rebuilt from a suffix matches the running engine bitwise on
+    every row at least this far past the suffix start.
+    """
+    trend_w, noise_w = _stage_windows(sample_rate_hz)
+    return 2 * (trend_w - 1) + 2 * (noise_w - 1)
 
 
 class TrailingHampelState:
     """Incremental trailing Hampel filter over a growing multi-series matrix.
 
-    :meth:`extend` filters each new block and returns it; outputs are
-    bitwise equal to running :func:`~repro.dsp.streaming_kernels.rolling.trailing_hampel`
-    over the whole concatenated series (the equivalence suite pins this).
+    :meth:`extend` filters each new block and returns the rows of it that
+    sit at ``0 mod decimation_factor``, counting from the first row ever
+    extended; outputs are bitwise equal to running
+    :func:`~repro.dsp.streaming_kernels.rolling.trailing_hampel` over the
+    whole concatenated series and keeping those rows (the equivalence suite
+    pins this).  The median runs on every row, because the deviations that
+    later MADs read need it; the MAD test runs on the returned rows only.
     The state retains the trailing ``window - 1`` raw samples and absolute
     deviations — everything a future block's windows can reach.
     """
@@ -105,14 +130,21 @@ class TrailingHampelState:
         threshold: float,
         *,
         scale: float = MAD_TO_SIGMA,
+        decimation_factor: int = 1,
     ) -> None:
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
         if threshold < 0:
             raise ConfigurationError(f"threshold must be >= 0, got {threshold}")
+        if decimation_factor < 1:
+            raise ConfigurationError(
+                f"decimation factor must be >= 1, got {decimation_factor}"
+            )
         self._window = int(window)
         self._threshold = float(threshold)
         self._scale = float(scale)
+        self._factor = int(decimation_factor)
+        self._rows = 0
         self._x_tail: FloatArray | None = None
         self._y_tail: FloatArray | None = None
 
@@ -128,7 +160,8 @@ class TrailingHampelState:
             block: ``[n_new × n_series]`` new raw samples.
 
         Returns:
-            The filtered block, same shape.
+            The filtered rows of the block at ``0 mod decimation_factor``
+            (all of them at factor 1).
         """
         block = np.asarray(block, dtype=float)
         if block.ndim != 2:
@@ -154,10 +187,18 @@ class TrailingHampelState:
             ctx_y = y_new
         else:
             ctx_y = np.concatenate([self._y_tail, y_new], axis=0)
-        mad = trailing_median(ctx_y, w, last=m)
-        outlier = y_new > self._threshold * self._scale * mad
-        out = block.copy()
-        out[outlier] = med[outlier]
+        grid = slice(-self._rows % self._factor, None, self._factor)
+        outlier = trailing_exceeds(
+            ctx_y,
+            w,
+            self._threshold * self._scale,
+            last=m,
+            step=self._factor,
+            first=grid.start,
+        )
+        out = block[grid].copy()
+        out[outlier] = med[grid][outlier]
+        self._rows += m
         self._x_tail = ctx_x[-keep:].copy() if keep else ctx_x[:0].copy()
         self._y_tail = ctx_y[-keep:].copy() if keep else ctx_y[:0].copy()
         return out
@@ -255,10 +296,11 @@ class StreamingCalibrator:
     """Incremental counterpart of :func:`trailing_calibrate`.
 
     Rows are indexed in lockstep with the caller's packet buffer: row ``i``
-    of every cache corresponds to buffered packet ``i``.  :meth:`extend`
-    appends newly arrived packets, :meth:`evict` drops the oldest rows when
-    the caller evicts packets (in multiples of the decimation factor, so
-    the ``[::factor]`` grid anchored at row 0 keeps its phase).
+    of the unwrapped and cycle caches corresponds to buffered packet ``i``,
+    and the calibrated cache holds the ``[::factor]`` grid of those rows,
+    anchored at row 0.  :meth:`extend` appends newly arrived packets,
+    :meth:`evict` drops the oldest rows when the caller evicts packets (in
+    multiples of the decimation factor, so the grid keeps its phase).
 
     Rebuilding — constructing a fresh engine with the same
     ``initial_cycles`` and extending it with the full buffer in one call —
@@ -285,7 +327,9 @@ class StreamingCalibrator:
         self._n_series = int(n_series)
         self._factor = int(decimation_factor)
         self._trend = TrailingHampelState(trend_w, HAMPEL_THRESHOLD)
-        self._noise = TrailingHampelState(noise_w, HAMPEL_THRESHOLD)
+        self._noise = TrailingHampelState(
+            noise_w, HAMPEL_THRESHOLD, decimation_factor=self._factor
+        )
         self._last_angle: FloatArray | None = None
         self._last_cycles: IntArray = (
             np.zeros(self._n_series, dtype=np.int64)
@@ -298,8 +342,8 @@ class StreamingCalibrator:
 
     @property
     def n_rows(self) -> int:
-        """Rows currently cached (== packets buffered by the caller)."""
-        return len(self._calibrated)
+        """Packet rows currently cached (== packets buffered by the caller)."""
+        return len(self._unwrapped)
 
     @property
     def decimation_factor(self) -> int:
@@ -313,16 +357,8 @@ class StreamingCalibrator:
 
     @property
     def rebuild_context_samples(self) -> int:
-        """Raw rows of context a rebuild needs before its outputs are exact.
-
-        A calibrated row reaches back ``trend_window - 1`` rows through the
-        trend median, the same again through the trend MAD (deviations are
-        medians of earlier medians), and likewise twice through the noise
-        stage: ``2*(trend_window - 1) + 2*(noise_window - 1)`` rows in
-        total.  An engine rebuilt from a suffix matches the running engine
-        bitwise on every row at least this far past the suffix start.
-        """
-        return 2 * (self._trend.window - 1) + 2 * (self._noise.window - 1)
+        """:func:`rebuild_context` at this engine's sample rate."""
+        return rebuild_context(self._sample_rate_hz)
 
     @property
     def base_cycles(self) -> IntArray:
@@ -372,7 +408,7 @@ class StreamingCalibrator:
         if n_rows <= 0:
             return
         self._unwrapped.evict(n_rows)
-        self._calibrated.evict(n_rows)
+        self._calibrated.evict(n_rows // self._factor)
         self._cycles.evict(n_rows)
 
     def unwrapped_window(self, start_row: int) -> FloatArray:
@@ -391,5 +427,4 @@ class StreamingCalibrator:
         """
         if start_row < 0:
             raise ConfigurationError(f"start_row must be >= 0, got {start_row}")
-        first = -(-start_row // self._factor) * self._factor
-        return self._calibrated.rows[first :: self._factor].copy()
+        return self._calibrated.rows[-(-start_row // self._factor) :].copy()

@@ -23,10 +23,15 @@ from ..physio.heartbeat import SinusoidalHeartbeat
 from ..physio.person import Person
 from ..rf.impairments import Impairment, apply_impairments
 from ..rf.receiver import capture_trace
-from ..rf.scene import Scenario
+from ..rf.scene import Scenario, laboratory_scenario, through_wall_scenario
 from .metrics import absolute_error_bpm, accuracy
 
-__all__ = ["TrialOutcome", "run_breathing_trials", "default_subject"]
+__all__ = [
+    "TrialOutcome",
+    "run_breathing_trials",
+    "default_subject",
+    "head_to_head_scene",
+]
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,15 @@ class BreathingTrialResults:
             return 0.0
         return float(np.mean([o.failed for o in rows]))
 
+    def summary(self, method: str) -> dict[str, float]:
+        """Median and mean error (failures dropped) and the failure rate."""
+        errors = self.errors(method)
+        return {
+            "median_error_bpm": float(np.median(errors)),
+            "mean_error_bpm": float(np.mean(errors)),
+            "failure_rate": self.failure_rate(method),
+        }
+
     def add(self, outcome: TrialOutcome) -> None:
         """Record one outcome."""
         self.outcomes.setdefault(outcome.method, []).append(outcome)
@@ -118,6 +132,33 @@ def default_subject(
         if with_heartbeat
         else None,
     )
+
+
+def head_to_head_scene(
+    distance_m: float | None, base_seed: int
+) -> Callable[[int, np.random.Generator], Scenario]:
+    """Trial scenes of the learned-vs-classical head-to-head.
+
+    Trial ``k`` holds one breathing-only :func:`default_subject` at
+    (2.5, 0.8, 1.0) with clutter seed ``base_seed + k``: behind a 10 dB
+    wall at ``distance_m`` TX-RX separation, or in the laboratory when
+    ``distance_m`` is None.
+    """
+
+    def factory(k: int, rng: np.random.Generator) -> Scenario:
+        subject = default_subject(rng, with_heartbeat=False)
+        person = Person(
+            position=(2.5, 0.8, 1.0),
+            breathing=subject.breathing,
+            heartbeat=None,
+        )
+        if distance_m is None:
+            return laboratory_scenario([person], clutter_seed=base_seed + k)
+        return through_wall_scenario(
+            distance_m, [person], wall_loss_db=10.0, clutter_seed=base_seed + k
+        )
+
+    return factory
 
 
 def run_breathing_trials(

@@ -19,8 +19,7 @@ and reports pass/fail per scenario — the regression gate
 
 Because replay time is simulated, a backtest runs as fast as the CPU
 allows; the report includes the measured wall-time speedup
-(recorded seconds per wall second, also exported as the
-``replay_speedup_ratio`` gauge).
+(recorded seconds per wall second).
 
 This module deliberately does not import the fleet layer: a backtest is
 a solo-session evaluation harness, and keeping it fleet-free keeps the
@@ -39,7 +38,6 @@ from typing import Any, NamedTuple
 
 from ..core.streaming import StreamingConfig
 from ..errors import TraceStoreError
-from ..obs import Instrumentation, NULL_INSTRUMENTATION
 from ..obs.clock import WallClock
 from ..service.clock import SimulatedClock
 from ..service.sources import PacketSource
@@ -305,7 +303,6 @@ def replay_store(
     *,
     streaming_config: StreamingConfig,
     seed: int,
-    instrumentation: Instrumentation | None = None,
 ) -> StoreReplay:
     """Replay one recorded store through a supervised monitor.
 
@@ -320,8 +317,6 @@ def replay_store(
         subject: Subject name the estimates carry.
         streaming_config: Monitor window parameters.
         seed: Seed for the supervisor's retry jitter.
-        instrumentation: Optional instrumentation for the supervisor and
-            the sources it reads (``replay_records_total``).
 
     Raises:
         TraceStoreError: The store has no segments or no replayable
@@ -338,7 +333,6 @@ def replay_store(
             stem,
             clock,
             start_at_s=start_at_s if start_at_s > 0 else None,
-            instrumentation=instrumentation,
         )
 
     probe = ReplayPacketSource(backend, stem, clock)
@@ -346,7 +340,6 @@ def replay_store(
         clock=clock,
         streaming_config=streaming_config,
         seed=seed,
-        instrumentation=instrumentation,
     )
     supervisor.add_subject(subject, factory, probe.sample_rate_hz)
     estimates = supervisor.run()
@@ -361,7 +354,6 @@ def _replay_scenario(
     *,
     seed: int,
     inject_bias_bpm: float,
-    instrumentation: Instrumentation,
 ) -> ScenarioResult:
     store_dir = os.path.join(corpus_dir, baseline.name)
     if not os.path.isdir(store_dir):
@@ -375,7 +367,6 @@ def _replay_scenario(
         baseline.name,
         streaming_config=DEFAULT_BACKTEST_STREAMING,
         seed=seed,
-        instrumentation=instrumentation,
     )
 
     usable = [
@@ -391,12 +382,6 @@ def _replay_scenario(
     )
     duration_s = probe.duration_s
     speedup = duration_s / wall_s
-    instrumentation.gauge_set(
-        "replay_speedup_ratio",
-        speedup,
-        labels={"scenario": baseline.name},
-        help_text="Recorded seconds replayed per wall-clock second.",
-    )
     health = supervisor.health_summary()["health"]
     salvage = probe.salvage_report
 
@@ -430,7 +415,6 @@ def run_backtest(
     scenarios: list[str] | None = None,
     seed: int = 0,
     inject_bias_bpm: float = 0.0,
-    instrumentation: Instrumentation | None = None,
 ) -> BacktestReport:
     """Replay a corpus through the pipeline and diff against baselines.
 
@@ -445,9 +429,6 @@ def run_backtest(
         inject_bias_bpm: Deliberate estimate bias — a gate self-test
             knob: a non-zero bias models an estimator regression and
             must make the backtest fail.
-        instrumentation: Optional :class:`repro.obs.Instrumentation`
-            (``replay_records_total``, ``replay_speedup_ratio`` and the
-            supervisor's series).
 
     Raises:
         TraceStoreError: Bad manifest, unknown scenario selection, or a
@@ -462,7 +443,6 @@ def run_backtest(
                 f"unknown scenario(s) {unknown}; corpus has {sorted(known)}"
             )
         baselines = [b for b in baselines if b.name in set(scenarios)]
-    obs = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
     results = [
         _replay_scenario(
             corpus_dir,
@@ -470,7 +450,6 @@ def run_backtest(
             baseline,
             seed=seed,
             inject_bias_bpm=inject_bias_bpm,
-            instrumentation=obs,
         )
         for baseline in baselines
     ]

@@ -10,8 +10,8 @@ packet's original capture time, exactly like
 :class:`~repro.service.sources.TracePacketSource`; since nothing in the
 service waits on wall time, a recorded hour replays as fast as the CPU
 can push packets, which is what makes backtesting faster than real time
-(the ``replay_speedup_ratio`` gauge is the recorded duration divided by
-the wall seconds the replay took, measured by
+(a backtest's ``speedup_ratio`` is the recorded duration divided by the
+wall seconds the replay took, measured by
 :func:`~repro.store.backtest.replay_store` with a
 :class:`~repro.obs.clock.WallClock`).
 

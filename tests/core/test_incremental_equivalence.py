@@ -135,9 +135,9 @@ class TestEngineMatchesFromScratch:
         self, short_lab_trace, monkeypatch
     ):
         # At this geometry (0.5 s hop, 5 s trend window) every warm hop
-        # keeps a tenth of the trend window, so the trend median and its
-        # MAD run the compressed layout; the caches still equal the
-        # padded from-scratch pass above.
+        # keeps a tenth of the trend window, so the trend median runs the
+        # compressed layout; the caches still equal the padded from-scratch
+        # pass above.
         calls = []
         compressed = rolling._core_compressed_median
 
@@ -153,21 +153,31 @@ class TestEngineMatchesFromScratch:
 
     def test_400hz_trend_hop_takes_the_compressed_median(self, monkeypatch):
         # The same geometry at the paper's rate: a 0.5 s hop keeps 200 of
-        # the 2000-row trend window.
-        calls = []
+        # the 2000-row trend window.  Only the median filters the compressed
+        # layout; the MAD test decides from the same layout's band ends and
+        # partitions its few undecided rows, so it runs no filter.
+        calls, filters = [], []
         compressed = rolling._core_compressed_median
+        median_filter_ = rolling.median_filter
 
         def spy(cols, window, m):
             calls.append((window, m))
             return compressed(cols, window, m)
 
+        def filter_spy(x, *, size, **kwargs):
+            filters.append(size)
+            return median_filter_(x, size=size, **kwargs)
+
         monkeypatch.setattr(rolling, "_core_compressed_median", spy)
+        monkeypatch.setattr(rolling, "median_filter", filter_spy)
         trend = TrailingHampelState(int(round(5.0 * 400.0)), 0.01)
         block = np.random.default_rng(0).normal(size=(trend.window, 2))
         trend.extend(block)
         assert calls == []  # the warm-up call pads
+        assert filters == [2000, 2000]  # median and MAD, whole context
         trend.extend(block[: int(round(CONFIG.hop_s * 400.0))])
-        assert calls == [(2000, 200)] * 2  # median and MAD
+        assert calls == [(2000, 200)]  # the median
+        assert filters == [2000, 2000, 2 * 200 - 1]
 
     def test_incremental_windows_actually_served_by_engine(self, short_lab_trace):
         obs = Instrumentation()

@@ -281,6 +281,147 @@ class TestTrailingMadAndHampel:
             trailing_hampel(rng.normal(size=10), 3, -1.0)
 
 
+# The engine's Hampel factor: HAMPEL_THRESHOLD (0.01) times MAD_TO_SIGMA.
+T_ENGINE = 0.01 * MAD_TO_SIGMA
+
+
+def deviation_matrix(rng, n):
+    """Hampel deviations with the hard cases side by side: plain, heavily
+    tied, constant, and zero-MAD (mostly zeros, so the median is 0)."""
+    return np.column_stack(
+        [
+            np.abs(rng.normal(size=n)),
+            rng.integers(0, 4, size=n) / 2.0,
+            np.full(n, 0.75),
+            np.where(rng.random(n) < 0.2, rng.random(n), 0.0),
+        ]
+    )
+
+
+class TestTrailingExceeds:
+    """``trailing_exceeds`` against ``y > t * trailing_median(...)``, bitwise.
+
+    The full-context trend hop decides most rows from the core band's ends
+    and resolves the rest exactly; decimated rows gather their windows;
+    everything else (and anything non-finite) takes the filter.
+    """
+
+    @staticmethod
+    def check(y, window, t, last, step=1, first=0):
+        got = rolling.trailing_exceeds(
+            y, window, t, last=last, step=step, first=first
+        )
+        n = y.shape[0]
+        med = trailing_median(y, window, last=last)[first::step]
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, y[n - last :][first::step] > t * med)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(rolling, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(rolling, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("window", [3, 20, 51])
+    @pytest.mark.parametrize("t", [T_ENGINE, 0.0, 0.5, 1.0])
+    def test_every_hop_size_up_to_the_bound(self, rng, window, t):
+        # m = 1 .. 2w/5, full context (the bounded path), then one padded
+        # row short of it and one past the bound (the filter).
+        for m in range(1, 2 * window // 5 + 1):
+            y = deviation_matrix(rng, window - 1 + m + 3)
+            self.check(y, window, t, m)
+            self.check(y[4:], window, t, m)
+        y = deviation_matrix(rng, 3 * window)
+        self.check(y, window, t, 2 * window // 5 + 1)
+
+    @pytest.mark.parametrize("window, m", [(20, 8), (51, 20), (2000, 400)])
+    @pytest.mark.parametrize("undecided", ["few", "most"])
+    def test_values_on_and_beside_the_bounds(
+        self, rng, monkeypatch, window, m, undecided
+    ):
+        n = window - 1 + m
+        y = np.abs(rng.normal(size=(n, 3)))
+        band = rolling._core_segments(y, window, m)[:, m - 1 : 2 * m - 1]
+        low, high = T_ENGINE * band[:, 0], T_ENGINE * band[:, -1]
+        # Kept rows after the first lie outside the core, so setting them
+        # moves neither bound.
+        if undecided == "few":
+            beside = [low, np.nextafter(low, np.inf), np.nextafter(high, 0),
+                      high, np.nextafter(high, np.inf)]
+            y[n - m + 1 : n - m + 1 + len(beside)] = beside
+        else:
+            y[n - m + 1 :] = np.nextafter(high, 0)
+        assert_bitwise(
+            rolling._core_segments(y, window, m)[:, m - 1 : 2 * m - 1], band
+        )
+        filtered = self.spy(monkeypatch, "_segment_medians")
+        rolling.trailing_exceeds(y, window, T_ENGINE, last=m)
+        # Few undecided rows are partitioned; most of them, filtered.
+        assert filtered == ([] if undecided == "few" else ["_segment_medians"])
+        self.check(y, window, T_ENGINE, m)
+
+    @pytest.mark.parametrize("factor", [2, 5, 20])
+    def test_decimated_rows_at_every_phase(self, rng, factor):
+        y = deviation_matrix(rng, 449)
+        for first in {0, 1, factor // 2, factor - 1}:
+            self.check(y, 50, T_ENGINE, 400, step=factor, first=first)
+            # Warm-up: fewer rows than the window, left edge replicated.
+            self.check(y[:31], 50, T_ENGINE, 31, step=factor, first=first)
+            self.check(y[:31], 50, T_ENGINE, 12, step=factor, first=first)
+
+    def test_1d_series_and_empty_selections(self, rng):
+        y = deviation_matrix(rng, 60)[:, 1]
+        self.check(y, 50, T_ENGINE, 8)
+        self.check(y, 50, T_ENGINE, 40, step=5, first=3)
+        assert rolling.trailing_exceeds(y, 50, T_ENGINE, last=0).shape == (0,)
+        out = rolling.trailing_exceeds(y, 50, T_ENGINE, last=3, step=5, first=4)
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [1, 20])
+    def test_non_finite_values_take_the_filter(self, rng, monkeypatch, bad, step):
+        fast = self.spy(monkeypatch, "_bounded_exceeds")
+        fast += self.spy(monkeypatch, "_gathered_medians")
+        window = 2000 if step == 1 else 50
+        y = deviation_matrix(rng, window - 1 + 400)
+        y[window // 2, 1] = bad
+        self.check(y, window, T_ENGINE, 400, step=step, first=step // 2)
+        assert fast == []
+
+    def test_path_follows_shape(self, rng, monkeypatch):
+        bounded = self.spy(monkeypatch, "_bounded_exceeds")
+        gathered = self.spy(monkeypatch, "_gathered_medians")
+        exceeds = rolling.trailing_exceeds
+        # The 400 Hz trend hop (400 of 2000, full context): bounded.
+        exceeds(deviation_matrix(rng, 2399), 2000, T_ENGINE, last=400)
+        assert (len(bounded), len(gathered)) == (1, 0)
+        # A padded call, the 20 Hz trend hop (80 of 100) and a rebuild.
+        exceeds(deviation_matrix(rng, 2398), 2000, T_ENGINE, last=400)
+        exceeds(deviation_matrix(rng, 179), 100, T_ENGINE, last=80)
+        exceeds(deviation_matrix(rng, 3000), 2000, T_ENGINE)
+        assert (len(bounded), len(gathered)) == (1, 0)
+        # The 400 Hz denoise grid, warm and warming up: gathered.
+        exceeds(deviation_matrix(rng, 449), 50, T_ENGINE, last=400, step=20)
+        exceeds(deviation_matrix(rng, 30), 50, T_ENGINE, step=20, first=7)
+        assert (len(bounded), len(gathered)) == (1, 2)
+
+    def test_validation(self, rng):
+        y = rng.random(size=(20, 2))
+        for kwargs in ({"last": 21}, {"step": 0}, {"first": -1}):
+            with pytest.raises(ConfigurationError):
+                rolling.trailing_exceeds(y, 5, T_ENGINE, **kwargs)
+        with pytest.raises(ConfigurationError):
+            rolling.trailing_exceeds(y, 5, -1.0)
+        with pytest.raises(ConfigurationError):
+            rolling.trailing_exceeds(y, 0, T_ENGINE)
+
+
 def per_column_median(matrix, window):
     """Reference: scipy's 1-D centered median, one call per column."""
     window = min(window, matrix.shape[0])
@@ -548,11 +689,27 @@ class TestTrailingHampelState:
         out = np.concatenate([first, state.extend(x[15:])])
         np.testing.assert_array_equal(out, trailing_hampel(x, 7, 0.01))
 
+    @pytest.mark.parametrize("factor", [1, 5, 20])
+    def test_grid_rows_match_full_pass_bitwise(self, rng, factor):
+        # Odd blocks put the grid at every phase inside a block; the grid
+        # counts from the first row ever extended.
+        x = wrapped_phase_matrix(rng, 300, 3)
+        state = TrailingHampelState(11, 0.01, decimation_factor=factor)
+        blocks = [
+            state.extend(b)
+            for b in np.array_split(x, np.cumsum([7, 1, 13, 2, 33, 19]), axis=0)
+        ]
+        np.testing.assert_array_equal(
+            np.concatenate(blocks), trailing_hampel(x, 11, 0.01)[::factor]
+        )
+
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
             TrailingHampelState(0, 0.01)
         with pytest.raises(ConfigurationError):
             TrailingHampelState(5, -1.0)
+        with pytest.raises(ConfigurationError):
+            TrailingHampelState(5, 0.01, decimation_factor=0)
         with pytest.raises(ConfigurationError):
             TrailingHampelState(5, 0.01).extend(rng.normal(size=10))
 
@@ -653,6 +810,37 @@ class TestStreamingCalibrator:
         np.testing.assert_array_equal(
             engine.calibrated_window(3), engine.calibrated_window(5)
         )
+
+    @pytest.mark.parametrize(
+        "rate, factor, n",
+        [(RATE_HZ, 1, 500), (RATE_HZ, 5, 500), (RATE_HZ, 20, 500), (400.0, 20, 3300)],
+    )
+    def test_grid_rows_across_odd_blocks_and_evictions(self, rng, rate, factor, n):
+        # The engine keeps only the decimation grid of the denoised series.
+        # At 400 Hz the warm hops (200 of the 2000-row trend window) take
+        # the bounded outlier test.
+        wrapped = wrapped_phase_matrix(rng, n, 2)
+        wrapped[rng.integers(0, n, 40), rng.integers(0, 2, 40)] += 2.5
+        ref = trailing_calibrate(wrapped, rate, decimation_factor=factor)
+        engine = StreamingCalibrator(rate, 2, decimation_factor=factor)
+        sizes = [13, 7, 1, 33] if rate == RATE_HZ else [2001, 199, 200, 201]
+        evicted = pos = 0
+        for size in sizes * (n // sum(sizes) + 1):
+            engine.extend(wrapped[pos : pos + size])
+            pos += size
+            end = -(-pos // factor)
+            for start in (0, 1, factor - 1, factor + 3):
+                first = -(-(evicted + start) // factor)
+                np.testing.assert_array_equal(
+                    engine.calibrated_window(start), ref.series[first:end]
+                )
+            if engine.n_rows > n // 3:
+                drop = factor * (engine.n_rows // (4 * factor))
+                engine.evict(drop)
+                evicted += drop
+            if pos >= n:
+                break
+        assert engine.n_rows == n - evicted
 
     def test_eviction_must_respect_decimation_quantum(self, rng):
         engine = self.make_engine(2, factor=5)
